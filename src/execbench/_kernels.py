@@ -1,11 +1,21 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: batched token-level edit distance and order counts.
 
-Two kernels dominate runtime: token-level Levenshtein distances (one query
-sequence against a padded batch of candidates) and pairwise activity order
-counts over a batch of encoded variants.  The numba path is selected by
-default when numba imports; set ``EXECBENCH_KERNELS=numpy`` to force the
-fallback, or ``EXECBENCH_KERNELS=numba`` to fail loudly when numba is
-missing.  ``benchmarks/bench_kernels.py`` times one path against the other.
+``levenshtein_many`` computes one edit distance per row of a batch.  Row
+``r`` pairs query ``qi[r]`` with candidate ``ci[r]``; queries and
+candidates are -1-padded int32 matrices with their true lengths alongside,
+so one call can align every affected variant of a change against its whole
+candidate pool.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM
+46(3)) vectorized across rows: each query's DP column is a bit vector of
+64-bit words, and queries longer than 64 tokens add and shift across words
+with carries (Hyyrö 2003).  Rows are sorted by candidate length, longest
+first, so candidate column ``j`` only updates a prefix of the rows, and are
+processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
+
+``order_stats`` counts per-activity and per-pair occurrences over a batch
+of encoded variants.
+
+``perfbench/`` at the repository root times both kernels inside the whole
+pipeline (see ``perfbench/NOTES.md``).
 
 Encoding contract: activity tokens are non-negative int32 codes, padding
 cells are -1.
@@ -13,56 +23,133 @@ cells are -1.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
-
-_FLAG = os.environ.get("EXECBENCH_KERNELS", "auto").strip().lower() or "auto"
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise ConfigError(
-        f"EXECBENCH_KERNELS must be 'numba', 'numpy' or 'auto', got {_FLAG!r}"
-    )
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via EXECBENCH_KERNELS=numpy
-    HAVE_NUMBA = False
-
-if _FLAG == "numba" and not HAVE_NUMBA:
-    raise ConfigError("EXECBENCH_KERNELS=numba, but numba cannot be imported")
-
-USE_NUMBA = HAVE_NUMBA and _FLAG != "numpy"
+CHUNK_ROWS = 1 << 13
+_WORD_BITS = 64
+_ONE = np.uint64(1)
+_TOP = np.uint64(_WORD_BITS - 1)
+_ALL = ~np.uint64(0)
 
 
-def _levenshtein_many_np(query: np.ndarray, pool: np.ndarray, pool_lens: np.ndarray) -> np.ndarray:
-    """Row-DP over the query, vectorized across all pool rows at once.
+def _peq_tables(queries: np.ndarray, query_lens: np.ndarray, n_symbols: int, n_words: int) -> np.ndarray:
+    """Each query's match masks, stored as ``peq[word, query * n_symbols + symbol]``.
 
-    The in-row dependency (each cell needs its left neighbour) is resolved
-    with the running-minimum identity
-    ``new[j] = min_{k<=j}(t[k] - k) + j`` where ``t`` holds the
-    substitution/deletion candidates, so each DP row costs a handful of
-    whole-array operations instead of a scalar loop.
+    Bit ``i % 64`` of word ``i // 64`` is set when the query's token ``i``
+    equals the symbol.  Symbols are tokens shifted up by one, so the padding
+    code -1 becomes symbol 0, which matches nothing.
     """
-    n, width = pool.shape
-    offsets = np.arange(width + 1, dtype=np.int32)
-    prev = np.tile(offsets, (n, 1))
-    for i in range(1, query.shape[0] + 1):
-        cost = pool != query[i - 1]
-        row = np.empty_like(prev)
-        row[:, 0] = i
-        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost, out=row[:, 1:])
-        row -= offsets
-        np.minimum.accumulate(row, axis=1, out=row)
-        row += offsets
-        prev = row
-    return prev[np.arange(n), pool_lens].astype(np.int32)
+    peq = np.zeros((n_words, queries.shape[0] * n_symbols), dtype=np.uint64)
+    rows, positions = np.nonzero(np.arange(queries.shape[1]) < query_lens[:, None])
+    symbols = rows * n_symbols + queries[rows, positions] + 1
+    bits = np.left_shift(_ONE, (positions % _WORD_BITS).astype(np.uint64))
+    np.bitwise_or.at(peq, (positions // _WORD_BITS, symbols), bits)
+    return peq
 
 
-def _order_stats_np(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_symbols: int):
+def _popcount(x: np.ndarray) -> np.ndarray:
+    x = x - ((x >> _ONE) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def _myers_chunk(peq, offsets, query_lens, cand_columns, cand_ids, cand_lens):
+    """Distances for one chunk of rows sorted by candidate length, longest first.
+
+    ``offsets[r]`` is row r's query base column in ``peq``, and
+    ``cand_columns[j, cand_ids[r]]`` its candidate's token j.  Every query
+    is non-empty.  Pv and Mv hold the vertical +1 and -1 deltas of each row's current DP
+    column.  A row stops changing once its candidate is consumed, so at the
+    end its distance is the top-row value, its candidate length, plus the
+    sum of the deltas over its query's bits.
+    """
+    n_words, rows = peq.shape[0], len(offsets)
+    pv = np.full((n_words, rows), _ALL, dtype=np.uint64)
+    mv = np.zeros((n_words, rows), dtype=np.uint64)
+    active = np.searchsorted(-cand_lens, -np.arange(cand_lens[0]), side="left")
+    for j, n in enumerate(active):
+        eqs = peq.take(cand_columns[j].take(cand_ids[:n]) + offsets[:n], axis=1)
+        carry = mh_in = None
+        ph_in = _ONE  # the top DP row grows by one per column
+        for w in range(n_words):
+            eq, p, m = eqs[w], pv[w, :n], mv[w, :n]
+            more = w + 1 < n_words
+            xv = eq | m
+            # (eq & p) + p over all words: a word whose sum wrapped below an
+            # addend carries one into the next word.
+            total = (eq & p) + p
+            if more:
+                wrapped = total < p
+            if carry is not None:
+                total += carry
+                if more:
+                    wrapped |= total < carry
+            xh = (total ^ p) | eq
+            ph = m | ~(xh | p)
+            mh = p & xh
+            if more:
+                carry = wrapped.astype(np.uint64)
+                ph_out, mh_out = ph >> _TOP, mh >> _TOP
+            ph <<= _ONE
+            ph |= ph_in
+            mh <<= _ONE
+            if mh_in is not None:
+                mh |= mh_in
+            if more:
+                ph_in, mh_in = ph_out, mh_out
+            pv[w, :n] = mh | ~(xv | ph)
+            mv[w, :n] = ph & xv
+    bits = np.clip(query_lens - _WORD_BITS * np.arange(n_words)[:, None], 0, _WORD_BITS)
+    mask = np.where(bits == _WORD_BITS, _ALL, (_ONE << (bits % _WORD_BITS).astype(np.uint64)) - _ONE)
+    deltas = _popcount(pv & mask).sum(axis=0) - _popcount(mv & mask).sum(axis=0)
+    return cand_lens + deltas.astype(np.int64)
+
+
+def levenshtein_many(
+    queries: np.ndarray,
+    cands: np.ndarray,
+    query_lens: np.ndarray,
+    cand_lens: np.ndarray,
+    qi: np.ndarray,
+    ci: np.ndarray,
+) -> np.ndarray:
+    """Edit distance between ``queries[qi[r]]`` and ``cands[ci[r]]`` for every r.
+
+    ``queries`` (Q, wq) and ``cands`` (C, wc) are int32 codes padded with -1,
+    with true lengths in ``query_lens`` and ``cand_lens``.  Rows may repeat
+    and come in any order.  Returns one int32 distance per row; an empty
+    query's distance is its candidate's length.
+    """
+    qi = np.asarray(qi, dtype=np.intp)
+    ci = np.asarray(ci, dtype=np.intp)
+    query_lens = np.asarray(query_lens, dtype=np.int64)
+    cand_lens = np.asarray(cand_lens, dtype=np.int64)
+    m, n = query_lens[qi], cand_lens[ci]
+    out = n.astype(np.int32)
+    rows = np.flatnonzero(m > 0)
+    if not len(rows):
+        return out
+    rows = rows[np.argsort(-n[rows], kind="stable")]
+    n_symbols = int(max(queries.max(initial=-1), cands.max(initial=-1))) + 2
+    peq = _peq_tables(queries, query_lens, n_symbols, -(-int(query_lens.max()) // _WORD_BITS))
+    cand_columns = np.ascontiguousarray(cands.T)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = rows[start : start + CHUNK_ROWS]
+        out[chunk] = _myers_chunk(peq, qi[chunk] * n_symbols + 1, m[chunk], cand_columns, ci[chunk], n[chunk])
+    return out
+
+
+def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_symbols: int):
+    """Trace-weighted per-activity and per-pair occurrence counts.
+
+    Returns ``(traces_with, cooccur, before)`` where ``traces_with[x]``
+    counts traces containing symbol x, ``before[x, y]`` counts traces where
+    some x occurrence precedes some y occurrence, and ``cooccur[x, y]``
+    counts traces containing both.  The diagonal of ``cooccur`` counts
+    traces where the symbol occurs at least twice, i.e. co-occurs with
+    itself as two distinct events.
+    """
     n_variants, width = tokens.shape
     first = np.full((n_variants, n_symbols), width, dtype=np.int64)
     last = np.full((n_variants, n_symbols), -1, dtype=np.int64)
@@ -79,133 +166,6 @@ def _order_stats_np(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, 
     cooccur = np.tensordot(weights, pair_present.astype(np.int64), axes=([0], [0]))
     np.fill_diagonal(cooccur, np.diagonal(before))
     return traces_with, cooccur, before
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _levenshtein_many_nb(query, pool, pool_lens):  # pragma: no cover - jitted
-        n, width = pool.shape
-        la = query.shape[0]
-        out = np.empty(n, dtype=np.int32)
-        if la == 0:
-            for r in range(n):
-                out[r] = pool_lens[r]
-            return out
-        if la <= 64:
-            # Myers' bit-parallel scheme: the DP column fits one machine word,
-            # so each candidate token costs a handful of word operations.
-            qmax = 0
-            for i in range(la):
-                if query[i] > qmax:
-                    qmax = query[i]
-            peq = np.zeros(qmax + 1, dtype=np.uint64)
-            one = np.uint64(1)
-            zero = np.uint64(0)
-            for i in range(la):
-                peq[query[i]] |= one << np.uint64(i)
-            high = one << np.uint64(la - 1)
-            full = ~zero
-            for r in range(n):
-                pv = full
-                mv = zero
-                score = la
-                for j in range(pool_lens[r]):
-                    token = pool[r, j]
-                    eq = peq[token] if 0 <= token <= qmax else zero
-                    xv = eq | mv
-                    xh = (((eq & pv) + pv) ^ pv) | eq
-                    ph = mv | ~(xh | pv)
-                    mh = pv & xh
-                    if ph & high:
-                        score += 1
-                    elif mh & high:
-                        score -= 1
-                    ph = (ph << one) | one
-                    mh = mh << one
-                    pv = mh | ~(xv | ph)
-                    mv = ph & xv
-                out[r] = score
-            return out
-        prev = np.empty(width + 1, dtype=np.int32)
-        cur = np.empty(width + 1, dtype=np.int32)
-        for r in range(n):
-            lb = pool_lens[r]
-            for j in range(lb + 1):
-                prev[j] = j
-            for i in range(1, la + 1):
-                cur[0] = i
-                token = query[i - 1]
-                for j in range(1, lb + 1):
-                    best = prev[j] + 1
-                    if cur[j - 1] + 1 < best:
-                        best = cur[j - 1] + 1
-                    sub = prev[j - 1] + (0 if pool[r, j - 1] == token else 1)
-                    if sub < best:
-                        best = sub
-                    cur[j] = best
-                prev, cur = cur, prev
-            out[r] = prev[lb]
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _order_stats_nb(tokens, lengths, freqs, n_symbols):  # pragma: no cover - jitted
-        n_variants = tokens.shape[0]
-        traces_with = np.zeros(n_symbols, dtype=np.int64)
-        cooccur = np.zeros((n_symbols, n_symbols), dtype=np.int64)
-        before = np.zeros((n_symbols, n_symbols), dtype=np.int64)
-        first = np.empty(n_symbols, dtype=np.int64)
-        last = np.empty(n_symbols, dtype=np.int64)
-        for r in range(n_variants):
-            weight = freqs[r]
-            for s in range(n_symbols):
-                first[s] = -1
-                last[s] = -1
-            for p in range(lengths[r]):
-                s = tokens[r, p]
-                if first[s] < 0:
-                    first[s] = p
-                last[s] = p
-            for x in range(n_symbols):
-                if first[x] < 0:
-                    continue
-                traces_with[x] += weight
-                for y in range(n_symbols):
-                    if first[y] < 0:
-                        continue
-                    if x != y:
-                        cooccur[x, y] += weight
-                    if first[x] < last[y]:
-                        before[x, y] += weight
-        for x in range(n_symbols):
-            cooccur[x, x] = before[x, x]
-        return traces_with, cooccur, before
-
-
-def levenshtein_many(query: np.ndarray, pool: np.ndarray, pool_lens: np.ndarray) -> np.ndarray:
-    """Edit distances from ``query`` to every row of the padded ``pool``.
-
-    ``query`` is a 1-d int32 code array; ``pool`` is (n, width) int32 padded
-    with -1; ``pool_lens`` gives each row's true length.
-    """
-    if USE_NUMBA:
-        return _levenshtein_many_nb(query, pool, pool_lens)
-    return _levenshtein_many_np(query, pool, pool_lens)
-
-
-def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_symbols: int):
-    """Trace-weighted per-activity and per-pair occurrence counts.
-
-    Returns ``(traces_with, cooccur, before)`` where ``traces_with[x]``
-    counts traces containing symbol x, ``before[x, y]`` counts traces where
-    some x occurrence precedes some y occurrence, and ``cooccur[x, y]``
-    counts traces containing both.  The diagonal of ``cooccur`` counts
-    traces where the symbol occurs at least twice, i.e. co-occurs with
-    itself as two distinct events.
-    """
-    if USE_NUMBA:
-        return _order_stats_nb(tokens, lengths, freqs, n_symbols)
-    return _order_stats_np(tokens, lengths, freqs, n_symbols)
 
 
 def encode_sequences(seqs, vocabulary: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -97,7 +97,6 @@ def enumerate_changes(
             grown = clique + (v,)
             cliques.append(grown)
             extend(grown, candidates & graph.adjacency[v] & _above(v, len(graph)))
-    all_nodes = frozenset(range(len(graph)))
     for v in range(len(graph)):
         clique = (v,)
         cliques.append(clique)

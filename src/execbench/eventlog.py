@@ -10,6 +10,7 @@ same process step.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -164,6 +165,8 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
                 raise DataError(
                     f"row {row_number}: unparseable performance value {row[perf_idx]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"row {row_number}: non-finite performance value {row[perf_idx]!r}")
             known = perf_by_case.get(case_id)
             if known is not None and known != value:
                 raise DataError(

@@ -10,10 +10,8 @@ uniformly sampled activity pairs of the same cardinality.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -204,11 +202,12 @@ def random_baseline(
 def _bounded_changes(matches: MatchSet, max_size: int, limit: int):
     """Enumerated changes, or None when their number would exceed ``limit``.
 
-    Nodes plus edges lower-bound the clique count, so hopeless graphs are
-    rejected before enumeration.
+    Every node is a change, and so is every edge when changes may hold two
+    replacements, so hopeless graphs are rejected before enumeration.
     """
     graph = build_compatibility_graph(matches)
-    if len(graph) + len(graph.edges) > limit:
+    lower_bound = len(graph) + (len(graph.edges) if max_size > 1 else 0)
+    if lower_bound > limit:
         return None
     changes = enumerate_changes(graph, max_size, warn_truncation=False)
     return changes if len(changes) <= limit else None
@@ -302,34 +301,13 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EXECBENCH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(config: ExperimentConfig | None = None) -> ExperimentReport:
-    """Evaluate all pairs; failures are recorded per pair, never fatal.
-
-    Results are keyed by pair index, so the report is identical no matter
-    how many worker threads EXECBENCH_THREADS allows.
-    """
+    """Evaluate all pairs in index order; failures are recorded per pair, never fatal."""
     config = config or ExperimentConfig()
-
-    def safe(index: int) -> PairRecord:
+    records = []
+    for index in range(config.n_pairs):
         try:
-            return run_pair(config, index)
+            records.append(run_pair(config, index))
         except Exception as exc:  # noqa: BLE001 - per-pair isolation is the contract
-            return PairRecord(index=index, error=f"{type(exc).__name__}: {exc}")
-
-    workers = min(_worker_count(), max(config.n_pairs, 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(safe, range(config.n_pairs)))
-    else:
-        records = [safe(i) for i in range(config.n_pairs)]
+            records.append(PairRecord(index=index, error=f"{type(exc).__name__}: {exc}"))
     return ExperimentReport(config=config.to_mapping(), pairs=tuple(records))

@@ -23,7 +23,7 @@ from .compatibility import (
     build_compatibility_graph,
     enumerate_changes,
 )
-from .errors import DataError, LogSimilarityWarning, VacuousChangeError
+from .errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -78,6 +78,16 @@ class BenchmarkConfig:
     top: int | None = None
     performance: PerfConfig | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("exc_threshold", "int_threshold", "min_feasibility"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+        if self.max_change_size < 1:
+            raise ConfigError(f"max change size must be at least 1, got {self.max_change_size}")
+        if self.top is not None and self.top < 0:
+            raise ConfigError(f"top must not be negative, got {self.top}")
+
 
 def affected_variants(index: VariantIndex, change: ProcessChange) -> set[Variant]:
     """Own-log variants executing at least one replaced activity."""
@@ -99,10 +109,25 @@ def edit_similarity(v: Sequence[str], w: Sequence[str]) -> float:
     """1 - Levenshtein(v, w) / max(|v|, |w|), over activity tokens."""
     if not v or not w:
         raise ValueError("edit similarity requires non-empty variants")
-    vocabulary: dict[str, int] = {}
-    tokens, lengths = encode_sequences([tuple(v), tuple(w)], vocabulary)
-    distance = int(levenshtein_many(tokens[0, : lengths[0]], tokens[1:2], lengths[1:2].astype(np.int32))[0])
+    tokens, lengths = encode_sequences([tuple(v), tuple(w)], {})
+    distance = int(levenshtein_many(tokens[:1], tokens[1:], lengths[:1], lengths[1:], [0], [0])[0])
     return 1.0 - distance / max(len(v), len(w))
+
+
+def _best_matches(
+    distances: np.ndarray, query_lens: np.ndarray, cand_lens: np.ndarray, cand_freqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query row: best candidate column, its similarity, and the tie count.
+
+    Candidate columns are in ascending variant order, so among the most
+    similar candidates the first of highest frequency is the tie-break
+    winner ``(-frequency, variant)``.
+    """
+    similarities = 1.0 - distances / np.maximum(cand_lens, query_lens[:, None])
+    best_sim = similarities.max(axis=1)
+    tied = similarities == best_sim[:, None]
+    best = np.argmax(np.where(tied, cand_freqs, -1), axis=1)
+    return best, best_sim, tied.sum(axis=1)
 
 
 def closest_match(modified: Variant, candidates: Mapping[Variant, int]) -> tuple[Variant, float]:
@@ -111,138 +136,72 @@ def closest_match(modified: Variant, candidates: Mapping[Variant, int]) -> tuple
     Ties break toward the candidate with higher frequency, then the
     lexicographically smallest variant, so results are deterministic.
     """
-    pool = _Pool.from_mapping(candidates)
-    best, similarity, _ = _closest(modified, pool)
-    return pool.variants[best], similarity
-
-
-class _Pool:
-    """Pre-encoded benchmark candidates for repeated alignment queries.
-
-    Rows are grouped by variant length so that queries can skip whole
-    groups: a candidate of length L cannot beat similarity
-    ``1 - |L - m| / max(L, m)`` against a length-m query.
-    """
-
-    def __init__(
-        self,
-        variants: list[Variant],
-        freqs: list[int],
-        perfs: list[float | None],
-        vocabulary: dict[str, int],
-        encode_cache: dict[Variant, np.ndarray] | None = None,
-    ):
-        if not variants:
-            raise DataError("no benchmark variant executes any replacement activity")
-        self.variants = variants
-        self.freqs = freqs
-        self.perfs = perfs
-        self.vocabulary = vocabulary
-        self.encode_cache = encode_cache if encode_cache is not None else {}
-        tokens, lengths = encode_sequences(variants, vocabulary)
-        self.by_length: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for length in sorted(set(int(x) for x in lengths)):
-            indices = np.flatnonzero(lengths == length)
-            self.by_length.append(
-                (
-                    length,
-                    indices,
-                    np.ascontiguousarray(tokens[indices]),
-                    np.full(len(indices), length, dtype=np.int32),
-                )
-            )
-        self.order_cache: dict[int, list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]]] = {}
-        self.cache: dict[Variant, tuple[int, float, int]] = {}
-
-    @classmethod
-    def from_mapping(cls, candidates: Mapping[Variant, int]) -> "_Pool":
-        ordered = sorted(candidates)
-        return cls(ordered, [candidates[v] for v in ordered], [None] * len(ordered), {})
-
-    def _encode(self, variant: Variant) -> np.ndarray:
-        row = self.encode_cache.get(variant)
-        if row is None:
-            tokens, lengths = encode_sequences([variant], self.vocabulary)
-            row = np.ascontiguousarray(tokens[0, : lengths[0]])
-            self.encode_cache[variant] = row
-        return row
-
-    def _groups_for(self, m: int) -> list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]]:
-        order = self.order_cache.get(m)
-        if order is None:
-            order = sorted(
-                (
-                    (1.0 - abs(length - m) / max(length, m), length, indices, tokens, lens)
-                    for length, indices, tokens, lens in self.by_length
-                ),
-                key=lambda group: -group[0],
-            )
-            self.order_cache[m] = order
-        return order
-
-
-def _closest(modified: Variant, pool: _Pool) -> tuple[int, float, int]:
-    """Index of the best candidate, its similarity, and the tie count.
-
-    Length groups are visited in order of their similarity upper bound;
-    groups that cannot reach the best similarity seen so far are skipped,
-    groups that could merely tie it are still evaluated so the tie count
-    stays exact.
-    """
-    cached = pool.cache.get(modified)
-    if cached is not None:
-        return cached
-    query_row = pool._encode(modified)
-    m = len(modified)
-    best_sim = -1.0
-    tied: list[int] = []
-    for bound, length, indices, tokens, lens in pool._groups_for(m):
-        if bound < best_sim:
-            break
-        distances = levenshtein_many(query_row, tokens, lens)
-        similarities = 1.0 - distances / max(length, m)
-        group_best = float(similarities.max())
-        if group_best > best_sim:
-            best_sim = group_best
-            tied = []
-        if group_best >= best_sim:
-            tied.extend(int(indices[i]) for i in np.flatnonzero(similarities == best_sim))
-    best = min(tied, key=lambda i: (-pool.freqs[i], pool.variants[i]))
-    result = (best, best_sim, len(tied))
-    pool.cache[modified] = result
-    return result
+    if not candidates:
+        raise DataError("no candidate variant to match against")
+    ordered = sorted(candidates)
+    vocabulary: dict[str, int] = {}
+    cands, cand_lens = encode_sequences(ordered, vocabulary)
+    query, query_len = encode_sequences([modified], vocabulary)
+    columns = np.arange(len(ordered))
+    distances = levenshtein_many(query, cands, query_len, cand_lens, np.zeros_like(columns), columns)
+    freqs = np.array([candidates[v] for v in ordered])
+    best, similarity, _ = _best_matches(distances[None, :], query_len, cand_lens, freqs)
+    return ordered[int(best[0])], float(similarity[0])
 
 
 class ChangeScorer:
     """Scores many changes against one pair of variant indexes.
 
-    Candidate pools and alignment results are cached across changes; the
-    outcome is independent of scoring order.
+    The benchmark variants are encoded once, in ascending variant order.
+    Each set of replacement activities gets one candidate pool: the indices
+    of the benchmark variants that execute one of them.  One distance cache
+    serves every pool: for each modified variant, an int32 row of its edit
+    distances to all benchmark variants, -1 where not yet computed.  A
+    change sends all of its missing (modified variant, pool candidate)
+    pairs to the kernel in one call and then scores whole pools, so tie
+    counts are exact and the outcome does not depend on scoring order.
     """
 
     def __init__(self, own: VariantIndex, benchmark: VariantIndex, with_performance: bool = False):
         self.own = own
         self.benchmark = benchmark
         self.with_performance = with_performance
+        self._variants = sorted(benchmark.entries)
         self._vocabulary: dict[str, int] = {}
-        self._encode_cache: dict[Variant, np.ndarray] = {}
-        self._pools: dict[frozenset[str], _Pool] = {}
+        self._tokens, self._lengths = encode_sequences(self._variants, self._vocabulary)
+        self._freqs = np.array([benchmark.entries[v].frequency for v in self._variants], dtype=np.int64)
+        self._pools: dict[frozenset[str], np.ndarray] = {}
+        self._distances: dict[Variant, np.ndarray] = {}
 
-    def _pool(self, benchmark_activities: frozenset[str]) -> _Pool:
+    def _pool(self, benchmark_activities: frozenset[str]) -> np.ndarray:
         pool = self._pools.get(benchmark_activities)
         if pool is None:
-            selected = sorted(
-                v for v in self.benchmark.entries if benchmark_activities.intersection(v)
+            pool = np.array(
+                [i for i, v in enumerate(self._variants) if not benchmark_activities.isdisjoint(v)],
+                dtype=np.intp,
             )
-            pool = _Pool(
-                selected,
-                [self.benchmark.entries[v].frequency for v in selected],
-                [self.benchmark.entries[v].mean_performance for v in selected],
-                self._vocabulary,
-                self._encode_cache,
-            )
+            if not len(pool):
+                raise DataError("no benchmark variant executes any replacement activity")
             self._pools[benchmark_activities] = pool
         return pool
+
+    def _pool_distances(self, modified: list[Variant], pool: np.ndarray) -> np.ndarray:
+        """Distances (len(modified), len(pool)); the missing ones in one kernel call."""
+        unique = list(dict.fromkeys(modified))
+        for variant in unique:
+            if variant not in self._distances:
+                self._distances[variant] = np.full(len(self._variants), -1, dtype=np.int32)
+        known = np.stack([self._distances[v][pool] for v in unique])
+        qi, columns = np.nonzero(known < 0)
+        if len(qi):
+            queries, query_lens = encode_sequences(unique, self._vocabulary)
+            known[qi, columns] = levenshtein_many(
+                queries, self._tokens, query_lens, self._lengths, qi, pool[columns]
+            )
+            for variant, row in zip(unique, known):
+                self._distances[variant][pool] = row
+        position = {v: k for k, v in enumerate(unique)}
+        return known[[position[v] for v in modified]]
 
     def score(self, change: ProcessChange) -> ScoredChange:
         affected = sorted(affected_variants(self.own, change))
@@ -251,17 +210,23 @@ class ChangeScorer:
                 "no affected variants: none of the replaced activities occurs in the own log"
             )
         pool = self._pool(change.benchmark_activities)
+        modified = [apply_change(original, change) for original in affected]
+        best, similarities, ties = _best_matches(
+            self._pool_distances(modified, pool),
+            np.array([len(v) for v in modified]),
+            self._lengths[pool],
+            self._freqs[pool],
+        )
         alignments = []
         weight_total = 0
         feasibility_sum = 0.0
         impact_sum = 0.0
-        for original in affected:
+        for k, original in enumerate(affected):
             entry = self.own.entries[original]
-            modified = apply_change(original, change)
-            best, similarity, ties = _closest(modified, pool)
-            matched = pool.variants[best]
+            matched = self._variants[int(pool[best[k]])]
+            similarity = float(similarities[k])
             own_perf = entry.mean_performance
-            bench_perf = pool.perfs[best]
+            bench_perf = self.benchmark.entries[matched].mean_performance
             if self.with_performance:
                 if own_perf is None or bench_perf is None:
                     raise DataError("performance measure required on both logs")
@@ -271,11 +236,11 @@ class ChangeScorer:
             alignments.append(
                 Alignment(
                     original=original,
-                    modified=modified,
+                    modified=modified[k],
                     matched=matched,
                     similarity=similarity,
                     frequency=entry.frequency,
-                    tie_count=ties,
+                    tie_count=int(ties[k]),
                     own_performance=own_perf,
                     benchmark_performance=bench_perf if self.with_performance else None,
                 )

@@ -86,6 +86,13 @@ def test_conflicting_case_performance_reports_case():
         parse(csv)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_performance_reports_row(value):
+    csv = f"case_id,activity,performance\nc1,a,10\nc2,b,{value}\n"
+    with pytest.raises(DataError, match="row 3: non-finite performance"):
+        parse(csv)
+
+
 def test_repeated_equal_performance_is_fine():
     log = parse("case_id,activity,performance\nc1,a,10\nc1,b,10\n")
     assert log.traces["c1"].performance == 10.0

@@ -1,5 +1,5 @@
-"""Both kernel implementations must agree with each other and with a
-plain DP oracle, on short and long (multi-word) queries alike."""
+"""The batched bit-parallel edit distance and the order counts must agree
+with plain oracles, on short and long (multi-word) sequences alike."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
-from execbench._kernels import (
-    _levenshtein_many_np,
-    _order_stats_np,
-    HAVE_NUMBA,
-    encode_sequences,
-    levenshtein_many,
-    order_stats,
-)
-
-if HAVE_NUMBA:
-    from execbench._kernels import _levenshtein_many_nb, _order_stats_nb
+from execbench._kernels import CHUNK_ROWS, encode_sequences, levenshtein_many, order_stats
 
 
 def _pad(seqs):
-    width = max(len(s) for s in seqs)
+    width = max([len(s) for s in seqs] + [1])
     pool = np.full((len(seqs), width), -1, dtype=np.int32)
     lens = np.zeros(len(seqs), dtype=np.int32)
     for i, s in enumerate(seqs):
@@ -30,34 +20,76 @@ def _pad(seqs):
     return pool, lens
 
 
+def _distances(queries, cands, qi, ci):
+    q, q_lens = _pad(queries)
+    c, c_lens = _pad(cands)
+    return list(levenshtein_many(q, c, q_lens, c_lens, qi, ci))
+
+
 token_lists = st.lists(st.integers(0, 6), min_size=1, max_size=12)
 
 
 @given(query=token_lists, pool_seqs=st.lists(token_lists, min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_levenshtein_matches_naive_dp(query, pool_seqs):
-    pool, lens = _pad(pool_seqs)
-    q = np.array(query, dtype=np.int32)
-    got = levenshtein_many(q, pool, lens)
-    expected = [naive_levenshtein(query, s) for s in pool_seqs]
-    assert list(got) == expected
+    got = _distances([query], pool_seqs, [0] * len(pool_seqs), range(len(pool_seqs)))
+    assert got == [naive_levenshtein(query, s) for s in pool_seqs]
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("query_len", [1, 5, 63, 64, 65, 90])
-def test_implementations_agree_across_word_boundary(query_len):
+WORD_BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129]
+
+
+@pytest.mark.parametrize("query_len", WORD_BOUNDARY_LENGTHS)
+def test_word_boundary_lengths_match_naive_dp(query_len):
     rng = np.random.default_rng(query_len)
-    for _ in range(40):
-        q = rng.integers(0, 9, size=query_len).astype(np.int32)
-        seqs = [list(rng.integers(0, 12, size=int(rng.integers(1, 100)))) for _ in range(6)]
-        pool, lens = _pad(seqs)
-        assert list(_levenshtein_many_nb(q, pool, lens)) == list(_levenshtein_many_np(q, pool, lens))
+    for alphabet in (1, 3, 12):
+        query = list(rng.integers(0, alphabet, size=query_len))
+        cands = [list(rng.integers(0, alphabet, size=n)) for n in WORD_BOUNDARY_LENGTHS]
+        got = _distances([query], cands, [0] * len(cands), range(len(cands)))
+        assert got == [naive_levenshtein(query, c) for c in cands]
+
+
+@st.composite
+def batches(draw):
+    """Queries, candidates and (query, candidate) rows: repeated, unsorted,
+    possibly none, with empty queries and candidates."""
+    symbols = draw(st.integers(1, 5))
+    length = st.one_of(st.integers(0, 10), st.sampled_from([63, 64, 65, 130]))
+
+    def sequence():
+        n = draw(length)
+        return draw(st.lists(st.integers(0, symbols - 1), min_size=n, max_size=n))
+
+    queries = [sequence() for _ in range(draw(st.integers(1, 4)))]
+    cands = [sequence() for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(
+        st.lists(st.tuples(st.integers(0, len(queries) - 1), st.integers(0, len(cands) - 1)), max_size=24)
+    )
+    return queries, cands, rows
+
+
+@given(batch=batches())
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_match_naive_dp(batch):
+    queries, cands, rows = batch
+    got = _distances(queries, cands, [q for q, _ in rows], [c for _, c in rows])
+    expected = {(q, c): naive_levenshtein(queries[q], cands[c]) for q, c in set(rows)}
+    assert got == [expected[row] for row in rows]
+
+
+def test_batch_larger_than_one_chunk():
+    rng = np.random.default_rng(7)
+    queries = [list(rng.integers(0, 4, size=n)) for n in (3, 40, 70)]
+    cands = [list(rng.integers(0, 4, size=int(rng.integers(0, 90)))) for _ in range(50)]
+    n_rows = CHUNK_ROWS + 123
+    qi = rng.integers(0, len(queries), size=n_rows)
+    ci = rng.integers(0, len(cands), size=n_rows)
+    expected = {(q, c): naive_levenshtein(queries[q], cands[c]) for q in range(3) for c in range(50)}
+    assert _distances(queries, cands, qi, ci) == [expected[q, c] for q, c in zip(qi, ci)]
 
 
 def test_empty_query_distance_is_pool_length():
-    pool, lens = _pad([[1, 2, 3], [4]])
-    got = levenshtein_many(np.zeros(0, dtype=np.int32), pool, lens)
-    assert list(got) == [3, 1]
+    assert _distances([[]], [[1, 2, 3], [4]], [0, 0], [0, 1]) == [3, 1]
 
 
 def _naive_order_stats(seqs, freqs, n_symbols):
@@ -89,20 +121,6 @@ def test_order_stats_matches_naive_count(seqs):
     expected = _naive_order_stats(seqs, freqs, 5)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_order_stats_implementations_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        n = int(rng.integers(1, 12))
-        seqs = [list(rng.integers(0, 6, size=int(rng.integers(1, 9)))) for _ in range(n)]
-        freqs = rng.integers(1, 5, size=n).astype(np.int64)
-        pool, lens = _pad(seqs)
-        a = _order_stats_nb(pool, lens.astype(np.int64), freqs, 6)
-        b = _order_stats_np(pool, lens.astype(np.int64), freqs, 6)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
 
 def test_order_stats_diagonal_counts_repeats():

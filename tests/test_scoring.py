@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_log, naive_levenshtein
 from execbench.compatibility import ProcessChange
-from execbench.errors import DataError, LogSimilarityWarning, VacuousChangeError
+from execbench.errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError
 from execbench.eventlog import PerfConfig, extract_variants
 from execbench.matching import Match
 from execbench.scoring import (
@@ -80,6 +80,8 @@ def test_closest_match_goldens(benchmark_index):
     assert closest_match(("b", "d", "e", "g"), candidates) == (("b", "d", "e", "g"), 1.0)
     assert closest_match(("b", "d", "f", "g"), candidates) == (("b", "d", "e", "g"), 0.75)
     assert closest_match(("q",), {("x", "y"): 1}) == (("x", "y"), 0.0)
+    with pytest.raises(DataError):
+        closest_match(("q",), {})
 
 
 def test_closest_match_tie_breaks_by_frequency_then_lexicographic():
@@ -150,42 +152,47 @@ def test_scored_change_details(own_index, benchmark_index):
 
 def brute_force_scores(own_variants, bench_variants, pairs):
     """Independent evaluator: no pooling, no caching, no pruning; scans
-    every candidate variant for every affected variant with the naive DP."""
+    every candidate variant for every affected variant with the naive DP.
+
+    Returns feasibility, impact, and per affected variant its matched
+    benchmark variant and the number of candidates tied at the best
+    similarity."""
     mapping = dict(pairs)
     own_acts = set(mapping)
     bench_acts = set(mapping.values())
     affected = [v for v in own_variants if own_acts & set(v)]
     candidates = [w for w in bench_variants if bench_acts & set(w)]
     weight = sim_sum = perf_sum = 0
+    matches = {}
     for v in affected:
         freq, v_perf = own_variants[v]
         modified = tuple(mapping.get(x, x) for x in v)
-        best = None
+        scored = []
         for w in candidates:
             w_freq, w_perf = bench_variants[w]
             d = naive_levenshtein(modified, w)
             sim = 1.0 - d / max(len(modified), len(w))
-            key = (-sim, -w_freq, w)
-            if best is None or key < best[0]:
-                best = (key, sim, w_perf)
+            scored.append(((-sim, -w_freq, w), sim, w_perf))
+        best = min(scored)
+        matches[v] = (best[0][2], sum(1 for _, sim, _ in scored if sim == best[1]))
         weight += freq
         sim_sum += freq * best[1]
         if v_perf is not None and best[2] is not None:
             perf_sum += freq * (best[2] - v_perf)
-    return sim_sum / weight, perf_sum / weight
+    return sim_sum / weight, perf_sum / weight, matches
 
 
-def _random_scoring_case(rng):
+def _random_scoring_case(rng, min_length=1, max_length=8, max_variants=20):
     alphabet = [f"t{i}" for i in range(int(rng.integers(3, 8)))]
     def variants(n):
         out = {}
         for _ in range(n):
-            length = int(rng.integers(1, 8))
+            length = int(rng.integers(min_length, max_length))
             v = tuple(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=length))
             out[v] = (int(rng.integers(1, 5)), float(rng.integers(-20, 20)))
         return out
-    own = variants(int(rng.integers(1, 20)))
-    bench = variants(int(rng.integers(1, 20)))
+    own = variants(int(rng.integers(1, max_variants)))
+    bench = variants(int(rng.integers(1, max_variants)))
     own_acts = sorted({a for v in own for a in v})
     bench_acts = sorted({a for v in bench for a in v})
     n_pairs = int(rng.integers(1, 3))
@@ -211,23 +218,69 @@ def _indexes_from(own, bench):
     return own_idx, bench_idx
 
 
-def test_oracle_equivalence_on_random_small_logs():
+def _check_oracle_equivalence(seed, cases, **shape):
     import numpy as np
 
-    rng = np.random.default_rng(20240817)
+    rng = np.random.default_rng(seed)
     checked = 0
-    while checked < 50:
-        own, bench, pairs = _random_scoring_case(rng)
+    while checked < cases:
+        own, bench, pairs = _random_scoring_case(rng, **shape)
         if not pairs:
             continue
         change = ProcessChange(tuple(Match(a, b) for a, b in pairs))
         own_idx, bench_idx = _indexes_from(own, bench)
         if not affected_variants(own_idx, change):
             continue
-        expected_feas, expected_impact = brute_force_scores(own, bench, pairs)
-        assert feasibility(change, own_idx, bench_idx) == pytest.approx(expected_feas, abs=1e-9)
-        assert performance_impact(change, own_idx, bench_idx) == pytest.approx(expected_impact, abs=1e-9)
+        expected_feas, expected_impact, expected_matches = brute_force_scores(own, bench, pairs)
+        scored = ChangeScorer(own_idx, bench_idx, with_performance=True).score(change)
+        assert scored.feasibility == pytest.approx(expected_feas, abs=1e-9)
+        assert scored.performance_impact == pytest.approx(expected_impact, abs=1e-9)
+        assert {a.original: (a.matched, a.tie_count) for a in scored.alignments} == expected_matches
+        assert feasibility(change, own_idx, bench_idx) == scored.feasibility
         checked += 1
+
+
+def test_oracle_equivalence_on_random_small_logs():
+    _check_oracle_equivalence(20240817, cases=50)
+
+
+def test_oracle_equivalence_on_variants_longer_than_a_word():
+    _check_oracle_equivalence(64, cases=10, min_length=50, max_length=140, max_variants=8)
+
+
+def test_scoring_order_does_not_change_results():
+    """One scorer shares its distance cache across changes whose pools
+    overlap; scoring them in reverse must give the same results."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    t = [f"t{i}" for i in range(6)]
+
+    def variants(n):
+        # Each variant uses three of the activities, so pools differ.
+        out = {}
+        for _ in range(n):
+            used = rng.choice(len(t), size=3, replace=False)
+            v = tuple(t[int(i)] for i in rng.choice(used, size=int(rng.integers(20, 90))))
+            out[v] = (int(rng.integers(1, 5)), float(rng.integers(-20, 20)))
+        return out
+
+    own_idx, bench_idx = _indexes_from(variants(12), variants(15))
+    replacement_sets = [
+        [(t[0], t[1])],
+        [(t[2], t[3])],
+        [(t[0], t[1]), (t[2], t[3])],
+        [(t[0], t[3])],
+        [(t[0], t[3]), (t[2], t[1])],
+        [(t[2], t[1])],
+    ]
+    changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in replacement_sets]
+    assert all(affected_variants(own_idx, c) for c in changes)
+    fresh = [ChangeScorer(own_idx, bench_idx, True).score(c) for c in changes]
+    forward = ChangeScorer(own_idx, bench_idx, True)
+    assert [forward.score(c) for c in changes] == fresh
+    reverse = ChangeScorer(own_idx, bench_idx, True)
+    assert [reverse.score(c) for c in reversed(changes)] == fresh[::-1]
 
 
 def test_frequency_scaling_invariance(own_log, benchmark_index):
@@ -278,8 +331,31 @@ def test_benchmark_identical_logs_with_performance():
     assert all(s.feasibility == 1.0 for s in scored)
 
 
-def test_min_feasibility_above_one_empties_report(own_log, benchmark_log):
-    assert benchmark(own_log, benchmark_log, BenchmarkConfig(min_feasibility=1.1)) == []
+def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
+    scored = benchmark(own_log, benchmark_log, BenchmarkConfig(min_feasibility=1.0))
+    assert scored
+    assert all(s.feasibility == 1.0 for s in scored)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("min_feasibility", 1.1),
+        ("min_feasibility", -0.1),
+        ("min_feasibility", float("nan")),
+        ("exc_threshold", 1.5),
+        ("int_threshold", -0.5),
+        ("max_change_size", 0),
+        ("top", -1),
+    ],
+)
+def test_invalid_benchmark_config_rejected(field, value):
+    with pytest.raises(ConfigError, match=field.split("_")[0]):
+        BenchmarkConfig(**{field: value})
+
+
+def test_top_zero_empties_report(own_log, benchmark_log):
+    assert benchmark(own_log, benchmark_log, BenchmarkConfig(top=0)) == []
 
 
 def test_top_limits_report(own_log, benchmark_log):
