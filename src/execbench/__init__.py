@@ -12,6 +12,7 @@ from .compatibility import (
     CompatGraph,
     ProcessChange,
     build_compatibility_graph,
+    count_changes,
     enumerate_changes,
     maximal_changes,
 )

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 from typing import IO, Sequence
 
+from .compatibility import DEFAULT_MAX_CHANGE_SIZE
 from .errors import ExecbenchError, UndefinedScoreError
 from .eventlog import (
     EventLog,
@@ -27,6 +29,8 @@ from .eventlog import (
 )
 from .experiment import ExperimentConfig, generate_pair, run_experiment
 from .footprint import (
+    DEFAULT_EXCLUSIVENESS_THRESHOLD,
+    DEFAULT_INTERLEAVING_THRESHOLD,
     build_footprint_matrix,
     exclusiveness_score,
     interleaving_score,
@@ -53,8 +57,13 @@ def _add_schema_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_threshold_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--exc", type=float, default=0.9, metavar="T", help="exclusiveness threshold in [0,1]")
-    parser.add_argument("--int", type=float, default=0.9, metavar="T", dest="int_", help="interleaving threshold in [0,1]")
+    parser.add_argument(
+        "--exc", type=float, default=DEFAULT_EXCLUSIVENESS_THRESHOLD, metavar="T", help="exclusiveness threshold in [0,1]"
+    )
+    parser.add_argument(
+        "--int", type=float, default=DEFAULT_INTERLEAVING_THRESHOLD, metavar="T", dest="int_",
+        help="interleaving threshold in [0,1]",
+    )
 
 
 def _add_pair_generation_options(parser: argparse.ArgumentParser) -> None:
@@ -81,7 +90,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("benchmark", help="benchmark event log CSV")
     _add_schema_options(p_bench)
     _add_threshold_options(p_bench)
-    p_bench.add_argument("--max-change-size", type=int, default=3, metavar="K")
+    p_bench.add_argument("--max-change-size", type=int, default=DEFAULT_MAX_CHANGE_SIZE, metavar="K")
     p_bench.add_argument("--min-feasibility", type=float, default=0.0, metavar="F")
     p_bench.add_argument("--top", type=int, default=None, metavar="N", help="keep only the N best changes")
     p_bench.add_argument(
@@ -112,7 +121,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--pairs", type=int, default=100)
     _add_pair_generation_options(p_eval)
     _add_threshold_options(p_eval)
-    p_eval.add_argument("--max-change-size", type=int, default=3, metavar="K")
+    p_eval.add_argument("--max-change-size", type=int, default=DEFAULT_MAX_CHANGE_SIZE, metavar="K")
     p_eval.add_argument("--out", default=None, metavar="DIR", help="write report.json and summary.txt here")
     p_eval.set_defaults(func=_cmd_eval)
     return parser
@@ -203,18 +212,18 @@ def _benchmark_table(changes: list[ScoredChange]) -> str:
 
 
 def _cmd_benchmark(args) -> int:
-    schema = _schema(args)
-    own = read_event_log(args.own, schema)
-    bench = read_event_log(args.benchmark, schema)
-    perf = _resolve_performance(args, own, bench)
     config = BenchmarkConfig(
         exc_threshold=args.exc,
         int_threshold=args.int_,
         max_change_size=args.max_change_size,
         min_feasibility=args.min_feasibility,
         top=args.top,
-        performance=perf,
     )
+    schema = _schema(args)
+    own = read_event_log(args.own, schema)
+    bench = read_event_log(args.benchmark, schema)
+    perf = _resolve_performance(args, own, bench)
+    config = dataclasses.replace(config, performance=perf)
     changes = benchmark(own, bench, config)
     shared = own.alphabet & bench.alphabet
     union = own.alphabet | bench.alphabet
@@ -300,9 +309,9 @@ def _experiment_config(args, n_pairs: int) -> ExperimentConfig:
         replacements_range=(args.replacements_min, args.replacements_max),
         insertions_range=(args.insertions_min, args.insertions_max),
         deletions_range=(args.deletions_min, args.deletions_max),
-        exc_threshold=getattr(args, "exc", 0.9),
-        int_threshold=getattr(args, "int_", 0.9),
-        max_change_size=getattr(args, "max_change_size", 3),
+        exc_threshold=getattr(args, "exc", ExperimentConfig.exc_threshold),
+        int_threshold=getattr(args, "int_", ExperimentConfig.int_threshold),
+        max_change_size=getattr(args, "max_change_size", ExperimentConfig.max_change_size),
         max_loop_iterations=args.max_loop_iterations,
         master_seed=args.seed,
     )

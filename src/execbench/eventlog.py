@@ -122,8 +122,14 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
     Raises :class:`SchemaError` when the case or activity column is missing
     and :class:`DataError` for malformed rows or per-case inconsistencies.
     """
-    schema = schema or SchemaConfig()
     reader = csv.reader(source)
+    try:
+        return _parse_rows(reader, schema or SchemaConfig())
+    except csv.Error as err:  # only the reader raises it
+        raise DataError(f"line {reader.line_num}: malformed CSV: {err}") from None
+
+
+def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
     header = next(reader, None)
     if header is None:
         raise SchemaError("input is empty: missing header row")
@@ -194,8 +200,19 @@ def read_event_log(path: str, schema: SchemaConfig | None = None) -> EventLog:
 
 def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None = None) -> None:
     """Serialize a log back to CSV; the timestamp column is emitted when all
-    order keys are timestamps, the performance column when any trace has one."""
+    order keys are timestamps, the performance column when any trace has one.
+
+    Raises :class:`DataError` when a case id or activity holds a carriage
+    return, which CSV output with ``\\n`` line ends leaves unquoted and a
+    reader would split.
+    """
     schema = schema or SchemaConfig()
+    for trace in log.traces.values():
+        for event in trace.events:
+            if "\r" in event.case_id or "\r" in event.activity:
+                raise DataError(
+                    f"case {event.case_id!r}: a carriage return in a case id or activity cannot be written"
+                )
     with_time = bool(log.traces) and all(
         isinstance(e.order_key, datetime) for t in log.traces.values() for e in t.events
     )

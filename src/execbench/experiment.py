@@ -17,10 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .compatibility import build_compatibility_graph, enumerate_changes
-from .errors import SamplingWarning
+from .compatibility import DEFAULT_MAX_CHANGE_SIZE, build_compatibility_graph, count_changes, enumerate_changes
+from .errors import ConfigError, SamplingWarning
 from .eventlog import extract_variants
-from .footprint import build_footprint_matrix
+from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import Match, MatchSet, match_activities
 from .proctree import (
     GenConfig,
@@ -60,12 +60,37 @@ class ExperimentConfig:
     )
     max_children: int = 3
     max_tree_depth: int = 5
-    exc_threshold: float = 0.9
-    int_threshold: float = 0.9
-    max_change_size: int = 3
+    exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD
+    int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD
+    max_change_size: int = DEFAULT_MAX_CHANGE_SIZE
     max_changes_per_pair: int = 200
     max_loop_iterations: int = 3
     master_seed: int = 42
+
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("n_pairs", 0),
+            ("n_traces", 1),
+            ("max_change_size", 1),
+            ("max_changes_per_pair", 0),
+            ("max_loop_iterations", 1),
+            ("max_children", 2),
+        ):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name, least in (
+            ("leaves_range", 1),
+            ("replacements_range", 0),
+            ("insertions_range", 0),
+            ("deletions_range", 0),
+        ):
+            low, high = getattr(self, name)
+            if not least <= low <= high:
+                raise ConfigError(f"{name} must satisfy {least} <= min <= max, got ({low}, {high})")
+        for name in ("noise_probability", "exc_threshold", "int_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
@@ -199,20 +224,6 @@ def random_baseline(
     return MatchSet(matches, frozenset(own) & frozenset(bench))
 
 
-def _bounded_changes(matches: MatchSet, max_size: int, limit: int):
-    """Enumerated changes, or None when their number would exceed ``limit``.
-
-    Every node is a change, and so is every edge when changes may hold two
-    replacements, so hopeless graphs are rejected before enumeration.
-    """
-    graph = build_compatibility_graph(matches)
-    lower_bound = len(graph) + (len(graph.edges) if max_size > 1 else 0)
-    if lower_bound > limit:
-        return None
-    changes = enumerate_changes(graph, max_size, warn_truncation=False)
-    return changes if len(changes) <= limit else None
-
-
 @dataclass(frozen=True)
 class PairData:
     """One generated own/benchmark pair with its mutation ground truth."""
@@ -268,14 +279,16 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     if not predicted.matches:
         skipped = "no-matches"
     else:
-        technique_changes = _bounded_changes(predicted, config.max_change_size, config.max_changes_per_pair)
         sampled = random_baseline(
             own_log.alphabet, bench_log.alphabet, len(predicted.matches), seed + (5,)
         )
-        baseline_changes = _bounded_changes(sampled, config.max_change_size, config.max_changes_per_pair)
-        if technique_changes is None or baseline_changes is None:
+        graphs = [build_compatibility_graph(predicted), build_compatibility_graph(sampled)]
+        if any(count_changes(g, config.max_change_size) > config.max_changes_per_pair for g in graphs):
             skipped = "change-limit"
         else:
+            technique_changes, baseline_changes = (
+                enumerate_changes(g, config.max_change_size, warn_truncation=False) for g in graphs
+            )
             scorer = ChangeScorer(extract_variants(own_log), extract_variants(bench_log))
             technique_scores = [scorer.score(c).feasibility for c in technique_changes]
             baseline_scores = [scorer.score(c).feasibility for c in baseline_changes]

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError
-from .eventlog import Event, EventLog, Trace, Variant
+from .eventlog import Event, EventLog, Trace
 
 SeedLike = Union[int, tuple[int, ...]]
 
@@ -501,7 +501,3 @@ def _blocks(seq: tuple[str, ...], assigned: list[int]) -> list[tuple[int, tuple[
             out.append((assigned[start], seq[start:i]))
             start = i
     return out
-
-
-def variants_of(log: EventLog) -> set[Variant]:
-    return {t.variant for t in log.traces.values()}

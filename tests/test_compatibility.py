@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execbench.compatibility import (
+    CompatGraph,
     ProcessChange,
     build_compatibility_graph,
+    count_changes,
     enumerate_changes,
     maximal_changes,
 )
@@ -92,6 +94,19 @@ def test_truncation_warning_when_larger_cliques_exist():
     }
 
 
+def test_graph_sorts_its_nodes_into_one_group_per_own_activity():
+    graph = CompatGraph((Match("b", "x"), Match("a", "y"), Match("b", "w")))
+    assert graph.nodes == (Match("a", "y"), Match("b", "w"), Match("b", "x"))
+    assert graph.groups == ((0,), (1, 2))
+    assert graph.adjacency == (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+
+
+def test_max_size_above_the_group_count_changes_nothing():
+    graph = _graph(WORKED_MATCHES)
+    assert count_changes(graph, 10**9) == count_changes(graph, 3) == 11
+    assert enumerate_changes(graph, 10**9) == enumerate_changes(graph, 3)
+
+
 def test_max_size_validated():
     with pytest.raises(ConfigError):
         enumerate_changes(_graph(WORKED_MATCHES), 0)
@@ -140,6 +155,15 @@ def test_enumeration_matches_brute_force(matches, max_size):
     for change in changes:
         owns = [m.own for m in change.replacements]
         assert len(set(owns)) == len(owns)
+
+
+@given(matches=random_match_graphs(), max_size=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_count_matches_enumeration_and_brute_force(matches, max_size):
+    graph = _graph(matches)
+    count = count_changes(graph, max_size)
+    assert count == len(enumerate_changes(graph, max_size, warn_truncation=False))
+    assert count == len(_brute_force_cliques(graph.nodes, graph.adjacency, max_size))
 
 
 @given(matches=random_match_graphs(), k=st.integers(1, 6))

@@ -1,6 +1,8 @@
 """Parsing, variant extraction and performance normalization."""
 
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,14 @@ from hypothesis import strategies as st
 from conftest import BENCHMARK_CSV, OWN_CSV, make_log
 from execbench.errors import ConfigError, DataError, SchemaError
 from execbench.eventlog import (
+    Event,
+    EventLog,
     PerfConfig,
     SchemaConfig,
+    Trace,
     extract_variants,
     parse_event_log,
+    read_event_log,
     trace_performance,
     write_event_log,
 )
@@ -177,6 +183,57 @@ def test_round_trip_preserves_variants():
     write_event_log(log, buffer)
     again = parse(buffer.getvalue())
     assert extract_variants(again).entries == extract_variants(log).entries
+
+
+def test_carriage_return_in_a_name_is_not_written():
+    log = make_log([("0\r0",)])
+    with pytest.raises(DataError, match="c1"):
+        write_event_log(log, io.StringIO())
+
+
+def test_malformed_csv_reports_line():
+    with pytest.raises(DataError, match="line 4"):
+        parse("case_id,activity\nc1,a\nc2,b\nc3,0\r0\n")
+
+
+# Names may hold anything a CSV field can carry except a carriage return;
+# surrounding whitespace is trimmed on parse, so generated names have none.
+csv_names = st.text(
+    st.sampled_from(',"\n') | st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+    min_size=1,
+    max_size=5,
+).filter(lambda name: name == name.strip())
+
+
+@st.composite
+def event_logs(draw):
+    with_time = draw(st.booleans())
+    traces = {}
+    for case_id in draw(st.lists(csv_names, min_size=1, max_size=4, unique=True)):
+        activities = draw(st.lists(csv_names, min_size=1, max_size=4))
+        n = len(activities)
+        keys = sorted(draw(st.lists(st.datetimes(), min_size=n, max_size=n))) if with_time else range(n)
+        performance = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+        events = tuple(Event(case_id, a, k) for a, k in zip(activities, keys))
+        traces[case_id] = Trace(case_id, events, performance)
+    return EventLog(traces)
+
+
+def _cases(log):
+    return {cid: (t.variant, t.performance) for cid, t in log.traces.items()}
+
+
+@given(log=event_logs())
+@settings(max_examples=200, deadline=None)
+def test_csv_round_trip_keeps_variants_and_performance(log):
+    buffer = io.StringIO()
+    write_event_log(log, buffer)
+    assert _cases(parse(buffer.getvalue())) == _cases(log)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_event_log(log, handle)
+        assert _cases(read_event_log(path)) == _cases(log)
 
 
 variant_lists = st.lists(

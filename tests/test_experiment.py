@@ -1,32 +1,67 @@
-"""Synthetic evaluation harness: change bounds and report determinism."""
+"""Synthetic evaluation harness: change counts and report determinism."""
 
-from execbench.experiment import ExperimentConfig, _bounded_changes, run_experiment
-from execbench.matching import Match, MatchSet
+import pytest
+
+from execbench.compatibility import build_compatibility_graph, count_changes, enumerate_changes
+from execbench.errors import ConfigError
+from execbench.experiment import ExperimentConfig, run_experiment
+from execbench.matching import Match
 
 
-def _compatible_matches(n):
+def _compatible_graph(n):
     # Distinct own activities, so every pair of replacements is compatible.
-    return MatchSet(tuple(Match(f"o{i:02d}", f"b{i:02d}") for i in range(n)), frozenset())
+    return build_compatibility_graph(Match(f"o{i:02d}", f"b{i:02d}") for i in range(n))
 
 
 def test_singleton_changes_pass_a_limit_above_their_count():
-    changes = _bounded_changes(_compatible_matches(12), max_size=1, limit=20)
-    assert changes is not None
+    graph = _compatible_graph(12)
+    assert count_changes(graph, max_size=1) == 12
+    changes = enumerate_changes(graph, max_size=1, warn_truncation=False)
     assert len(changes) == 12
     assert all(len(c.replacements) == 1 for c in changes)
 
 
 def test_change_limit_still_applies_at_size_one():
-    assert _bounded_changes(_compatible_matches(12), max_size=1, limit=11) is None
+    assert count_changes(_compatible_graph(12), max_size=1) > 11
 
 
 def test_pairs_and_edges_count_toward_the_limit_above_size_one():
-    # 12 nodes and 66 edges: at least 78 changes of size up to 2.
-    assert _bounded_changes(_compatible_matches(12), max_size=2, limit=77) is None
-    assert len(_bounded_changes(_compatible_matches(12), max_size=2, limit=78)) == 78
+    # 12 nodes and 66 edges: 78 changes of size up to 2.
+    graph = _compatible_graph(12)
+    assert count_changes(graph, max_size=2) == 78
+    assert len(enumerate_changes(graph, max_size=2, warn_truncation=False)) == 78
 
 
 def test_pairs_run_in_index_order():
     report = run_experiment(ExperimentConfig(n_pairs=3, n_traces=40, leaves_range=(6, 8)))
     assert [p.index for p in report.pairs] == [0, 1, 2]
     assert report == run_experiment(ExperimentConfig(n_pairs=3, n_traces=40, leaves_range=(6, 8)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_pairs", -3),
+        ("n_traces", 0),
+        ("leaves_range", (30, 18)),
+        ("leaves_range", (0, 4)),
+        ("replacements_range", (-1, 2)),
+        ("insertions_range", (2, 1)),
+        ("deletions_range", (-2, -1)),
+        ("noise_probability", 1.5),
+        ("noise_probability", float("nan")),
+        ("exc_threshold", -0.1),
+        ("int_threshold", 1.01),
+        ("max_change_size", 0),
+        ("max_changes_per_pair", -1),
+        ("max_loop_iterations", 0),
+        ("max_children", 1),
+    ],
+)
+def test_invalid_experiment_config_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_boundary_experiment_config_accepted():
+    ExperimentConfig(n_pairs=0, leaves_range=(1, 1), noise_probability=1.0, max_changes_per_pair=0, max_children=2)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_log, naive_levenshtein
 from execbench.compatibility import ProcessChange
-from execbench.errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError
+from execbench.errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError
 from execbench.eventlog import PerfConfig, extract_variants
 from execbench.matching import Match
 from execbench.scoring import (
@@ -317,7 +317,9 @@ def test_benchmark_pipeline_worked_example(own_log, benchmark_log):
 
 
 def test_benchmark_identical_logs(own_log):
-    scored = benchmark(own_log, own_log)
+    # four own activities have a match, one more than the default change size
+    with pytest.warns(TruncationWarning):
+        scored = benchmark(own_log, own_log)
     assert scored
     assert all(s.feasibility == 1.0 for s in scored)
 
@@ -365,4 +367,5 @@ def test_top_limits_report(own_log, benchmark_log):
 def test_dissimilar_logs_warn(own_log):
     other = make_log([("a", "z1", "z2", "z3")])
     with pytest.warns(LogSimilarityWarning):
-        benchmark(own_log, other)
+        with pytest.warns(TruncationWarning):
+            benchmark(own_log, other)
