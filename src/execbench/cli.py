@@ -18,8 +18,10 @@ import os
 import sys
 from typing import IO, Sequence
 
+import numpy as np
+
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE
-from .errors import ExecbenchError, UndefinedScoreError
+from .errors import ExecbenchError
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -32,8 +34,6 @@ from .footprint import (
     DEFAULT_EXCLUSIVENESS_THRESHOLD,
     DEFAULT_INTERLEAVING_THRESHOLD,
     build_footprint_matrix,
-    exclusiveness_score,
-    interleaving_score,
     ordering_counts,
 )
 from .proctree import tree_to_json
@@ -264,17 +264,11 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _score_csv(stats, score_fn, stream: IO[str]) -> None:
+def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -> None:
+    cells = np.where(np.isnan(scores), "", np.char.mod("%.6f", scores))
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([""] + list(stats.activities))
-    for a in stats.activities:
-        row = [a]
-        for b in stats.activities:
-            try:
-                row.append(f"{score_fn(stats, a, b):.6f}")
-            except UndefinedScoreError:
-                row.append("")
-        writer.writerow(row)
+    writer.writerow(["", *activities])
+    writer.writerows([a, *row] for a, row in zip(activities, cells.tolist()))
 
 
 def _cmd_footprint(args) -> int:
@@ -283,8 +277,8 @@ def _cmd_footprint(args) -> int:
     stats = ordering_counts(log)
     sections = [
         ("relations.csv", lambda s: matrix.to_csv(s)),
-        ("exclusiveness.csv", lambda s: _score_csv(stats, exclusiveness_score, s)),
-        ("interleaving.csv", lambda s: _score_csv(stats, interleaving_score, s)),
+        ("exclusiveness.csv", lambda s: _score_csv(stats.activities, stats.exclusiveness, s)),
+        ("interleaving.csv", lambda s: _score_csv(stats.activities, stats.interleaving, s)),
     ]
     if args.out:
         os.makedirs(args.out, exist_ok=True)

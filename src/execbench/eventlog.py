@@ -204,7 +204,7 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
 
     Raises :class:`DataError` when a case id or activity holds a carriage
     return, which CSV output with ``\\n`` line ends leaves unquoted and a
-    reader would split.
+    reader would split, or surrounding whitespace, which the reader trims.
     """
     schema = schema or SchemaConfig()
     for trace in log.traces.values():
@@ -212,6 +212,10 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
             if "\r" in event.case_id or "\r" in event.activity:
                 raise DataError(
                     f"case {event.case_id!r}: a carriage return in a case id or activity cannot be written"
+                )
+            if event.case_id != event.case_id.strip() or event.activity != event.activity.strip():
+                raise DataError(
+                    f"case {event.case_id!r}: a case id or activity with surrounding whitespace cannot be written"
                 )
     with_time = bool(log.traces) and all(
         isinstance(e.order_key, datetime) for t in log.traces.values() for e in t.events

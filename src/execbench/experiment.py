@@ -10,6 +10,7 @@ uniformly sampled activity pairs of the same cardinality.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import warnings
 from dataclasses import asdict, dataclass
@@ -91,6 +92,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+        if self.max_tree_depth < 2 and self.leaves_range[1] >= 2:
+            raise ConfigError(
+                f"max_tree_depth {self.max_tree_depth} cannot hold {self.leaves_range[1]} leaves; it must be at least 2"
+            )
+        for operator, weight in self.operator_weights:
+            if operator not in ("seq", "xor", "and", "loop"):
+                raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ConfigError(f"operator_weights: {operator!r} needs a finite weight of at least 0, got {weight!r}")
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(

@@ -5,13 +5,18 @@ either direction, exclusiveness, or interleaving.  Relations are derived
 from trace counts rather than trace existence so that a handful of noisy
 traces cannot flip a relation; the exclusiveness and interleaving decisions
 go through user-set thresholds that should sit close to 1.
+
+The scores and the relations are computed as whole arrays over all
+ordered pairs at once; the per-pair functions read one cell of them.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from functools import cached_property
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -38,8 +43,28 @@ class Relation(Enum):
         return self
 
 
+# The int8 cells of a FootprintMatrix: code i stands for _RELATIONS[i].
+_RELATIONS = (Relation.EXCLUSIVE, Relation.STRICT_ORDER, Relation.REVERSE_ORDER, Relation.INTERLEAVING)
+
+
+class _ActivityIndex:
+    """Row and column lookup by activity name, through one dict built on first use."""
+
+    activities: tuple[str, ...]
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.activities)}
+
+    def index(self, activity: str) -> int:
+        try:
+            return self._positions[activity]
+        except KeyError:
+            raise UnknownActivityError(f"unknown activity {activity!r}") from None
+
+
 @dataclass(frozen=True)
-class CooccurrenceStats:
+class CooccurrenceStats(_ActivityIndex):
     """Trace counts backing the relation scores.
 
     ``cooccur`` holds, off the diagonal, the number of traces containing
@@ -54,12 +79,6 @@ class CooccurrenceStats:
     traces_with: np.ndarray
     cooccur: np.ndarray
     before: np.ndarray
-
-    def index(self, activity: str) -> int:
-        try:
-            return self.activities.index(activity)
-        except ValueError:
-            raise UnknownActivityError(f"unknown activity {activity!r}") from None
 
     def count_with(self, a: str) -> int:
         return int(self.traces_with[self.index(a)])
@@ -76,6 +95,20 @@ class CooccurrenceStats:
 
     def count_before(self, a: str, b: str) -> int:
         return int(self.before[self.index(a), self.index(b)])
+
+    @cached_property
+    def exclusiveness(self) -> np.ndarray:
+        """min(|T_a without b| / |T_a|, |T_b without a| / |T_b|) for every pair (a, b)."""
+        only = self.traces_with[:, None] - self.cooccur
+        np.fill_diagonal(only, 0)
+        share = only / self.traces_with[:, None]
+        return np.minimum(share, share.T)
+
+    @cached_property
+    def interleaving(self) -> np.ndarray:
+        """1 - |#(a before b) - #(b before a)| / #(a and b co-occur); NaN where they never do."""
+        both = np.where(self.cooccur > 0, self.cooccur, np.nan)
+        return 1.0 - np.abs(self.before - self.before.T) / both
 
 
 def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> CooccurrenceStats:
@@ -102,20 +135,38 @@ def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> Cooc
 
 def exclusiveness_score(stats: CooccurrenceStats, a: str, b: str) -> float:
     """min(|T_a without b| / |T_a|, |T_b without a| / |T_b|)."""
-    return min(
-        stats.count_only(a, b) / stats.count_with(a),
-        stats.count_only(b, a) / stats.count_with(b),
-    )
+    return float(stats.exclusiveness[stats.index(a), stats.index(b)])
 
 
 def interleaving_score(stats: CooccurrenceStats, a: str, b: str) -> float:
     """1 - |#(a before b) - #(b before a)| / #(a and b co-occur)."""
-    both = stats.count_both(a, b)
-    if both == 0:
+    score = float(stats.interleaving[stats.index(a), stats.index(b)])
+    if np.isnan(score):
         raise UndefinedScoreError(
             f"activities {a!r} and {b!r} never co-occur; the interleaving score is undefined"
         )
-    return 1.0 - abs(stats.count_before(a, b) - stats.count_before(b, a)) / both
+    return score
+
+
+def _relation_codes(stats: CooccurrenceStats, exc_threshold: float, int_threshold: float) -> np.ndarray:
+    """The relation rule, applied to every ordered pair at once.
+
+    Pairs that never co-occur are exclusive outright, which also covers an
+    activity against itself when it never repeats.  Otherwise the scores
+    are checked against the thresholds (strictly greater), and remaining
+    pairs are sequential in the majority direction; an exact tie in
+    direction counts, reachable only at an interleaving threshold of 1,
+    falls back to interleaving.  The rule is symmetric in the pair, so
+    exclusive and interleaving cells are symmetric and strict order flips
+    direction across the diagonal.
+    """
+    _check_threshold("exc", exc_threshold)
+    _check_threshold("int", int_threshold)
+    exclusive = (stats.cooccur == 0) | (stats.exclusiveness > exc_threshold)
+    interleaving = stats.interleaving > int_threshold
+    direction = stats.before - stats.before.T
+    # Codes index _RELATIONS: exclusive 0, interleaving 3, strict order 1, reverse order 2.
+    return np.select([exclusive, interleaving, direction > 0, direction < 0], [0, 3, 1, 2], default=3).astype(np.int8)
 
 
 def classify_relation(
@@ -125,30 +176,8 @@ def classify_relation(
     exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
 ) -> Relation:
-    """Pick the relation for one ordered pair.
-
-    Pairs that never co-occur are exclusive outright, which also covers an
-    activity against itself when it never repeats.  Otherwise the scores
-    are checked against the thresholds (strictly greater), and remaining
-    pairs are sequential in the majority direction; an exact tie in
-    direction counts, reachable only at an interleaving threshold of 1,
-    falls back to interleaving.
-    """
-    _check_threshold("exc", exc_threshold)
-    _check_threshold("int", int_threshold)
-    if stats.count_both(a, b) == 0:
-        return Relation.EXCLUSIVE
-    if exclusiveness_score(stats, a, b) > exc_threshold:
-        return Relation.EXCLUSIVE
-    if interleaving_score(stats, a, b) > int_threshold:
-        return Relation.INTERLEAVING
-    forward = stats.count_before(a, b)
-    backward = stats.count_before(b, a)
-    if forward > backward:
-        return Relation.STRICT_ORDER
-    if forward < backward:
-        return Relation.REVERSE_ORDER
-    return Relation.INTERLEAVING
+    """The relation of one ordered pair, read from the whole-matrix rule."""
+    return _RELATIONS[_relation_codes(stats, exc_threshold, int_threshold)[stats.index(a), stats.index(b)]]
 
 
 def _check_threshold(name: str, value: float) -> None:
@@ -157,34 +186,22 @@ def _check_threshold(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class FootprintMatrix:
+class FootprintMatrix(_ActivityIndex):
     activities: tuple[str, ...]
-    cells: np.ndarray  # int8 codes indexed like activities
-    exc_threshold: float
-    int_threshold: float
-
-    _CODES = (Relation.EXCLUSIVE, Relation.STRICT_ORDER, Relation.REVERSE_ORDER, Relation.INTERLEAVING)
-
-    def _index(self, activity: str) -> int:
-        try:
-            return self.activities.index(activity)
-        except ValueError:
-            raise UnknownActivityError(f"unknown activity {activity!r}") from None
+    cells: np.ndarray  # int8 codes into _RELATIONS, indexed like activities
 
     def relation(self, a: str, b: str) -> Relation:
-        return self._CODES[self.cells[self._index(a), self._index(b)]]
+        return _RELATIONS[self.cells[self.index(a), self.index(b)]]
 
-    def row(self, activity: str, columns: Sequence[str] | Iterable[str]) -> tuple[Relation, ...]:
-        i = self._index(activity)
-        return tuple(self._CODES[self.cells[i, self._index(c)]] for c in columns)
+    def row(self, activity: str, columns: Iterable[str]) -> tuple[Relation, ...]:
+        i = self.index(activity)
+        return tuple(_RELATIONS[self.cells[i, self.index(c)]] for c in columns)
 
     def to_csv(self, stream: IO[str]) -> None:
-        import csv
-
+        symbols = np.array([relation.value for relation in _RELATIONS])[self.cells]
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow([""] + list(self.activities))
-        for i, a in enumerate(self.activities):
-            writer.writerow([a] + [self._CODES[self.cells[i, j]].value for j in range(len(self.activities))])
+        writer.writerow(["", *self.activities])
+        writer.writerows([a, *row] for a, row in zip(self.activities, symbols.tolist()))
 
 
 def build_footprint_matrix(
@@ -193,21 +210,8 @@ def build_footprint_matrix(
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
     variants: VariantIndex | None = None,
 ) -> FootprintMatrix:
-    """Classify every ordered pair of one log, including the diagonal.
-
-    Each unordered pair is classified once and mirrored, so the symmetry
-    guarantees (exclusive and interleaving cells are symmetric, strict
-    order flips direction) hold by construction.
-    """
+    """Classify every ordered pair of one log, including the diagonal."""
     if not log.traces:
         raise DataError("cannot build a footprint matrix for an empty event log")
     stats = ordering_counts(log, variants)
-    activities = stats.activities
-    code_of = {rel: np.int8(i) for i, rel in enumerate(FootprintMatrix._CODES)}
-    cells = np.zeros((len(activities), len(activities)), dtype=np.int8)
-    for i, a in enumerate(activities):
-        for j in range(i, len(activities)):
-            rel = classify_relation(stats, a, activities[j], exc_threshold, int_threshold)
-            cells[i, j] = code_of[rel]
-            cells[j, i] = code_of[rel.mirrored]
-    return FootprintMatrix(activities, cells, exc_threshold, int_threshold)
+    return FootprintMatrix(stats.activities, _relation_codes(stats, exc_threshold, int_threshold))

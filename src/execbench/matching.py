@@ -46,13 +46,15 @@ def match_activities(
     shared = sorted(set(own.activities) & set(benchmark.activities))
     if not shared:
         raise DataError("logs share no activities; benchmarking is not meaningful")
-    benchmark_rows = {b: benchmark.row(b, shared) for b in benchmark.activities}
-    matches = []
-    for a in own.activities:
-        row = own.row(a, shared)
-        for b in benchmark.activities:
-            if a == b and not keep_trivial:
-                continue
-            if row == benchmark_rows[b]:
-                matches.append(Match(a, b))
+    own_rows = own.cells[:, [own.index(c) for c in shared]]
+    benchmark_rows = benchmark.cells[:, [benchmark.index(c) for c in shared]]
+    with_row: dict[bytes, list[str]] = {}
+    for b, row in zip(benchmark.activities, benchmark_rows):
+        with_row.setdefault(row.tobytes(), []).append(b)
+    matches = [
+        Match(a, b)
+        for a, row in zip(own.activities, own_rows)
+        for b in with_row.get(row.tobytes(), ())
+        if keep_trivial or a != b
+    ]
     return MatchSet(tuple(sorted(matches)), frozenset(shared))

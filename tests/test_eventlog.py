@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV, make_log
-from execbench.errors import ConfigError, DataError, SchemaError
+from execbench.errors import ConfigError, DataError, ExecbenchError, SchemaError
 from execbench.eventlog import (
     Event,
     EventLog,
@@ -191,6 +191,13 @@ def test_carriage_return_in_a_name_is_not_written():
         write_event_log(log, io.StringIO())
 
 
+@pytest.mark.parametrize("case_id, activity", [("c1", " a"), ("c1", "a\t"), ("c1", "\na"), (" c1", "a")])
+def test_name_with_surrounding_whitespace_is_not_written(case_id, activity):
+    log = EventLog({case_id: Trace(case_id, (Event(case_id, activity, 0),), None)})
+    with pytest.raises(DataError, match="c1.*whitespace"):
+        write_event_log(log, io.StringIO())
+
+
 def test_malformed_csv_reports_line():
     with pytest.raises(DataError, match="line 4"):
         parse("case_id,activity\nc1,a\nc2,b\nc3,0\r0\n")
@@ -234,6 +241,35 @@ def test_csv_round_trip_keeps_variants_and_performance(log):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             write_event_log(log, handle)
         assert _cases(read_event_log(path)) == _cases(log)
+
+
+fuzz_cells = st.sampled_from(
+    ["\0", '"', "\r", "nan", "1e999", "2024-01-01T09:00:00", "2024-01-01T09:00:00+02:00", "1.5", ""]
+) | st.text(max_size=6)
+fuzz_headers = st.sampled_from(
+    ["case_id,activity", "case_id,activity,timestamp", "case_id,activity,performance",
+     "case_id,activity,timestamp,performance"]
+)
+
+
+@st.composite
+def fuzz_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text())
+    header = draw(fuzz_headers)
+    width = header.count(",") + 1
+    rows = draw(st.lists(st.lists(fuzz_cells, min_size=width - 1, max_size=width + 1), max_size=6))
+    return draw(st.sampled_from(["\n", "\r\n"])).join([header, *(",".join(row) for row in rows)])
+
+
+@given(text=fuzz_texts())
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_text_parses_or_raises_a_package_error(text):
+    try:
+        log = parse(text)
+    except ExecbenchError:
+        return
+    assert isinstance(log, EventLog)
 
 
 variant_lists = st.lists(

@@ -56,6 +56,11 @@ def test_pairs_run_in_index_order():
         ("max_changes_per_pair", -1),
         ("max_loop_iterations", 0),
         ("max_children", 1),
+        ("max_tree_depth", 1),
+        ("operator_weights", (("seq", 1.0), ("xor", -0.5))),
+        ("operator_weights", (("seq", float("nan")),)),
+        ("operator_weights", (("loop", float("inf")),)),
+        ("operator_weights", (("sequence", 1.0),)),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):
@@ -65,3 +70,4 @@ def test_invalid_experiment_config_rejected(field, value):
 
 def test_boundary_experiment_config_accepted():
     ExperimentConfig(n_pairs=0, leaves_range=(1, 1), noise_probability=1.0, max_changes_per_pair=0, max_children=2)
+    ExperimentConfig(leaves_range=(1, 1), max_tree_depth=1, operator_weights=(("seq", 0.0), ("loop", 1.0)))

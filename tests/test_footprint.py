@@ -216,3 +216,51 @@ def test_extreme_thresholds_reduce_to_definitions(variants):
             got = classify_relation(stats, a, b, 1.0, 0.0)
             expected = _definition_relation(variants, a, b)
             assert got is expected, (a, b, variants)
+
+
+def _scalar_relation(stats, a, b, exc_threshold, int_threshold):
+    """The relation rule for one pair, written with the count accessors: the
+    reference that the whole-matrix rule is checked against."""
+    both = stats.count_both(a, b)
+    if both == 0:
+        return Relation.EXCLUSIVE
+    exclusiveness = min(stats.count_only(a, b) / stats.count_with(a), stats.count_only(b, a) / stats.count_with(b))
+    if exclusiveness > exc_threshold:
+        return Relation.EXCLUSIVE
+    forward, backward = stats.count_before(a, b), stats.count_before(b, a)
+    if 1.0 - abs(forward - backward) / both > int_threshold:
+        return Relation.INTERLEAVING
+    if forward > backward:
+        return Relation.STRICT_ORDER
+    if forward < backward:
+        return Relation.REVERSE_ORDER
+    return Relation.INTERLEAVING
+
+
+# Scores are ratios of small counts, so the listed values also hit the strict
+# threshold comparisons exactly.
+thresholds = st.floats(0, 1) | st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@given(variants=random_logs, freqs=st.data(), exc=thresholds, inter=thresholds)
+@settings(max_examples=200, deadline=None)
+def test_matrix_and_scores_equal_the_scalar_rule(variants, freqs, exc, inter):
+    counts = freqs.draw(st.lists(st.integers(1, 5), min_size=len(variants), max_size=len(variants)))
+    log = make_log(variants, freqs=counts)
+    stats = ordering_counts(log)
+    matrix = build_footprint_matrix(log, exc, inter)
+    for a in stats.activities:
+        for b in stats.activities:
+            expected = _scalar_relation(stats, a, b, exc, inter)
+            assert matrix.relation(a, b) is expected, (a, b)
+            assert classify_relation(stats, a, b, exc, inter) is expected, (a, b)
+            assert exclusiveness_score(stats, a, b) == min(
+                stats.count_only(a, b) / stats.count_with(a), stats.count_only(b, a) / stats.count_with(b)
+            )
+            both = stats.count_both(a, b)
+            if both == 0:
+                with pytest.raises(UndefinedScoreError):
+                    interleaving_score(stats, a, b)
+            else:
+                skew = abs(stats.count_before(a, b) - stats.count_before(b, a))
+                assert interleaving_score(stats, a, b) == 1.0 - skew / both

@@ -96,3 +96,30 @@ def test_output_independent_of_trace_order(own, bench):
         match_activities(own_matrix, bench_matrix).pairs()
         == match_activities(own_reversed, bench_matrix).pairs()
     )
+
+
+def _all_pairs_matches(own, bench, keep_trivial):
+    """Every own row compared with every benchmark row: the reference for the
+    grouped matching."""
+    shared = sorted(set(own.activities) & set(bench.activities))
+    return sorted(
+        Match(a, b)
+        for a in own.activities
+        for b in bench.activities
+        if (keep_trivial or a != b) and own.row(a, shared) == bench.row(b, shared)
+    )
+
+
+@given(
+    own=random_logs,
+    bench=random_logs,
+    thresholds=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    keep_trivial=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_matches_equal_the_all_pairs_comparison(own, bench, thresholds, keep_trivial):
+    assume(_share_activities(own, bench))
+    own_matrix = build_footprint_matrix(make_log(own), *thresholds)
+    bench_matrix = build_footprint_matrix(make_log(bench), *thresholds)
+    got = match_activities(own_matrix, bench_matrix, keep_trivial)
+    assert list(got.matches) == _all_pairs_matches(own_matrix, bench_matrix, keep_trivial)
