@@ -33,7 +33,6 @@ from .experiment import ExperimentConfig, generate_pair, run_experiment
 from .footprint import (
     DEFAULT_EXCLUSIVENESS_THRESHOLD,
     DEFAULT_INTERLEAVING_THRESHOLD,
-    build_footprint_matrix,
     ordering_counts,
 )
 from .proctree import tree_to_json
@@ -273,8 +272,8 @@ def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -
 
 def _cmd_footprint(args) -> int:
     log = read_event_log(args.log, _schema(args))
-    matrix = build_footprint_matrix(log, args.exc, args.int_)
     stats = ordering_counts(log)
+    matrix = stats.footprint(args.exc, args.int_)
     sections = [
         ("relations.csv", lambda s: matrix.to_csv(s)),
         ("exclusiveness.csv", lambda s: _score_csv(stats.activities, stats.exclusiveness, s)),

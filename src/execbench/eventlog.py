@@ -5,15 +5,23 @@ timestamp when a timestamp column is available (ties broken by input row
 order) and by row order otherwise.  Activity names are taken verbatim apart
 from surrounding-whitespace trimming; equal names across logs denote the
 same process step.
+
+A trace is stored column-wise: its variant (the tuple of activity names in
+event order) and the matching tuple of order keys (timestamps, or row
+numbers when the log has no timestamp column), plus an optional per-case
+performance value.  No object is kept per event; :attr:`Trace.events`
+builds :class:`Event` records on demand.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from itertools import chain
 from typing import IO, Mapping
 
 from .errors import ConfigError, DataError, SchemaError
@@ -30,13 +38,25 @@ class Event:
 
 @dataclass(frozen=True, slots=True)
 class Trace:
+    """One case: ``variant[i]`` is the activity of its i-th event and
+    ``order_keys[i]`` that event's timestamp or row number."""
+
     case_id: str
-    events: tuple[Event, ...]
+    variant: Variant
+    order_keys: tuple[datetime | int, ...]
     performance: float | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", tuple(self.variant))
+        object.__setattr__(self, "order_keys", tuple(self.order_keys))
+        if len(self.variant) != len(self.order_keys):
+            raise DataError(
+                f"case {self.case_id!r}: {len(self.variant)} activities but {len(self.order_keys)} order keys"
+            )
+
     @property
-    def variant(self) -> Variant:
-        return tuple(e.activity for e in self.events)
+    def events(self) -> tuple[Event, ...]:
+        return tuple(Event(self.case_id, a, k) for a, k in zip(self.variant, self.order_keys))
 
 
 @dataclass(frozen=True)
@@ -45,7 +65,7 @@ class EventLog:
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
-        return frozenset(e.activity for t in self.traces.values() for e in t.events)
+        return frozenset(chain.from_iterable({t.variant for t in self.traces.values()}))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -147,7 +167,7 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
     time_idx = column(schema.time_col, mandatory=False)
     perf_idx = column(schema.perf_col, mandatory=False)
 
-    rows_by_case: dict[str, list[tuple[datetime | int, int, str]]] = {}
+    columns_by_case: dict[str, tuple[list[str], list[datetime | int]]] = {}
     perf_by_case: dict[str, float] = {}
     for row_number, row in enumerate(reader, start=2):
         if not row:
@@ -162,8 +182,15 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
             raise DataError(f"row {row_number}: empty activity name")
         order_key: datetime | int = row_number
         if time_idx is not None:
-            order_key = _parse_timestamp(row[time_idx], row_number)
-        rows_by_case.setdefault(case_id, []).append((order_key, row_number, activity))
+            try:  # the common case: a bare ISO 8601 timestamp
+                order_key = datetime.fromisoformat(row[time_idx])
+            except ValueError:
+                order_key = _parse_timestamp(row[time_idx], row_number)
+        columns = columns_by_case.get(case_id)
+        if columns is None:
+            columns = columns_by_case[case_id] = ([], [])
+        columns[0].append(activity)
+        columns[1].append(order_key)
         if perf_idx is not None and row[perf_idx].strip():
             try:
                 value = float(row[perf_idx])
@@ -181,15 +208,18 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
             perf_by_case[case_id] = value
 
     traces: dict[str, Trace] = {}
-    for case_id, rows in rows_by_case.items():
+    for case_id, (activities, keys) in columns_by_case.items():
         try:
-            rows.sort(key=lambda r: (r[0], r[1]))
+            if not all(map(operator.le, keys, keys[1:])):
+                # A stable sort of positions: equal keys keep their row order.
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                activities = [activities[i] for i in order]
+                keys = [keys[i] for i in order]
         except TypeError:
             raise DataError(
                 f"case {case_id!r}: cannot order events, timestamps mix naive and offset-aware values"
             ) from None
-        events = tuple(Event(case_id, activity, key) for key, _, activity in rows)
-        traces[case_id] = Trace(case_id, events, perf_by_case.get(case_id))
+        traces[case_id] = Trace(case_id, tuple(activities), tuple(keys), perf_by_case.get(case_id))
     return EventLog(traces)
 
 
@@ -208,17 +238,18 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
     """
     schema = schema or SchemaConfig()
     for trace in log.traces.values():
-        for event in trace.events:
-            if "\r" in event.case_id or "\r" in event.activity:
+        case_id = trace.case_id
+        for activity in trace.variant:
+            if "\r" in case_id or "\r" in activity:
                 raise DataError(
-                    f"case {event.case_id!r}: a carriage return in a case id or activity cannot be written"
+                    f"case {case_id!r}: a carriage return in a case id or activity cannot be written"
                 )
-            if event.case_id != event.case_id.strip() or event.activity != event.activity.strip():
+            if case_id != case_id.strip() or activity != activity.strip():
                 raise DataError(
-                    f"case {event.case_id!r}: a case id or activity with surrounding whitespace cannot be written"
+                    f"case {case_id!r}: a case id or activity with surrounding whitespace cannot be written"
                 )
     with_time = bool(log.traces) and all(
-        isinstance(e.order_key, datetime) for t in log.traces.values() for e in t.events
+        isinstance(k, datetime) for t in log.traces.values() for k in t.order_keys
     )
     with_perf = any(t.performance is not None for t in log.traces.values())
     writer = csv.writer(stream, lineterminator="\n")
@@ -229,10 +260,10 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
         header.append(schema.perf_col)
     writer.writerow(header)
     for trace in log.traces.values():
-        for event in trace.events:
-            row = [event.case_id, event.activity]
+        for activity, key in zip(trace.variant, trace.order_keys):
+            row = [trace.case_id, activity]
             if with_time:
-                row.append(event.order_key.isoformat())  # type: ignore[union-attr]
+                row.append(key.isoformat())  # type: ignore[union-attr]
             if with_perf:
                 row.append("" if trace.performance is None else repr(trace.performance))
             writer.writerow(row)
@@ -276,7 +307,7 @@ def trace_performance(log: EventLog, perf: PerfConfig | None = None) -> dict[str
         values = {cid: float(t.performance) for cid, t in log.traces.items()}  # type: ignore[arg-type]
     else:
         for case_id, trace in log.traces.items():
-            keys = [e.order_key for e in trace.events]
+            keys = trace.order_keys
             if not all(isinstance(k, datetime) for k in keys):
                 raise ConfigError("throughput performance requires a timestamp column")
             values[case_id] = (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]

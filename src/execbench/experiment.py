@@ -10,7 +10,6 @@ uniformly sampled activity pairs of the same cardinality.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import warnings
 from dataclasses import asdict, dataclass
@@ -28,6 +27,7 @@ from .proctree import (
     GroundTruth,
     MutationConfig,
     SimConfig,
+    check_operator_weights,
     generate_process_tree,
     mutate_tree,
     simulate_log,
@@ -96,11 +96,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"max_tree_depth {self.max_tree_depth} cannot hold {self.leaves_range[1]} leaves; it must be at least 2"
             )
-        for operator, weight in self.operator_weights:
-            if operator not in ("seq", "xor", "and", "loop"):
-                raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ConfigError(f"operator_weights: {operator!r} needs a finite weight of at least 0, got {weight!r}")
+        check_operator_weights(self.operator_weights)
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
@@ -278,8 +274,9 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     pair = generate_pair(config, index)
     truth, own_log, bench_log = pair.truth, pair.own_log, pair.benchmark_log
 
-    own_matrix = build_footprint_matrix(own_log, config.exc_threshold, config.int_threshold)
-    bench_matrix = build_footprint_matrix(bench_log, config.exc_threshold, config.int_threshold)
+    own_index, bench_index = extract_variants(own_log), extract_variants(bench_log)
+    own_matrix = build_footprint_matrix(own_log, config.exc_threshold, config.int_threshold, own_index)
+    bench_matrix = build_footprint_matrix(bench_log, config.exc_threshold, config.int_threshold, bench_index)
     predicted = match_activities(own_matrix, bench_matrix)
     precision, recall = precision_recall(predicted, truth)
 
@@ -299,7 +296,7 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
             technique_changes, baseline_changes = (
                 enumerate_changes(g, config.max_change_size, warn_truncation=False) for g in graphs
             )
-            scorer = ChangeScorer(extract_variants(own_log), extract_variants(bench_log))
+            scorer = ChangeScorer(own_index, bench_index)
             technique_scores = [scorer.score(c).feasibility for c in technique_changes]
             baseline_scores = [scorer.score(c).feasibility for c in baseline_changes]
             n_changes_technique = len(technique_scores)

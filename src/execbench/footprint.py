@@ -110,6 +110,16 @@ class CooccurrenceStats(_ActivityIndex):
         both = np.where(self.cooccur > 0, self.cooccur, np.nan)
         return 1.0 - np.abs(self.before - self.before.T) / both
 
+    def footprint(
+        self,
+        exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
+        int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
+    ) -> "FootprintMatrix":
+        """Classify every ordered pair, including the diagonal."""
+        if not self.n_traces:
+            raise DataError("cannot build a footprint matrix for an empty event log")
+        return FootprintMatrix(self.activities, _relation_codes(self, exc_threshold, int_threshold))
+
 
 def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> CooccurrenceStats:
     """Tally the ordering patterns of all activity pairs, per trace.
@@ -210,8 +220,8 @@ def build_footprint_matrix(
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
     variants: VariantIndex | None = None,
 ) -> FootprintMatrix:
-    """Classify every ordered pair of one log, including the diagonal."""
-    if not log.traces:
-        raise DataError("cannot build a footprint matrix for an empty event log")
-    stats = ordering_counts(log, variants)
-    return FootprintMatrix(stats.activities, _relation_codes(stats, exc_threshold, int_threshold))
+    """Classify every ordered pair of one log, including the diagonal.
+
+    ``variants`` is the log's variant index when the caller already has one.
+    """
+    return ordering_counts(log, variants).footprint(exc_threshold, int_threshold)

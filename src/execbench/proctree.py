@@ -9,14 +9,15 @@ log, and ``tree_accepts`` provides an exact membership oracle for tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .eventlog import Event, EventLog, Trace
+from .eventlog import EventLog, Trace
 
 SeedLike = Union[int, tuple[int, ...]]
 
@@ -109,6 +110,18 @@ class GenConfig:
     max_depth: int = 6
     max_children: int = 4
     min_branch_leaves: int = 2
+
+    def __post_init__(self) -> None:
+        check_operator_weights(self.operator_weights.items())
+
+
+def check_operator_weights(weights: Iterable[tuple[str, float]]) -> None:
+    """Each ``operator_weights`` entry names an operator and has a finite weight of at least 0."""
+    for operator, weight in weights:
+        if operator not in _OP_NAMES.values():
+            raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ConfigError(f"operator_weights: {operator!r} needs a finite weight of at least 0, got {weight!r}")
 
 
 def generate_process_tree(seed: SeedLike, config: GenConfig | None = None) -> Node:
@@ -378,11 +391,9 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
         sequence = _play_out(tree, rng, sim.max_loop_iterations)
         case_id = f"c{i + 1}"
         start = _EPOCH + timedelta(minutes=i)
-        events = tuple(
-            Event(case_id, name, start + timedelta(seconds=j)) for j, name in enumerate(sequence)
-        )
-        performance = float(-(len(events) - 1)) if sim.with_performance else None
-        traces[case_id] = Trace(case_id, events, performance)
+        keys = tuple(start + timedelta(seconds=j) for j in range(len(sequence)))
+        performance = float(-(len(sequence) - 1)) if sim.with_performance else None
+        traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
     log = EventLog(traces)
     if sim.noise_probability > 0:
         # derived stream index n_traces cannot collide with any per-trace stream
@@ -406,7 +417,7 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
         if rng.random() >= probability:
             traces[case_id] = trace
             continue
-        names = list(t.activity for t in trace.events)
+        names = list(trace.variant)
         kinds = ["duplicate"] + (["swap", "delete"] if len(names) >= 2 else [])
         kind = kinds[int(rng.integers(len(kinds)))]
         if kind == "swap":
@@ -417,13 +428,12 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
         else:
             j = int(rng.integers(len(names)))
             names.insert(j + 1, names[j])
-        first_key = trace.events[0].order_key
+        first_key = trace.order_keys[0]
         if isinstance(first_key, datetime):
-            keys = [first_key + timedelta(seconds=j) for j in range(len(names))]
+            keys = tuple(first_key + timedelta(seconds=j) for j in range(len(names)))
         else:
-            keys = list(range(len(names)))
-        events = tuple(Event(case_id, name, key) for name, key in zip(names, keys))
-        traces[case_id] = Trace(case_id, events, trace.performance)
+            keys = tuple(range(len(names)))
+        traces[case_id] = Trace(case_id, tuple(names), keys, trace.performance)
     return EventLog(traces)
 
 

@@ -279,8 +279,9 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
     canonical change order.
     """
     config = config or BenchmarkConfig()
-    own_matrix = build_footprint_matrix(log_own, config.exc_threshold, config.int_threshold)
-    bench_matrix = build_footprint_matrix(log_benchmark, config.exc_threshold, config.int_threshold)
+    if not (log_own.traces and log_benchmark.traces):
+        # The footprint's own check, made before any performance value is read.
+        raise DataError("cannot build a footprint matrix for an empty event log")
     shared = log_own.alphabet & log_benchmark.alphabet
     union = log_own.alphabet | log_benchmark.alphabet
     if union and len(shared) / len(union) < SIMILARITY_WARNING_BOUND:
@@ -289,14 +290,17 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
             LogSimilarityWarning,
             stacklevel=2,
         )
-    matches = match_activities(own_matrix, bench_matrix)
-    changes = enumerate_changes(build_compatibility_graph(matches), config.max_change_size)
 
     with_performance = config.performance is not None
     own_values = trace_performance(log_own, config.performance) if with_performance else None
     bench_values = trace_performance(log_benchmark, config.performance) if with_performance else None
     own_index = extract_variants(log_own, own_values)
     bench_index = extract_variants(log_benchmark, bench_values)
+
+    own_matrix = build_footprint_matrix(log_own, config.exc_threshold, config.int_threshold, own_index)
+    bench_matrix = build_footprint_matrix(log_benchmark, config.exc_threshold, config.int_threshold, bench_index)
+    matches = match_activities(own_matrix, bench_matrix)
+    changes = enumerate_changes(build_compatibility_graph(matches), config.max_change_size)
 
     scorer = ChangeScorer(own_index, bench_index, with_performance)
     scored = []

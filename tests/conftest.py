@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from execbench.eventlog import Event, EventLog, Trace
+from execbench.eventlog import EventLog, Trace
 
 
 def make_log(variants, freqs=None, performance=None) -> EventLog:
@@ -22,8 +22,7 @@ def make_log(variants, freqs=None, performance=None) -> EventLog:
         for _ in range(freq):
             counter += 1
             case_id = f"c{counter}"
-            events = tuple(Event(case_id, a, i) for i, a in enumerate(variant))
-            traces[case_id] = Trace(case_id, events, perf)
+            traces[case_id] = Trace(case_id, tuple(variant), tuple(range(len(variant))), perf)
     return EventLog(traces)
 
 

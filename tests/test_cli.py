@@ -1,6 +1,7 @@
 """Command-line entry point: option defaults, early option checks and the matrix dump."""
 
 from conftest import OWN_CSV
+from execbench import footprint
 from execbench.cli import _experiment_config, build_parser, main
 from execbench.experiment import ExperimentConfig
 
@@ -51,3 +52,14 @@ def test_footprint_writes_the_three_matrices(tmp_path):
         "f,0.000000,0.000000,0.000000,,,0.000000\n"
         "g,0.000000,0.000000,0.000000,0.000000,0.000000,\n"
     )
+
+
+def test_footprint_counts_order_statistics_once(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "own.csv"
+    log.write_text(OWN_CSV, encoding="utf-8")
+    calls = []
+    original = footprint.order_stats
+    monkeypatch.setattr(footprint, "order_stats", lambda *args: calls.append(args) or original(*args))
+    assert main(["footprint", str(log)]) == 0
+    assert len(calls) == 1
+    assert "# relations" in capsys.readouterr().out

@@ -1,8 +1,10 @@
 """Parsing, variant extraction and performance normalization."""
 
+import csv
 import io
 import os
 import tempfile
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -193,9 +195,20 @@ def test_carriage_return_in_a_name_is_not_written():
 
 @pytest.mark.parametrize("case_id, activity", [("c1", " a"), ("c1", "a\t"), ("c1", "\na"), (" c1", "a")])
 def test_name_with_surrounding_whitespace_is_not_written(case_id, activity):
-    log = EventLog({case_id: Trace(case_id, (Event(case_id, activity, 0),), None)})
+    log = EventLog({case_id: Trace(case_id, (activity,), (0,), None)})
     with pytest.raises(DataError, match="c1.*whitespace"):
         write_event_log(log, io.StringIO())
+
+
+def test_events_are_built_from_the_columns():
+    trace = parse("case_id,activity\nc1,a\nc1,b\n").traces["c1"]
+    assert trace.order_keys == (2, 3)
+    assert trace.events == (Event("c1", "a", 2), Event("c1", "b", 3))
+
+
+def test_trace_columns_of_different_lengths_are_rejected():
+    with pytest.raises(DataError, match="c1.*2 activities but 1 order keys"):
+        Trace("c1", ("a", "b"), (0,))
 
 
 def test_malformed_csv_reports_line():
@@ -221,8 +234,7 @@ def event_logs(draw):
         n = len(activities)
         keys = sorted(draw(st.lists(st.datetimes(), min_size=n, max_size=n))) if with_time else range(n)
         performance = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
-        events = tuple(Event(case_id, a, k) for a, k in zip(activities, keys))
-        traces[case_id] = Trace(case_id, events, performance)
+        traces[case_id] = Trace(case_id, tuple(activities), tuple(keys), performance)
     return EventLog(traces)
 
 
@@ -299,3 +311,70 @@ def test_direction_flag_negates_exactly(variants):
     higher = trace_performance(log, PerfConfig("column", "higher"))
     lower = trace_performance(log, PerfConfig("column", "lower"))
     assert {k: -v for k, v in higher.items()} == lower
+
+
+def oracle_parse(text):
+    """The row-tuple parser, kept plain: each case's (order key, row number,
+    activity) rows sorted as tuples.  Returns {case: (variant, order keys)},
+    or the id of the first case whose keys mix naive and offset-aware values."""
+    header, *rows = csv.reader(io.StringIO(text))
+    by_case = {}
+    for row_number, row in enumerate(rows, start=2):
+        key = row_number
+        if "timestamp" in header:
+            raw = row[2].strip()
+            if raw.endswith(("Z", "z")):
+                raw = raw[:-1] + "+00:00"
+            key = datetime.fromisoformat(raw)
+        by_case.setdefault(row[0], []).append((key, row_number, row[1]))
+    cases = {}
+    for case_id, case_rows in by_case.items():
+        try:
+            case_rows.sort(key=lambda r: (r[0], r[1]))
+        except TypeError:
+            return case_id
+        cases[case_id] = (tuple(a for _, _, a in case_rows), tuple(k for k, _, _ in case_rows))
+    return cases
+
+
+# Few distinct instants, so equal keys are common; each written in one of
+# the spellings the reader accepts.
+instants = st.sampled_from(["2024-01-01T09:00:00", "2024-01-01T09:00:30", "2024-01-01T10:00:00", "2024-01-02"])
+naive = ["{}", " {} ", "{}.250000"]
+aware = ["{}Z", "{}z", "{}+02:00", "{}Z "]
+
+
+@st.composite
+def interleaved_logs(draw):
+    with_time = draw(st.booleans())
+    # Mostly one kind of key per log; a mix of both raises for any case that holds both.
+    spellings = st.sampled_from(draw(st.sampled_from([naive, aware, naive + aware])))
+    lines = ["case_id,activity,timestamp" if with_time else "case_id,activity"]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(st.sampled_from(["c1", "c2", "c3"])), draw(st.sampled_from("abcd"))]
+        if with_time:
+            instant, spelling = draw(instants), draw(spellings)
+            if "T" not in instant and spelling != "{}":
+                instant += "T00:00:00"  # a date alone takes no offset or fraction
+            cells.append(spelling.format(instant))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _strict(keys):
+    return tuple(repr(k) for k in keys)  # tells UTC from other offsets of the same instant
+
+
+@given(text=interleaved_logs())
+@settings(max_examples=400, deadline=None)
+def test_parser_equals_the_row_sort_oracle(text):
+    expected = oracle_parse(text)
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=f"case {expected!r}: cannot order events"):
+            parse(text)
+        return
+    log = parse(text)
+    assert list(log.traces) == list(expected)
+    for case_id, (variant, keys) in expected.items():
+        assert log.traces[case_id].variant == variant
+        assert _strict(log.traces[case_id].order_keys) == _strict(keys)

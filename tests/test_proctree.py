@@ -55,6 +55,15 @@ def test_unsatisfiable_config_rejected():
         generate_process_tree(0, GenConfig(target_leaves=0))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [{"seq": 1.0, "xor": -0.5}, {"seq": float("nan")}, {"loop": float("inf")}, {"sequence": 1.0}],
+)
+def test_invalid_operator_weights_rejected(weights):
+    with pytest.raises(ConfigError, match="operator_weights"):
+        GenConfig(target_leaves=20, operator_weights=weights)
+
+
 def test_thousand_random_trees_have_sound_structure():
     for seed in range(1000):
         target = 8 + seed % 8  # spans [8, 15]

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log, naive_levenshtein
+from execbench import footprint, scoring
 from execbench.compatibility import ProcessChange
 from execbench.errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError
-from execbench.eventlog import PerfConfig, extract_variants
+from execbench.eventlog import EventLog, PerfConfig, extract_variants
 from execbench.matching import Match
 from execbench.scoring import (
     BenchmarkConfig,
@@ -369,3 +370,24 @@ def test_dissimilar_logs_warn(own_log):
     with pytest.warns(LogSimilarityWarning):
         with pytest.warns(TruncationWarning):
             benchmark(own_log, other)
+
+
+def test_benchmark_groups_each_log_into_variants_once(own_log, benchmark_log, monkeypatch):
+    calls = []
+
+    def counting(log, performance=None):
+        calls.append(log)
+        return extract_variants(log, performance)
+
+    monkeypatch.setattr(scoring, "extract_variants", counting)
+    monkeypatch.setattr(footprint, "extract_variants", counting)
+    assert benchmark(own_log, benchmark_log)
+    assert calls == [own_log, benchmark_log]
+
+
+@pytest.mark.parametrize("empty_side", [0, 1])
+def test_empty_log_is_reported_before_missing_performance(empty_side):
+    logs = [make_log([("a", "b")]), make_log([("a", "c")])]  # neither has performance values
+    logs[empty_side] = EventLog({})
+    with pytest.raises(DataError, match="empty event log"):
+        benchmark(*logs, BenchmarkConfig(performance=PerfConfig("column")))
