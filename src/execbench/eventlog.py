@@ -49,6 +49,8 @@ class Trace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", tuple(self.variant))
         object.__setattr__(self, "order_keys", tuple(self.order_keys))
+        if not self.variant:
+            raise DataError(f"case {self.case_id!r} has no events")
         if len(self.variant) != len(self.order_keys):
             raise DataError(
                 f"case {self.case_id!r}: {len(self.variant)} activities but {len(self.order_keys)} order keys"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -322,81 +322,216 @@ class SimConfig:
     with_performance: bool = False
 
     def __post_init__(self) -> None:
+        if self.n_traces < 0:
+            raise ConfigError(f"n_traces must not be negative, got {self.n_traces}")
         if self.max_loop_iterations < 1:
             raise ConfigError("max_loop_iterations must be at least 1")
         if not 0.0 <= self.noise_probability <= 1.0:
             raise ConfigError("noise_probability must lie in [0, 1]")
+        _seed_words(self.seed)  # raises ConfigError on a bad seed
 
 
 _EPOCH = datetime(2024, 1, 1)
 
 
 def _derive(seed: SeedLike, *extra: int) -> tuple[int, ...]:
-    base = (seed,) if isinstance(seed, int) else tuple(seed)
-    return base + extra
+    return (seed if isinstance(seed, tuple) else (seed,)) + extra
 
 
-def _play_out(node: Node, rng: np.random.Generator, max_loop: int) -> list[str]:
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: SeedLike) -> list[int]:
+    """The 32-bit entropy words numpy's ``SeedSequence`` assembles from
+    ``seed``: for each part, its words from least significant up, at least one."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    words: list[int] = []
+    for part in parts:
+        if not isinstance(part, (int, np.integer)) or part < 0:
+            raise ConfigError(f"seed must be a non-negative int or a tuple of them, got {seed!r}")
+        part = int(part)
+        words.append(part & _MASK32)
+        while part > _MASK32:
+            part >>= 32
+            words.append(part & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's SeedSequence hash step on uint32 arrays.  Its constant starts
+    at ``hash_const`` and is multiplied by ``mult`` on every call, whatever
+    the data, so every row sees the same constants."""
+
+    def hash_step(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_step
+
+
+def _stream_states(seed: SeedLike, n: int) -> list[dict]:
+    """``default_rng(_derive(seed, i)).bit_generator.state`` for each i < n.
+
+    Runs numpy's SeedSequence hashing over all n entropy rows at once as
+    uint32 column arithmetic; the rows differ only in their last word, i.
+    The PCG64 seeding step then runs per row on Python ints.
+    """
+    if n > 1 << 32:
+        raise ConfigError(f"at most 2**32 streams per seed, got {n}")
+    columns = [np.full(n, w, dtype=np.uint32) for w in _seed_words(seed)]
+    columns.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(columns[i] if i < len(columns) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(columns)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(columns[src]))
+
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # little-endian into 64-bit words.
+    output_hash = _hasher(_INIT_B, _MULT_B)
+    halves = [output_hash(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    words = [(halves[2 * k] | (halves[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
+
+    states = []
+    for high_state, low_state, high_seq, low_seq in zip(*words):
+        inc = ((((high_seq << 64) | low_seq) << 1) | 1) & _MASK128
+        state = ((inc + ((high_state << 64) | low_state)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[list[str]], None]:
+    """A play-out of ``node`` that appends its events to a list.
+
+    Draws from ``rng`` in depth-first order: ``Xor`` draws its branch,
+    ``And`` plays its children in order and then draws their interleaving,
+    and ``Loop`` draws ``random() < 0.5`` before each further run, up to
+    ``max_loop`` runs.
+    """
     if isinstance(node, Leaf):
-        return [node.name]
+        name = node.name
+        return lambda out: out.append(name)
+    if isinstance(node, Seq) and all(isinstance(c, Leaf) for c in node.children):
+        names = tuple(c.name for c in node.children)
+        return lambda out: out.extend(names)
+    parts = tuple(_compile(c, rng, max_loop) for c in node.children)
     if isinstance(node, Seq):
-        out: list[str] = []
-        for child in node.children:
-            out.extend(_play_out(child, rng, max_loop))
-        return out
+
+        def sequence(out: list[str]) -> None:
+            for part in parts:
+                part(out)
+
+        return sequence
+    integers = rng.integers
     if isinstance(node, Xor):
-        return _play_out(node.children[int(rng.integers(len(node.children)))], rng, max_loop)
+        k = len(parts)
+        return lambda out: parts[integers(k)](out)
     if isinstance(node, And):
-        parts = [_play_out(c, rng, max_loop) for c in node.children]
-        return _random_merge(parts, rng)
-    out = _play_out(node.body, rng, max_loop)
-    runs = 1
-    while runs < max_loop and rng.random() < 0.5:
-        out.extend(_play_out(node.redo, rng, max_loop))
-        out.extend(_play_out(node.body, rng, max_loop))
-        runs += 1
-    return out
+
+        def parallel(out: list[str]) -> None:
+            played = []
+            for part in parts:
+                branch: list[str] = []
+                part(branch)
+                played.append(branch)
+            _random_merge(played, integers, out)
+
+        return parallel
+    body, redo = parts
+    random = rng.random
+
+    def loop(out: list[str]) -> None:
+        body(out)
+        runs = 1
+        while runs < max_loop and random() < 0.5:
+            redo(out)
+            body(out)
+            runs += 1
+
+    return loop
 
 
-def _random_merge(parts: list[list[str]], rng: np.random.Generator) -> list[str]:
-    """Uniformly random interleaving: each step draws the next source with
-    probability proportional to its remaining length."""
+def _random_merge(parts: list[list[str]], integers: Callable, out: list[str]) -> None:
+    """Append a uniformly random interleaving of ``parts`` to ``out``: each
+    step draws the next source with probability proportional to its
+    remaining length.  The per-step bounds are known in advance (the total
+    shrinks by one each step), so all draws come from one ``integers`` call,
+    which yields the same values as one call per step."""
     positions = [0] * len(parts)
     remaining = [len(p) for p in parts]
-    total = sum(remaining)
-    out: list[str] = []
-    while total:
-        r = int(rng.integers(total))
+    for r in integers(np.arange(sum(remaining), 0, -1)).tolist():
         for i, count in enumerate(remaining):
             if r < count:
                 out.append(parts[i][positions[i]])
                 positions[i] += 1
                 remaining[i] -= 1
-                total -= 1
                 break
             r -= count
-    return out
+
+
+def _spacer() -> Callable[[datetime, int], tuple[datetime, ...]]:
+    """``spaced(start, n)``: n timestamps one second apart from ``start``,
+    added from one tuple of offsets that grows as needed."""
+    offsets: tuple[timedelta, ...] = ()
+
+    def spaced(start: datetime, n: int) -> tuple[datetime, ...]:
+        nonlocal offsets
+        if n > len(offsets):
+            offsets = tuple(timedelta(seconds=j) for j in range(max(n, 2 * len(offsets))))
+        return tuple(start + d for d in offsets[:n])
+
+    return spaced
 
 
 def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     """Independent play-outs with synthetic strictly increasing timestamps.
 
-    Each trace gets its own random stream derived from (seed, trace
-    index), so simulation is reproducible and scheduling-independent.
-    Control-flow noise is applied afterwards when configured.
+    Stream contract: trace i (case ``c{i+1}``) draws its play-out from
+    ``default_rng(seed + (i,))``, and control-flow noise, when configured,
+    uses ``inject_noise`` with seed ``seed + (n_traces,)``, an index no
+    trace stream takes.  So simulation is reproducible and any trace can be
+    replayed alone.  The streams are not built by ``default_rng``: one
+    vectorized pass computes every trace's starting generator state, and
+    one generator is re-seeded per trace.  A test checks those states, and
+    the logs, against ``default_rng`` and a recursive play-out.
     """
+    rng = np.random.Generator(np.random.PCG64())
+    bit_generator = rng.bit_generator
+    play = _compile(tree, rng, sim.max_loop_iterations)
+    spaced = _spacer()
     traces: dict[str, Trace] = {}
-    for i in range(sim.n_traces):
-        rng = np.random.default_rng(_derive(sim.seed, i))
-        sequence = _play_out(tree, rng, sim.max_loop_iterations)
+    for i, state in enumerate(_stream_states(sim.seed, sim.n_traces)):
+        bit_generator.state = state
+        sequence: list[str] = []
+        play(sequence)
         case_id = f"c{i + 1}"
-        start = _EPOCH + timedelta(minutes=i)
-        keys = tuple(start + timedelta(seconds=j) for j in range(len(sequence)))
+        keys = spaced(_EPOCH + timedelta(minutes=i), len(sequence))
         performance = float(-(len(sequence) - 1)) if sim.with_performance else None
         traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
     log = EventLog(traces)
     if sim.noise_probability > 0:
-        # derived stream index n_traces cannot collide with any per-trace stream
         log = inject_noise(log, _derive(sim.seed, sim.n_traces), sim.noise_probability)
     return log
 
@@ -405,15 +540,22 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
     """With the given probability per trace, apply exactly one perturbation:
     swap two adjacent events, delete one event, or duplicate one in place.
 
-    Perturbations that cannot apply to a trace (swapping or deleting on a
-    single event) are excluded from the uniform draw.  Timestamps are
-    re-spaced from the trace's original start.
+    Stream contract: the trace at position i of ``log.traces`` draws from
+    ``default_rng(seed + (i,))``, first a uniform that decides whether it
+    is perturbed.  The streams come from the same vectorized seeding as
+    :func:`simulate_log`.  Perturbations that cannot apply to a trace
+    (swapping or deleting on a single event) are excluded from the uniform
+    draw.  Timestamps are re-spaced from the trace's original start.
     """
     if not 0.0 <= probability <= 1.0:
         raise ConfigError("noise probability must lie in [0, 1]")
+    rng = np.random.Generator(np.random.PCG64())
+    bit_generator = rng.bit_generator
+    spaced = _spacer()
     traces: dict[str, Trace] = {}
-    for index, (case_id, trace) in enumerate(log.traces.items()):
-        rng = np.random.default_rng(_derive(seed, index))
+    states = _stream_states(seed, len(log.traces))
+    for state, (case_id, trace) in zip(states, log.traces.items()):
+        bit_generator.state = state
         if rng.random() >= probability:
             traces[case_id] = trace
             continue
@@ -430,7 +572,7 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
             names.insert(j + 1, names[j])
         first_key = trace.order_keys[0]
         if isinstance(first_key, datetime):
-            keys = tuple(first_key + timedelta(seconds=j) for j in range(len(names)))
+            keys = spaced(first_key, len(names))
         else:
             keys = tuple(range(len(names)))
         traces[case_id] = Trace(case_id, tuple(names), keys, trace.performance)

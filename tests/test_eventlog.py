@@ -378,3 +378,8 @@ def test_parser_equals_the_row_sort_oracle(text):
     for case_id, (variant, keys) in expected.items():
         assert log.traces[case_id].variant == variant
         assert _strict(log.traces[case_id].order_keys) == _strict(keys)
+
+
+def test_trace_without_events_is_rejected():
+    with pytest.raises(DataError, match="'c7' has no events"):
+        Trace("c7", (), ())

@@ -1,11 +1,21 @@
 """Tree generation, mutation tracking, play-out, noise, and membership."""
 
-import pytest
+import hashlib
+import io
+from datetime import datetime, timedelta
 
-from conftest import naive_levenshtein
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_log, naive_levenshtein
 from execbench.errors import ConfigError
-from execbench.eventlog import extract_variants
+from execbench.eventlog import EventLog, Trace, extract_variants, write_event_log
 from execbench.proctree import (
+    _EPOCH,
+    _derive,
+    _stream_states,
     And,
     GenConfig,
     Leaf,
@@ -275,3 +285,184 @@ def test_synthetic_performance_optional():
     assert all(t.performance == -1.0 for t in with_perf.traces.values())
     idx = extract_variants(with_perf)
     assert idx.entries[("a", "b")].mean_performance == -1.0
+
+
+# Oracles: the recursive play-out and the per-trace ``default_rng`` loops
+# that define the lab's stream contract.  The package must give equal logs.
+
+
+def oracle_play_out(node, rng, max_loop):
+    if isinstance(node, Leaf):
+        return [node.name]
+    if isinstance(node, Seq):
+        out = []
+        for child in node.children:
+            out.extend(oracle_play_out(child, rng, max_loop))
+        return out
+    if isinstance(node, Xor):
+        return oracle_play_out(node.children[int(rng.integers(len(node.children)))], rng, max_loop)
+    if isinstance(node, And):
+        parts = [oracle_play_out(c, rng, max_loop) for c in node.children]
+        return oracle_random_merge(parts, rng)
+    out = oracle_play_out(node.body, rng, max_loop)
+    runs = 1
+    while runs < max_loop and rng.random() < 0.5:
+        out.extend(oracle_play_out(node.redo, rng, max_loop))
+        out.extend(oracle_play_out(node.body, rng, max_loop))
+        runs += 1
+    return out
+
+
+def oracle_random_merge(parts, rng):
+    positions = [0] * len(parts)
+    remaining = [len(p) for p in parts]
+    total = sum(remaining)
+    out = []
+    while total:
+        r = int(rng.integers(total))
+        for i, count in enumerate(remaining):
+            if r < count:
+                out.append(parts[i][positions[i]])
+                positions[i] += 1
+                remaining[i] -= 1
+                total -= 1
+                break
+            r -= count
+    return out
+
+
+def oracle_simulate_log(tree, sim):
+    traces = {}
+    for i in range(sim.n_traces):
+        rng = np.random.default_rng(_derive(sim.seed, i))
+        sequence = oracle_play_out(tree, rng, sim.max_loop_iterations)
+        case_id = f"c{i + 1}"
+        start = _EPOCH + timedelta(minutes=i)
+        keys = tuple(start + timedelta(seconds=j) for j in range(len(sequence)))
+        performance = float(-(len(sequence) - 1)) if sim.with_performance else None
+        traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
+    log = EventLog(traces)
+    if sim.noise_probability > 0:
+        log = oracle_inject_noise(log, _derive(sim.seed, sim.n_traces), sim.noise_probability)
+    return log
+
+
+def oracle_inject_noise(log, seed, probability):
+    traces = {}
+    for index, (case_id, trace) in enumerate(log.traces.items()):
+        rng = np.random.default_rng(_derive(seed, index))
+        if rng.random() >= probability:
+            traces[case_id] = trace
+            continue
+        names = list(trace.variant)
+        kinds = ["duplicate"] + (["swap", "delete"] if len(names) >= 2 else [])
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "swap":
+            j = int(rng.integers(len(names) - 1))
+            names[j], names[j + 1] = names[j + 1], names[j]
+        elif kind == "delete":
+            del names[int(rng.integers(len(names)))]
+        else:
+            j = int(rng.integers(len(names)))
+            names.insert(j + 1, names[j])
+        first_key = trace.order_keys[0]
+        if isinstance(first_key, datetime):
+            keys = tuple(first_key + timedelta(seconds=j) for j in range(len(names)))
+        else:
+            keys = tuple(range(len(names)))
+        traces[case_id] = Trace(case_id, tuple(names), keys, trace.performance)
+    return EventLog(traces)
+
+
+seed_parts = st.integers(0, 2**70)
+seeds = seed_parts | st.tuples() | st.lists(seed_parts, min_size=1, max_size=6).map(tuple)
+
+
+@given(seed=seeds, n=st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_stream_states_equal_default_rng(seed, n):
+    expected = [np.random.default_rng(_derive(seed, i)).bit_generator.state for i in range(n)]
+    assert _stream_states(seed, n) == expected
+
+
+def trees():
+    leaf = st.sampled_from("abcdefgh").map(Leaf)
+
+    def composite(children):
+        blocks = st.lists(children, min_size=2, max_size=4).map(tuple)
+        return (
+            blocks.map(Seq)
+            | blocks.map(Xor)
+            | blocks.map(And)
+            | st.tuples(children, children).map(lambda pair: Loop(*pair))
+        )
+
+    return st.recursive(leaf, composite, max_leaves=14)
+
+
+@given(
+    tree=trees(),
+    seed=seeds,
+    n_traces=st.integers(0, 25),
+    max_loop=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 1.0]),
+    performance=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulate_log_equals_recursive_oracle(tree, seed, n_traces, max_loop, noise, performance):
+    sim = SimConfig(
+        n_traces=n_traces,
+        noise_probability=noise,
+        max_loop_iterations=max_loop,
+        seed=seed,
+        with_performance=performance,
+    )
+    assert list(simulate_log(tree, sim).traces.items()) == list(oracle_simulate_log(tree, sim).traces.items())
+
+
+@given(
+    variants=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=6), min_size=0, max_size=20),
+    seed=seeds,
+    probability=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_inject_noise_on_integer_keys_equals_oracle(variants, seed, probability):
+    log = make_log(variants)
+    expected = oracle_inject_noise(log, seed, probability)
+    assert list(inject_noise(log, seed, probability).traces.items()) == list(expected.traces.items())
+
+
+# Recorded from the recursive play-out with one default_rng per trace.  The
+# loop body and the nodes after the loop draw, so a moved loop draw shows.
+GOLDEN_SHA256 = "49e5af8778b5986aaffd43a7abd6fe91aae406255a5359bafcdcb395a20a48b3"
+
+
+def test_golden_log_bytes():
+    tree = Seq((
+        Leaf("a"),
+        Loop(Xor((Leaf("b"), Leaf("c"))), Seq((Leaf("d"), Leaf("e")))),
+        And((Leaf("f"), Seq((Leaf("g"), Leaf("h"))))),
+        Xor((Leaf("i"), Seq((Leaf("j"), Leaf("k"))))),
+    ))
+    sim = SimConfig(n_traces=300, noise_probability=0.3, seed=(7, 1), with_performance=True)
+    buffer = io.StringIO()
+    write_event_log(simulate_log(tree, sim), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, (1, -2), (1, 2.0), [1, 2], "7", None])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        SimConfig(seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        inject_noise(make_log([("a", "b")]), seed, 0.5)
+
+
+def test_negative_trace_count_rejected():
+    with pytest.raises(ConfigError, match="n_traces"):
+        SimConfig(n_traces=-1)
+
+
+def test_stream_count_beyond_one_index_word_rejected():
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        _stream_states(0, 2**32 + 1)
