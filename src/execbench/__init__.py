@@ -8,13 +8,14 @@ tracked mutations) and an evaluation harness with a random baseline are
 included.
 """
 
+import types
+
 from .compatibility import (
     CompatGraph,
     ProcessChange,
     build_compatibility_graph,
     count_changes,
     enumerate_changes,
-    maximal_changes,
 )
 from .errors import (
     ConfigError,
@@ -85,12 +86,9 @@ from .scoring import (
     affected_variants,
     apply_change,
     benchmark,
-    closest_match,
     edit_similarity,
-    feasibility,
-    performance_impact,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, types.ModuleType))]

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import combinations, groupby, product
 from typing import Iterable
 
-from .errors import ConfigError, TruncationWarning
+from .errors import TruncationWarning, check_int
 from .matching import Match, MatchSet
 
 DEFAULT_MAX_CHANGE_SIZE = 3
@@ -131,13 +131,6 @@ def enumerate_changes(
 
 def _largest_size(graph: CompatGraph, max_size: int) -> int:
     """``max_size`` checked, and capped at the number of groups: no larger change exists."""
-    if max_size < 1:
-        raise ConfigError(f"max change size must be at least 1, got {max_size}")
+    check_int("max change size", max_size, 1)
     return min(max_size, len(graph.groups))
 
-
-def maximal_changes(graph: CompatGraph) -> list[ProcessChange]:
-    """Inclusion-maximal cliques, one node from every group, in canonical order."""
-    if not graph.nodes:
-        return []
-    return [ProcessChange(tuple(graph.nodes[i] for i in clique)) for clique in product(*graph.groups)]

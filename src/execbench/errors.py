@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the integer config check, shared across the package."""
+
+import numbers
 
 
 class ExecbenchError(Exception):
@@ -15,6 +17,15 @@ class DataError(ExecbenchError):
 
 class ConfigError(ExecbenchError):
     """A configuration value or combination of values is unusable."""
+
+
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an int
+    (numpy integers count) of at least ``least``, when given."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 class UnknownActivityError(ExecbenchError, KeyError):

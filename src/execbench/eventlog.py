@@ -76,7 +76,6 @@ class EventLog:
 @dataclass(frozen=True, slots=True)
 class VariantEntry:
     frequency: int
-    trace_ids: frozenset[str]
     mean_performance: float | None
 
 
@@ -87,9 +86,6 @@ class VariantIndex:
     @property
     def total_traces(self) -> int:
         return sum(e.frequency for e in self.entries.values())
-
-    def frequencies(self) -> dict[Variant, int]:
-        return {v: e.frequency for v, e in self.entries.items()}
 
 
 @dataclass(frozen=True)
@@ -278,21 +274,14 @@ def extract_variants(log: EventLog, performance: Mapping[str, float] | None = No
     with normalized ones from :func:`trace_performance`).  A variant's mean
     performance is present only when every one of its traces has a value.
     """
-    grouped: dict[Variant, list[Trace]] = {}
+    values_by_variant: dict[Variant, list[float | None]] = {}
     for trace in log.traces.values():
-        grouped.setdefault(trace.variant, []).append(trace)
+        value = performance.get(trace.case_id) if performance is not None else trace.performance
+        values_by_variant.setdefault(trace.variant, []).append(value)
     entries: dict[Variant, VariantEntry] = {}
-    for variant, traces in grouped.items():
-        values = []
-        for trace in traces:
-            value = performance.get(trace.case_id) if performance is not None else trace.performance
-            values.append(value)
+    for variant, values in values_by_variant.items():
         mean = sum(values) / len(values) if all(v is not None for v in values) else None
-        entries[variant] = VariantEntry(
-            frequency=len(traces),
-            trace_ids=frozenset(t.case_id for t in traces),
-            mean_performance=mean,
-        )
+        entries[variant] = VariantEntry(frequency=len(values), mean_performance=mean)
     return VariantIndex(entries)
 
 

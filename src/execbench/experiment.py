@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE, build_compatibility_graph, count_changes, enumerate_changes
-from .errors import ConfigError, SamplingWarning
+from .errors import ConfigError, SamplingWarning, check_int
 from .eventlog import extract_variants
 from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import Match, MatchSet, match_activities
@@ -26,7 +26,10 @@ from .proctree import (
     GenConfig,
     GroundTruth,
     MutationConfig,
+    SeedLike,
     SimConfig,
+    _derive,
+    _seed_words,
     check_operator_weights,
     generate_process_tree,
     mutate_tree,
@@ -66,7 +69,7 @@ class ExperimentConfig:
     max_change_size: int = DEFAULT_MAX_CHANGE_SIZE
     max_changes_per_pair: int = 200
     max_loop_iterations: int = 3
-    master_seed: int = 42
+    master_seed: SeedLike = 42
 
     def __post_init__(self) -> None:
         for name, least in (
@@ -77,8 +80,9 @@ class ExperimentConfig:
             ("max_loop_iterations", 1),
             ("max_children", 2),
         ):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), least)
+        check_int("max_tree_depth", self.max_tree_depth)
+        _seed_words(self.master_seed, "master_seed")
         for name, least in (
             ("leaves_range", 1),
             ("replacements_range", 0),
@@ -86,6 +90,8 @@ class ExperimentConfig:
             ("deletions_range", 0),
         ):
             low, high = getattr(self, name)
+            check_int(name, low)
+            check_int(name, high)
             if not least <= low <= high:
                 raise ConfigError(f"{name} must satisfy {least} <= min <= max, got ({low}, {high})")
         for name in ("noise_probability", "exc_threshold", "int_threshold"):
@@ -211,9 +217,10 @@ def random_baseline(
     own_activities: Iterable[str],
     benchmark_activities: Iterable[str],
     n: int,
-    seed,
+    seed: SeedLike,
 ) -> MatchSet:
     """Uniform sample of n distinct non-trivial cross-log activity pairs."""
+    _seed_words(seed)  # raises ConfigError on a bad seed
     own = sorted(set(own_activities))
     bench = sorted(set(benchmark_activities))
     pool = [(a, b) for a in own for b in bench if a != b]
@@ -245,10 +252,11 @@ class PairData:
 def generate_pair(config: ExperimentConfig, index: int) -> PairData:
     """Tree, mutated tree and the two simulated logs for one pair index.
 
-    All randomness derives from (master_seed, pair index), so any single
-    pair can be regenerated without replaying the others.
+    All randomness derives from (master_seed, pair index), the master seed's
+    parts followed by the index, so any single pair can be regenerated
+    without replaying the others.
     """
-    seed = (config.master_seed, index)
+    seed = _derive(config.master_seed, index)
     knobs = np.random.default_rng(seed + (0,))
     target_leaves = int(knobs.integers(config.leaves_range[0], config.leaves_range[1] + 1))
     mutation = MutationConfig(
@@ -270,7 +278,7 @@ def generate_pair(config: ExperimentConfig, index: int) -> PairData:
 
 def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     """Generate, mutate, simulate and evaluate one log pair."""
-    seed = (config.master_seed, index)
+    seed = _derive(config.master_seed, index)
     pair = generate_pair(config, index)
     truth, own_log, bench_log = pair.truth, pair.own_log, pair.benchmark_log
 

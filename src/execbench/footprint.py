@@ -16,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class Relation(Enum):
     REVERSE_ORDER = "<-"
     EXCLUSIVE = "#"
     INTERLEAVING = "||"
-
-    @property
-    def mirrored(self) -> "Relation":
-        if self is Relation.STRICT_ORDER:
-            return Relation.REVERSE_ORDER
-        if self is Relation.REVERSE_ORDER:
-            return Relation.STRICT_ORDER
-        return self
 
 
 # The int8 cells of a FootprintMatrix: code i stands for _RELATIONS[i].
@@ -79,22 +71,6 @@ class CooccurrenceStats(_ActivityIndex):
     traces_with: np.ndarray
     cooccur: np.ndarray
     before: np.ndarray
-
-    def count_with(self, a: str) -> int:
-        return int(self.traces_with[self.index(a)])
-
-    def count_both(self, a: str, b: str) -> int:
-        return int(self.cooccur[self.index(a), self.index(b)])
-
-    def count_only(self, a: str, b: str) -> int:
-        """Traces containing a but not b; zero for a pair of equal names."""
-        ia, ib = self.index(a), self.index(b)
-        if ia == ib:
-            return 0
-        return int(self.traces_with[ia] - self.cooccur[ia, ib])
-
-    def count_before(self, a: str, b: str) -> int:
-        return int(self.before[self.index(a), self.index(b)])
 
     @cached_property
     def exclusiveness(self) -> np.ndarray:
@@ -199,13 +175,6 @@ def _check_threshold(name: str, value: float) -> None:
 class FootprintMatrix(_ActivityIndex):
     activities: tuple[str, ...]
     cells: np.ndarray  # int8 codes into _RELATIONS, indexed like activities
-
-    def relation(self, a: str, b: str) -> Relation:
-        return _RELATIONS[self.cells[self.index(a), self.index(b)]]
-
-    def row(self, activity: str, columns: Iterable[str]) -> tuple[Relation, ...]:
-        i = self.index(activity)
-        return tuple(_RELATIONS[self.cells[i, self.index(c)]] for c in columns)
 
     def to_csv(self, stream: IO[str]) -> None:
         symbols = np.array([relation.value for relation in _RELATIONS])[self.cells]

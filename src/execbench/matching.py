@@ -29,19 +29,11 @@ class MatchSet:
     def __len__(self) -> int:
         return len(self.matches)
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return {(m.own, m.benchmark) for m in self.matches}
 
-
-def match_activities(
-    own: FootprintMatrix,
-    benchmark: FootprintMatrix,
-    keep_trivial: bool = False,
-) -> MatchSet:
+def match_activities(own: FootprintMatrix, benchmark: FootprintMatrix) -> MatchSet:
     """All (own activity, benchmark activity) pairs with equal partial footprints.
 
-    Same-name pairs are trivial replacements and removed unless
-    ``keep_trivial`` is set (useful for self-matching diagnostics).
+    Same-name pairs are trivial replacements and are left out.
     """
     shared = sorted(set(own.activities) & set(benchmark.activities))
     if not shared:
@@ -55,6 +47,6 @@ def match_activities(
         Match(a, b)
         for a, row in zip(own.activities, own_rows)
         for b in with_row.get(row.tobytes(), ())
-        if keep_trivial or a != b
+        if a != b
     ]
     return MatchSet(tuple(sorted(matches)), frozenset(shared))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .eventlog import EventLog, Trace
 
 SeedLike = Union[int, tuple[int, ...]]
@@ -112,6 +112,12 @@ class GenConfig:
     min_branch_leaves: int = 2
 
     def __post_init__(self) -> None:
+        check_int("target_leaves", self.target_leaves, 1)
+        check_int("max_children", self.max_children, 2)
+        check_int("min_branch_leaves", self.min_branch_leaves, 1)
+        check_int("max_depth", self.max_depth)
+        if self.target_leaves >= 2 and self.max_depth < 2:
+            raise ConfigError(f"max_depth {self.max_depth} cannot hold {self.target_leaves} leaves")
         check_operator_weights(self.operator_weights.items())
 
 
@@ -133,14 +139,7 @@ def generate_process_tree(seed: SeedLike, config: GenConfig | None = None) -> No
     so a fixed seed yields an identical tree.
     """
     config = config or GenConfig()
-    if config.target_leaves < 1:
-        raise ConfigError(f"target_leaves must be at least 1, got {config.target_leaves}")
-    if config.max_children < 2:
-        raise ConfigError(f"max_children must be at least 2, got {config.max_children}")
-    if config.target_leaves >= 2 and config.max_depth < 2:
-        raise ConfigError(
-            f"max_depth {config.max_depth} cannot hold {config.target_leaves} leaves"
-        )
+    _seed_words(seed)  # raises ConfigError on a bad seed
     rng = np.random.default_rng(seed)
     counter = [0]
 
@@ -192,6 +191,10 @@ class MutationConfig:
     n_insertions: int = 0
     n_deletions: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("n_replacements", "n_insertions", "n_deletions"):
+            check_int(name, getattr(self, name), 0)
+
 
 def mutate_tree(tree: Node, seed: SeedLike, config: MutationConfig | None = None) -> tuple[Node, GroundTruth]:
     """Apply tracked leaf replacements, insertions and deletions.
@@ -202,13 +205,7 @@ def mutate_tree(tree: Node, seed: SeedLike, config: MutationConfig | None = None
     gap, wrapping the root in a sequence when the tree has none.
     """
     config = config or MutationConfig()
-    for name, value in (
-        ("n_replacements", config.n_replacements),
-        ("n_insertions", config.n_insertions),
-        ("n_deletions", config.n_deletions),
-    ):
-        if value < 0:
-            raise ConfigError(f"{name} must be non-negative, got {value}")
+    _seed_words(seed)  # raises ConfigError on a bad seed
     rng = np.random.default_rng(seed)
     original = leaves(tree)
     taken = config.n_replacements + config.n_deletions
@@ -322,10 +319,8 @@ class SimConfig:
     with_performance: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_traces < 0:
-            raise ConfigError(f"n_traces must not be negative, got {self.n_traces}")
-        if self.max_loop_iterations < 1:
-            raise ConfigError("max_loop_iterations must be at least 1")
+        check_int("n_traces", self.n_traces, 0)
+        check_int("max_loop_iterations", self.max_loop_iterations, 1)
         if not 0.0 <= self.noise_probability <= 1.0:
             raise ConfigError("noise_probability must lie in [0, 1]")
         _seed_words(self.seed)  # raises ConfigError on a bad seed
@@ -348,14 +343,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_words(seed: SeedLike) -> list[int]:
+def _seed_words(seed: SeedLike, name: str = "seed") -> list[int]:
     """The 32-bit entropy words numpy's ``SeedSequence`` assembles from
-    ``seed``: for each part, its words from least significant up, at least one."""
+    ``seed``: for each part, its words from least significant up, at least one.
+
+    This is the package's one seed rule: a :class:`ConfigError` naming
+    ``name`` unless ``seed`` is a non-negative int or a tuple of them."""
     parts = seed if isinstance(seed, tuple) else (seed,)
     words: list[int] = []
     for part in parts:
         if not isinstance(part, (int, np.integer)) or part < 0:
-            raise ConfigError(f"seed must be a non-negative int or a tuple of them, got {seed!r}")
+            raise ConfigError(f"{name} must be a non-negative int or a tuple of them, got {seed!r}")
         part = int(part)
         words.append(part & _MASK32)
         while part > _MASK32:

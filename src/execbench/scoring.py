@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .compatibility import (
     build_compatibility_graph,
     enumerate_changes,
 )
-from .errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError
+from .errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError, check_int
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -58,15 +58,17 @@ class Alignment:
 
 @dataclass(frozen=True)
 class ScoredChange:
+    """``feasibility`` is the frequency-weighted mean edit similarity of the
+    alignments.  ``performance_impact``, when scored with performance, is the
+    frequency-weighted mean benchmark-minus-own performance difference:
+    positive means the benchmark performs better under the higher-is-better
+    normalization."""
+
     change: ProcessChange
     feasibility: float
     performance_impact: float | None
     affected_trace_count: int
     alignments: tuple[Alignment, ...]
-
-    @property
-    def closest_matches(self) -> dict[Variant, tuple[Variant, float]]:
-        return {a.modified: (a.matched, a.similarity) for a in self.alignments}
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,9 @@ class BenchmarkConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.max_change_size < 1:
-            raise ConfigError(f"max change size must be at least 1, got {self.max_change_size}")
-        if self.top is not None and self.top < 0:
-            raise ConfigError(f"top must not be negative, got {self.top}")
+        check_int("max_change_size", self.max_change_size, 1)
+        if self.top is not None:
+            check_int("top", self.top, 0)
 
 
 def affected_variants(index: VariantIndex, change: ProcessChange) -> set[Variant]:
@@ -128,25 +129,6 @@ def _best_matches(
     tied = similarities == best_sim[:, None]
     best = np.argmax(np.where(tied, cand_freqs, -1), axis=1)
     return best, best_sim, tied.sum(axis=1)
-
-
-def closest_match(modified: Variant, candidates: Mapping[Variant, int]) -> tuple[Variant, float]:
-    """The candidate with maximal edit similarity to ``modified``.
-
-    Ties break toward the candidate with higher frequency, then the
-    lexicographically smallest variant, so results are deterministic.
-    """
-    if not candidates:
-        raise DataError("no candidate variant to match against")
-    ordered = sorted(candidates)
-    vocabulary: dict[str, int] = {}
-    cands, cand_lens = encode_sequences(ordered, vocabulary)
-    query, query_len = encode_sequences([modified], vocabulary)
-    columns = np.arange(len(ordered))
-    distances = levenshtein_many(query, cands, query_len, cand_lens, np.zeros_like(columns), columns)
-    freqs = np.array([candidates[v] for v in ordered])
-    best, similarity, _ = _best_matches(distances[None, :], query_len, cand_lens, freqs)
-    return ordered[int(best[0])], float(similarity[0])
 
 
 class ChangeScorer:
@@ -252,22 +234,6 @@ class ChangeScorer:
             affected_trace_count=weight_total,
             alignments=tuple(alignments),
         )
-
-
-def feasibility(change: ProcessChange, own: VariantIndex, benchmark: VariantIndex) -> float:
-    """Frequency-weighted mean edit similarity of the change's alignments."""
-    return ChangeScorer(own, benchmark).score(change).feasibility
-
-
-def performance_impact(change: ProcessChange, own: VariantIndex, benchmark: VariantIndex) -> float:
-    """Frequency-weighted mean benchmark-minus-own performance difference.
-
-    Positive values mean the benchmark performs better under the
-    higher-is-better normalization.
-    """
-    impact = ChangeScorer(own, benchmark, with_performance=True).score(change).performance_impact
-    assert impact is not None
-    return impact
 
 
 def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> list[ScoredChange]:

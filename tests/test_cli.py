@@ -13,6 +13,8 @@ def test_eval_defaults_are_the_package_defaults():
 def test_invalid_eval_options_exit_with_config_error(capsys):
     assert main(["eval", "--pairs", "2", "--traces", "30", "--leaves-min", "30", "--leaves-max", "18"]) == 2
     assert "leaves_range" in capsys.readouterr().err
+    assert main(["eval", "--pairs", "2", "--traces", "30", "--seed", "-1"]) == 2
+    assert "master_seed" in capsys.readouterr().err
 
 
 def test_benchmark_options_are_checked_before_reading_logs(tmp_path, capsys):

@@ -12,7 +12,6 @@ from execbench.compatibility import (
     build_compatibility_graph,
     count_changes,
     enumerate_changes,
-    maximal_changes,
 )
 from execbench.errors import ConfigError, TruncationWarning
 from execbench.matching import Match, MatchSet
@@ -53,8 +52,8 @@ def test_worked_example_enumeration_and_maximal():
     assert len(changes) == 11
     sizes = sorted(len(c.replacements) for c in changes)
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3]
-    top = maximal_changes(graph)
-    assert [_pairs(c) for c in top] == [
+    # the largest changes, one match per own activity, are the maximal ones
+    assert [_pairs(c) for c in changes if len(c.replacements) == 3] == [
         (("a", "b"), ("c", "b"), ("f", "e")),
         (("a", "c"), ("c", "b"), ("f", "e")),
     ]
@@ -63,23 +62,7 @@ def test_worked_example_enumeration_and_maximal():
 def test_empty_graph_enumerates_nothing():
     graph = _graph([])
     assert enumerate_changes(graph, 3) == []
-    assert maximal_changes(graph) == []
-
-
-def test_edgeless_graph_maximal_changes_are_singletons():
-    graph = _graph([Match("a", "x"), Match("a", "y"), Match("a", "z")])
-    assert [_pairs(c) for c in maximal_changes(graph)] == [
-        (("a", "x"),),
-        (("a", "y"),),
-        (("a", "z"),),
-    ]
-
-
-def test_complete_graph_has_one_maximal_change():
-    matches = [Match(chr(ord("a") + i), "z") for i in range(5)]
-    graph = _graph(matches)
-    top = maximal_changes(graph)
-    assert len(top) == 1 and len(top[0].replacements) == 5
+    assert count_changes(graph, 3) == 0
 
 
 def test_truncation_warning_when_larger_cliques_exist():
@@ -174,17 +157,3 @@ def test_size_cap_is_a_filter(matches, k):
     everything = enumerate_changes(graph, len(graph), warn_truncation=False)
     assert capped == {tuple(c.replacements) for c in everything if len(c.replacements) <= k}
 
-
-@given(matches=random_match_graphs())
-@settings(max_examples=100, deadline=None)
-def test_maximal_changes_are_maximal_cliques(matches):
-    graph = _graph(matches)
-    everything = {tuple(c.replacements) for c in enumerate_changes(graph, len(graph), warn_truncation=False)}
-    top = {tuple(c.replacements) for c in maximal_changes(graph)}
-    assert top <= everything
-    for clique in everything:
-        supersets = [other for other in everything if set(clique) < set(other)]
-        if not supersets:
-            assert clique in top
-        else:
-            assert clique not in top or not supersets

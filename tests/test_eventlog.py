@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import tempfile
+from collections import Counter
 from datetime import datetime
 
 import pytest
@@ -300,8 +301,7 @@ def test_frequencies_sum_to_case_count(variants, freqs):
     log = make_log(variants, freqs=counts)
     idx = extract_variants(log)
     assert idx.total_traces == len(log)
-    seen = [cid for e in idx.entries.values() for cid in e.trace_ids]
-    assert sorted(seen) == sorted(log.traces)
+    assert {v: e.frequency for v, e in idx.entries.items()} == Counter(t.variant for t in log.traces.values())
 
 
 @given(variants=variant_lists)

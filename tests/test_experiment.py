@@ -1,11 +1,13 @@
 """Synthetic evaluation harness: change counts and report determinism."""
 
+import numpy as np
 import pytest
 
 from execbench.compatibility import build_compatibility_graph, count_changes, enumerate_changes
 from execbench.errors import ConfigError
-from execbench.experiment import ExperimentConfig, run_experiment
+from execbench.experiment import ExperimentConfig, generate_pair, run_experiment
 from execbench.matching import Match
+from execbench.proctree import generate_process_tree, leaves
 
 
 def _compatible_graph(n):
@@ -61,6 +63,16 @@ def test_pairs_run_in_index_order():
         ("operator_weights", (("seq", float("nan")),)),
         ("operator_weights", (("loop", float("inf")),)),
         ("operator_weights", (("sequence", 1.0),)),
+        ("n_traces", 2.5),
+        ("n_pairs", 2.0),
+        ("leaves_range", (1.5, 4)),
+        ("replacements_range", (1, "2")),
+        ("max_change_size", 2.5),
+        ("max_tree_depth", 4.5),
+        ("max_children", None),
+        ("master_seed", -1),
+        ("master_seed", 1.5),
+        ("master_seed", (1, -2)),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):
@@ -71,3 +83,13 @@ def test_invalid_experiment_config_rejected(field, value):
 def test_boundary_experiment_config_accepted():
     ExperimentConfig(n_pairs=0, leaves_range=(1, 1), noise_probability=1.0, max_changes_per_pair=0, max_children=2)
     ExperimentConfig(leaves_range=(1, 1), max_tree_depth=1, operator_weights=(("seq", 0.0), ("loop", 1.0)))
+    ExperimentConfig(n_traces=np.int64(40), max_change_size=np.int32(2), leaves_range=(np.int8(3), 4), master_seed=np.uint32(7))
+
+
+def test_tuple_master_seed_prefixes_every_pair_seed():
+    # The master seed passes the lab's seed rule, so a tuple of ints is a
+    # master seed too; its parts come before the pair index in each pair seed.
+    config = ExperimentConfig(n_pairs=2, n_traces=20, leaves_range=(6, 8), master_seed=(4, 2))
+    assert [p.error for p in run_experiment(config).pairs] == [None, None]
+    tree = generate_pair(config, 1).tree
+    assert tree == generate_process_tree((4, 2, 1, 1), config.gen_config(len(leaves(tree))))

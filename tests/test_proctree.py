@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_log, naive_levenshtein
 from execbench.errors import ConfigError
 from execbench.eventlog import EventLog, Trace, extract_variants, write_event_log
+from execbench.experiment import random_baseline
 from execbench.proctree import (
     _EPOCH,
     _derive,
@@ -456,6 +457,35 @@ def test_bad_seed_rejected(seed):
         SimConfig(seed=seed)
     with pytest.raises(ConfigError, match="seed"):
         inject_noise(make_log([("a", "b")]), seed, 0.5)
+    with pytest.raises(ConfigError, match="seed"):
+        generate_process_tree(seed)
+    with pytest.raises(ConfigError, match="seed"):
+        mutate_tree(Seq((Leaf("a"), Leaf("b"))), seed)
+    with pytest.raises(ConfigError, match="seed"):
+        random_baseline(["a"], ["b"], 1, seed)
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (GenConfig, "target_leaves", 0),
+        (GenConfig, "target_leaves", 2.5),
+        (GenConfig, "max_children", 1),
+        (GenConfig, "max_children", 3.0),
+        (GenConfig, "min_branch_leaves", 0),
+        (GenConfig, "max_depth", 1),
+        (GenConfig, "max_depth", 4.5),
+        (MutationConfig, "n_replacements", -1),
+        (MutationConfig, "n_insertions", 1.5),
+        (MutationConfig, "n_deletions", "1"),
+        (SimConfig, "n_traces", 2.5),
+        (SimConfig, "max_loop_iterations", 0),
+        (SimConfig, "max_loop_iterations", 2.0),
+    ],
+)
+def test_invalid_lab_config_rejected_when_built(config, field, value):
+    with pytest.raises(ConfigError, match=field):
+        config(**{field: value})
 
 
 def test_negative_trace_count_rejected():

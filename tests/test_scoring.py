@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log, naive_levenshtein
+from conftest import BENCHMARK_VARIANTS, OWN_VARIANTS, make_log, naive_levenshtein
 from execbench import footprint, scoring
 from execbench.compatibility import ProcessChange
 from execbench.errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError
@@ -16,10 +16,7 @@ from execbench.scoring import (
     affected_variants,
     apply_change,
     benchmark,
-    closest_match,
     edit_similarity,
-    feasibility,
-    performance_impact,
 )
 
 DELTA_1 = ProcessChange((Match("a", "b"), Match("f", "e")))
@@ -76,26 +73,50 @@ def test_edit_similarity_matches_naive_dp(v, w):
     assert got == edit_similarity(w, v)
 
 
-def test_closest_match_goldens(benchmark_index):
-    candidates = benchmark_index.frequencies()
-    assert closest_match(("b", "d", "e", "g"), candidates) == (("b", "d", "e", "g"), 1.0)
-    assert closest_match(("b", "d", "f", "g"), candidates) == (("b", "d", "e", "g"), 0.75)
-    assert closest_match(("q",), {("x", "y"): 1}) == (("x", "y"), 0.0)
-    with pytest.raises(DataError):
-        closest_match(("q",), {})
+def closest_match(modified, candidates):
+    """The candidate with maximal edit similarity to ``modified``, ties broken
+    toward higher frequency, then the lexicographically smallest variant,
+    with that similarity and the number of candidates tied at it: the
+    reference for the scorer's best match, tie-break and tie count.
+    ``candidates`` maps each variant to its frequency."""
+    similarity = {w: 1.0 - naive_levenshtein(modified, w) / max(len(modified), len(w)) for w in candidates}
+    best = min(candidates, key=lambda w: (-similarity[w], -candidates[w], w))
+    return best, similarity[best], sum(1 for s in similarity.values() if s == similarity[best])
+
+
+def _closest_matches(change, own, bench, bench_freqs=None):
+    """{modified variant: (matched variant, similarity, tie count)} of one
+    change scored on logs of the given variants."""
+    own_index, bench_index = extract_variants(make_log(own)), extract_variants(make_log(bench, bench_freqs))
+    scored = ChangeScorer(own_index, bench_index).score(change)
+    return {a.modified: (a.matched, a.similarity, a.tie_count) for a in scored.alignments}
+
+
+def test_closest_match_goldens(own_index, benchmark_index):
+    assert _closest_matches(DELTA_1, OWN_VARIANTS, BENCHMARK_VARIANTS) == {
+        ("b", "d", "e", "g"): (("b", "d", "e", "g"), 1.0, 1),
+        ("c", "d", "e", "g"): (("c", "d", "e", "g"), 1.0, 1),
+    }
+    # no token in common: the only candidate, at similarity 0
+    change = ProcessChange((Match("q", "x"), Match("r", "y")))
+    assert _closest_matches(change, [("q", "z")], [("y", "w", "v")]) == {("x", "z"): (("y", "w", "v"), 0.0, 1)}
+    # no benchmark variant executes the replacement activity
+    with pytest.raises(DataError, match="no benchmark variant"):
+        ChangeScorer(own_index, benchmark_index).score(ProcessChange((Match("a", "zz"),)))
 
 
 def test_closest_match_tie_breaks_by_frequency_then_lexicographic():
-    # both candidates are one substitution away
-    candidates = {("a", "x"): 1, ("a", "y"): 5}
-    assert closest_match(("a", "z"), candidates)[0] == ("a", "y")
-    candidates = {("a", "x"): 2, ("a", "y"): 2}
-    assert closest_match(("a", "z"), candidates)[0] == ("a", "x")
+    # both candidates are one substitution away from the modified ("a", "z")
+    change = ProcessChange((Match("q", "a"),))
+    bench = [("a", "x"), ("a", "y")]
+    assert _closest_matches(change, [("q", "z")], bench, [1, 5]) == {("a", "z"): (("a", "y"), 0.5, 2)}
+    assert _closest_matches(change, [("q", "z")], bench, [2, 2]) == {("a", "z"): (("a", "x"), 0.5, 2)}
 
 
 def test_feasibility_goldens(own_index, benchmark_index):
-    assert feasibility(DELTA_1, own_index, benchmark_index) == 1.0
-    assert feasibility(DELTA_2, own_index, benchmark_index) == 0.875
+    scorer = ChangeScorer(own_index, benchmark_index)
+    assert scorer.score(DELTA_1).feasibility == 1.0
+    assert scorer.score(DELTA_2).feasibility == 0.875
 
 
 def test_feasibility_frequency_weighting():
@@ -103,12 +124,16 @@ def test_feasibility_frequency_weighting():
         [("a", "d", "e", "g"), ("a", "d", "f", "g")], freqs=[3, 1]
     ))
     bench = extract_variants(make_log([("b", "d", "e", "g"), ("c", "d", "e", "g")]))
-    assert feasibility(DELTA_2, own, bench) == (3 * 1.0 + 1 * 0.75) / 4
+    assert ChangeScorer(own, bench).score(DELTA_2).feasibility == (3 * 1.0 + 1 * 0.75) / 4
 
 
 def test_vacuous_change_raises(own_index, benchmark_index):
     with pytest.raises(VacuousChangeError):
-        feasibility(ProcessChange((Match("zz", "b"),)), own_index, benchmark_index)
+        ChangeScorer(own_index, benchmark_index).score(ProcessChange((Match("zz", "b"),)))
+
+
+def _impact(change, own, bench):
+    return ChangeScorer(own, bench, with_performance=True).score(change).performance_impact
 
 
 def _perf_indexes(own_freqs=(1, 1)):
@@ -125,28 +150,31 @@ def _perf_indexes(own_freqs=(1, 1)):
 
 def test_performance_impact_goldens():
     own, bench = _perf_indexes()
-    assert performance_impact(DELTA_2, own, bench) == pytest.approx(3.0, abs=1e-12)
+    assert _impact(DELTA_2, own, bench) == pytest.approx(3.0, abs=1e-12)
     own, bench = _perf_indexes(own_freqs=(3, 1))
-    assert performance_impact(DELTA_2, own, bench) == pytest.approx(2.5, abs=1e-12)
+    assert _impact(DELTA_2, own, bench) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_zero_impact_for_identical_performance():
     own = extract_variants(make_log([("a", "b")], performance=[5.0]))
     bench = extract_variants(make_log([("x", "b")], performance=[5.0]))
     change = ProcessChange((Match("a", "x"),))
-    assert performance_impact(change, own, bench) == 0.0
+    assert _impact(change, own, bench) == 0.0
 
 
 def test_performance_required_on_both_logs(own_index):
     bench = extract_variants(make_log([("b", "d", "e", "g")], performance=[12.0]))
     with pytest.raises(DataError, match="performance measure required"):
-        performance_impact(DELTA_2, own_index, bench)
+        _impact(DELTA_2, own_index, bench)
 
 
 def test_scored_change_details(own_index, benchmark_index):
     scored = ChangeScorer(own_index, benchmark_index).score(DELTA_2)
     assert scored.affected_trace_count == 2
-    assert scored.closest_matches[("b", "d", "f", "g")] == (("b", "d", "e", "g"), 0.75)
+    assert [(a.modified, a.matched, a.similarity) for a in scored.alignments] == [
+        (("b", "d", "e", "g"), ("b", "d", "e", "g"), 1.0),
+        (("b", "d", "f", "g"), ("b", "d", "e", "g"), 0.75),
+    ]
     assert {a.original for a in scored.alignments} == affected_variants(own_index, DELTA_2)
     assert all(a.tie_count >= 1 for a in scored.alignments)
 
@@ -168,18 +196,13 @@ def brute_force_scores(own_variants, bench_variants, pairs):
     for v in affected:
         freq, v_perf = own_variants[v]
         modified = tuple(mapping.get(x, x) for x in v)
-        scored = []
-        for w in candidates:
-            w_freq, w_perf = bench_variants[w]
-            d = naive_levenshtein(modified, w)
-            sim = 1.0 - d / max(len(modified), len(w))
-            scored.append(((-sim, -w_freq, w), sim, w_perf))
-        best = min(scored)
-        matches[v] = (best[0][2], sum(1 for _, sim, _ in scored if sim == best[1]))
+        matched, best_sim, ties = closest_match(modified, {w: bench_variants[w][0] for w in candidates})
+        matches[v] = (matched, ties)
         weight += freq
-        sim_sum += freq * best[1]
-        if v_perf is not None and best[2] is not None:
-            perf_sum += freq * (best[2] - v_perf)
+        sim_sum += freq * best_sim
+        w_perf = bench_variants[matched][1]
+        if v_perf is not None and w_perf is not None:
+            perf_sum += freq * (w_perf - v_perf)
     return sim_sum / weight, perf_sum / weight, matches
 
 
@@ -237,7 +260,7 @@ def _check_oracle_equivalence(seed, cases, **shape):
         assert scored.feasibility == pytest.approx(expected_feas, abs=1e-9)
         assert scored.performance_impact == pytest.approx(expected_impact, abs=1e-9)
         assert {a.original: (a.matched, a.tie_count) for a in scored.alignments} == expected_matches
-        assert feasibility(change, own_idx, bench_idx) == scored.feasibility
+        assert ChangeScorer(own_idx, bench_idx).score(change).feasibility == scored.feasibility
         checked += 1
 
 
@@ -291,19 +314,19 @@ def test_frequency_scaling_invariance(own_log, benchmark_index):
     ))
     own_plain = extract_variants(own_log)
     for change in (DELTA_1, DELTA_2):
-        assert feasibility(change, own_scaled, benchmark_index) == pytest.approx(
-            feasibility(change, own_plain, benchmark_index), abs=1e-12
+        assert ChangeScorer(own_scaled, benchmark_index).score(change).feasibility == pytest.approx(
+            ChangeScorer(own_plain, benchmark_index).score(change).feasibility, abs=1e-12
         )
 
 
 def test_direction_negation_negates_impact():
     own, bench = _perf_indexes()
-    base = performance_impact(DELTA_2, own, bench)
+    base = _impact(DELTA_2, own, bench)
     own_neg = extract_variants(make_log(
         [("a", "d", "e", "g"), ("a", "d", "f", "g")], performance=[-10.0, -8.0]
     ))
     bench_neg = extract_variants(make_log([("b", "d", "e", "g")], performance=[-12.0]))
-    assert performance_impact(DELTA_2, own_neg, bench_neg) == pytest.approx(-base, abs=1e-12)
+    assert _impact(DELTA_2, own_neg, bench_neg) == pytest.approx(-base, abs=1e-12)
 
 
 def test_benchmark_pipeline_worked_example(own_log, benchmark_log):
@@ -349,7 +372,9 @@ def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
         ("exc_threshold", 1.5),
         ("int_threshold", -0.5),
         ("max_change_size", 0),
+        ("max_change_size", 2.5),
         ("top", -1),
+        ("top", 1.5),
     ],
 )
 def test_invalid_benchmark_config_rejected(field, value):
