@@ -20,7 +20,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .compatibility import DEFAULT_MAX_CHANGE_SIZE
 from .errors import ExecbenchError
 from .eventlog import (
     EventLog,
@@ -30,11 +29,7 @@ from .eventlog import (
     write_event_log,
 )
 from .experiment import ExperimentConfig, generate_pair, run_experiment
-from .footprint import (
-    DEFAULT_EXCLUSIVENESS_THRESHOLD,
-    DEFAULT_INTERLEAVING_THRESHOLD,
-    ordering_counts,
-)
+from .footprint import ordering_counts
 from .proctree import tree_to_json
 from .scoring import BenchmarkConfig, ScoredChange, benchmark
 
@@ -49,38 +44,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_schema_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--case-col", default="case_id", help="case identifier column")
-    parser.add_argument("--activity-col", default="activity", help="activity name column")
-    parser.add_argument("--time-col", default="timestamp", help="ISO-8601 timestamp column; row order is used when absent")
-    parser.add_argument("--perf-col", default="performance", help="case-level performance column")
+    schema = SchemaConfig()
+    parser.add_argument("--case-col", default=schema.case_col, help="case identifier column")
+    parser.add_argument("--activity-col", default=schema.activity_col, help="activity name column")
+    parser.add_argument("--time-col", default=schema.time_col, help="ISO-8601 timestamp column; row order is used when absent")
+    parser.add_argument("--perf-col", default=schema.perf_col, help="case-level performance column")
 
 
-def _add_threshold_options(parser: argparse.ArgumentParser) -> None:
+def _add_threshold_options(parser: argparse.ArgumentParser, defaults: BenchmarkConfig | ExperimentConfig) -> None:
     parser.add_argument(
-        "--exc", type=float, default=DEFAULT_EXCLUSIVENESS_THRESHOLD, metavar="T", help="exclusiveness threshold in [0,1]"
+        "--exc", type=float, default=defaults.exc_threshold, metavar="T", help="exclusiveness threshold in [0,1]"
     )
     parser.add_argument(
-        "--int", type=float, default=DEFAULT_INTERLEAVING_THRESHOLD, metavar="T", dest="int_",
+        "--int", type=float, default=defaults.int_threshold, metavar="T", dest="int_",
         help="interleaving threshold in [0,1]",
     )
 
 
-def _add_pair_generation_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--traces", type=int, default=500, help="traces per simulated log")
-    parser.add_argument("--noise", type=float, default=0.05, help="per-trace perturbation probability")
-    parser.add_argument("--seed", type=int, default=42, help="master seed; fixes all randomness")
-    parser.add_argument("--leaves-min", type=int, default=18)
-    parser.add_argument("--leaves-max", type=int, default=30)
-    parser.add_argument("--replacements-min", type=int, default=1)
-    parser.add_argument("--replacements-max", type=int, default=3)
-    parser.add_argument("--insertions-min", type=int, default=0)
-    parser.add_argument("--insertions-max", type=int, default=2)
-    parser.add_argument("--deletions-min", type=int, default=0)
-    parser.add_argument("--deletions-max", type=int, default=2)
-    parser.add_argument("--max-loop-iterations", type=int, default=3)
+def _add_pair_generation_options(parser: argparse.ArgumentParser, defaults: ExperimentConfig) -> None:
+    parser.add_argument("--traces", type=int, default=defaults.n_traces, help="traces per simulated log")
+    parser.add_argument("--noise", type=float, default=defaults.noise_probability, help="per-trace perturbation probability")
+    parser.add_argument("--seed", type=int, default=defaults.master_seed, help="master seed; fixes all randomness")
+    parser.add_argument("--leaves-min", type=int, default=defaults.leaves_range[0])
+    parser.add_argument("--leaves-max", type=int, default=defaults.leaves_range[1])
+    parser.add_argument("--replacements-min", type=int, default=defaults.replacements_range[0])
+    parser.add_argument("--replacements-max", type=int, default=defaults.replacements_range[1])
+    parser.add_argument("--insertions-min", type=int, default=defaults.insertions_range[0])
+    parser.add_argument("--insertions-max", type=int, default=defaults.insertions_range[1])
+    parser.add_argument("--deletions-min", type=int, default=defaults.deletions_range[0])
+    parser.add_argument("--deletions-max", type=int, default=defaults.deletions_range[1])
+    parser.add_argument("--max-loop-iterations", type=int, default=defaults.max_loop_iterations)
 
 
 def build_parser() -> _Parser:
+    bench_defaults, eval_defaults = BenchmarkConfig(), ExperimentConfig()
     parser = _Parser(prog="execbench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -88,10 +85,10 @@ def build_parser() -> _Parser:
     p_bench.add_argument("own", help="own event log CSV")
     p_bench.add_argument("benchmark", help="benchmark event log CSV")
     _add_schema_options(p_bench)
-    _add_threshold_options(p_bench)
-    p_bench.add_argument("--max-change-size", type=int, default=DEFAULT_MAX_CHANGE_SIZE, metavar="K")
-    p_bench.add_argument("--min-feasibility", type=float, default=0.0, metavar="F")
-    p_bench.add_argument("--top", type=int, default=None, metavar="N", help="keep only the N best changes")
+    _add_threshold_options(p_bench, bench_defaults)
+    p_bench.add_argument("--max-change-size", type=int, default=bench_defaults.max_change_size, metavar="K")
+    p_bench.add_argument("--min-feasibility", type=float, default=bench_defaults.min_feasibility, metavar="F")
+    p_bench.add_argument("--top", type=int, default=bench_defaults.top, metavar="N", help="keep only the N best changes")
     p_bench.add_argument(
         "--perf-mode",
         choices=["auto", "none", "column", "throughput"],
@@ -106,21 +103,21 @@ def build_parser() -> _Parser:
     p_foot = sub.add_parser("footprint", help="dump relation and score matrices for one log")
     p_foot.add_argument("log", help="event log CSV")
     _add_schema_options(p_foot)
-    _add_threshold_options(p_foot)
+    _add_threshold_options(p_foot, bench_defaults)
     p_foot.add_argument("--out", default=None, metavar="DIR", help="write the three CSV matrices here")
     p_foot.set_defaults(func=_cmd_footprint)
 
     p_synth = sub.add_parser("synth", help="generate tree/log pairs with ground truth")
     p_synth.add_argument("--pairs", type=int, default=1)
-    _add_pair_generation_options(p_synth)
+    _add_pair_generation_options(p_synth, eval_defaults)
     p_synth.add_argument("--out", required=True, metavar="DIR")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_eval = sub.add_parser("eval", help="run the synthetic experiment with a random baseline")
-    p_eval.add_argument("--pairs", type=int, default=100)
-    _add_pair_generation_options(p_eval)
-    _add_threshold_options(p_eval)
-    p_eval.add_argument("--max-change-size", type=int, default=DEFAULT_MAX_CHANGE_SIZE, metavar="K")
+    p_eval.add_argument("--pairs", type=int, default=eval_defaults.n_pairs)
+    _add_pair_generation_options(p_eval, eval_defaults)
+    _add_threshold_options(p_eval, eval_defaults)
+    p_eval.add_argument("--max-change-size", type=int, default=eval_defaults.max_change_size, metavar="K")
     p_eval.add_argument("--out", default=None, metavar="DIR", help="write report.json and summary.txt here")
     p_eval.set_defaults(func=_cmd_eval)
     return parser

@@ -15,13 +15,12 @@ groups and counted in closed form, with no general clique search.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, product
 from typing import Iterable
 
-from .errors import TruncationWarning, check_int
+from .errors import check_int
 from .matching import Match, MatchSet
 
 DEFAULT_MAX_CHANGE_SIZE = 3
@@ -99,26 +98,15 @@ def count_changes(graph: CompatGraph, max_size: int = DEFAULT_MAX_CHANGE_SIZE) -
     return sum(sums[1:])
 
 
-def enumerate_changes(
-    graph: CompatGraph,
-    max_size: int = DEFAULT_MAX_CHANGE_SIZE,
-    warn_truncation: bool = True,
-) -> list[ProcessChange]:
+def enumerate_changes(graph: CompatGraph, max_size: int = DEFAULT_MAX_CHANGE_SIZE) -> list[ProcessChange]:
     """All cliques of size 1..max_size in canonical order.
 
     Canonical order is by size, then lexicographically by the sorted
-    replacement pairs.  When cliques beyond ``max_size`` exist, that is when
-    more than ``max_size`` own activities have a match, a
-    :class:`TruncationWarning` notes that larger combined changes were cut
-    off.
+    replacement pairs.  Larger cliques exist exactly when more than
+    ``max_size`` own activities have a match, that is when
+    ``len(graph.groups) > max_size``.
     """
     largest = _largest_size(graph, max_size)
-    if len(graph.groups) > max_size and warn_truncation:
-        warnings.warn(
-            f"compatible sets larger than {max_size} replacements exist and were not enumerated",
-            TruncationWarning,
-            stacklevel=2,
-        )
     changes = [
         ProcessChange(tuple(graph.nodes[i] for i in clique))
         for size in range(1, largest + 1)

@@ -1,4 +1,5 @@
-"""Exception and warning types, and the integer config check, shared across the package."""
+"""Exception and warning types shared across the package, and the two config
+value checks: ``check_int`` for integers and ``check_fraction`` for numbers in [0, 1]."""
 
 import numbers
 
@@ -26,6 +27,13 @@ def check_int(name: str, value, least: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+def check_fraction(name: str, value) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a real
+    number (numpy scalars count) in [0, 1]; NaN is not."""
+    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 class UnknownActivityError(ExecbenchError, KeyError):

@@ -30,12 +30,11 @@ from .proctree import (
     SimConfig,
     _derive,
     _seed_words,
-    check_operator_weights,
     generate_process_tree,
     mutate_tree,
     simulate_log,
 )
-from .scoring import ChangeScorer
+from .scoring import BenchmarkConfig, ChangeScorer
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,7 @@ class ExperimentConfig:
     master_seed: SeedLike = 42
 
     def __post_init__(self) -> None:
-        for name, least in (
-            ("n_pairs", 0),
-            ("n_traces", 1),
-            ("max_change_size", 1),
-            ("max_changes_per_pair", 0),
-            ("max_loop_iterations", 1),
-            ("max_children", 2),
-        ):
+        for name, least in (("n_pairs", 0), ("n_traces", 1), ("max_changes_per_pair", 0)):
             check_int(name, getattr(self, name), least)
         check_int("max_tree_depth", self.max_tree_depth)
         _seed_words(self.master_seed, "master_seed")
@@ -94,15 +86,14 @@ class ExperimentConfig:
             check_int(name, high)
             if not least <= low <= high:
                 raise ConfigError(f"{name} must satisfy {least} <= min <= max, got ({low}, {high})")
-        for name in ("noise_probability", "exc_threshold", "int_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
         if self.max_tree_depth < 2 and self.leaves_range[1] >= 2:
             raise ConfigError(
                 f"max_tree_depth {self.max_tree_depth} cannot hold {self.leaves_range[1]} leaves; it must be at least 2"
             )
-        check_operator_weights(self.operator_weights)
+        # Every other field is checked by the config it is passed on to.
+        self.gen_config(self.leaves_range[1])
+        self.sim_config(0)
+        self.benchmark_config()
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
@@ -111,6 +102,17 @@ class ExperimentConfig:
             max_depth=self.max_tree_depth,
             max_children=self.max_children,
         )
+
+    def sim_config(self, seed: SeedLike) -> SimConfig:
+        return SimConfig(
+            n_traces=self.n_traces,
+            noise_probability=self.noise_probability,
+            max_loop_iterations=self.max_loop_iterations,
+            seed=seed,
+        )
+
+    def benchmark_config(self) -> BenchmarkConfig:
+        return BenchmarkConfig(self.exc_threshold, self.int_threshold, self.max_change_size)
 
     def to_mapping(self) -> dict:
         raw = asdict(self)
@@ -220,6 +222,7 @@ def random_baseline(
     seed: SeedLike,
 ) -> MatchSet:
     """Uniform sample of n distinct non-trivial cross-log activity pairs."""
+    check_int("n", n, 0)
     _seed_words(seed)  # raises ConfigError on a bad seed
     own = sorted(set(own_activities))
     bench = sorted(set(benchmark_activities))
@@ -266,13 +269,8 @@ def generate_pair(config: ExperimentConfig, index: int) -> PairData:
     )
     tree = generate_process_tree(seed + (1,), config.gen_config(target_leaves))
     mutated, truth = mutate_tree(tree, seed + (2,), mutation)
-    sim = dict(
-        n_traces=config.n_traces,
-        noise_probability=config.noise_probability,
-        max_loop_iterations=config.max_loop_iterations,
-    )
-    own_log = simulate_log(tree, SimConfig(seed=seed + (3,), **sim))
-    bench_log = simulate_log(mutated, SimConfig(seed=seed + (4,), **sim))
+    own_log = simulate_log(tree, config.sim_config(seed + (3,)))
+    bench_log = simulate_log(mutated, config.sim_config(seed + (4,)))
     return PairData(index, tree, mutated, truth, own_log, bench_log)
 
 
@@ -302,7 +300,7 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
             skipped = "change-limit"
         else:
             technique_changes, baseline_changes = (
-                enumerate_changes(g, config.max_change_size, warn_truncation=False) for g in graphs
+                enumerate_changes(g, config.max_change_size) for g in graphs
             )
             scorer = ChangeScorer(own_index, bench_index)
             technique_scores = [scorer.score(c).feasibility for c in technique_changes]

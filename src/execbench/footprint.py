@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from ._kernels import encode_sequences, order_stats
-from .errors import ConfigError, DataError, UndefinedScoreError, UnknownActivityError
+from .errors import DataError, UndefinedScoreError, UnknownActivityError, check_fraction
 from .eventlog import EventLog, VariantIndex, extract_variants
 
 DEFAULT_EXCLUSIVENESS_THRESHOLD = 0.9
@@ -146,8 +146,8 @@ def _relation_codes(stats: CooccurrenceStats, exc_threshold: float, int_threshol
     exclusive and interleaving cells are symmetric and strict order flips
     direction across the diagonal.
     """
-    _check_threshold("exc", exc_threshold)
-    _check_threshold("int", int_threshold)
+    check_fraction("exc_threshold", exc_threshold)
+    check_fraction("int_threshold", int_threshold)
     exclusive = (stats.cooccur == 0) | (stats.exclusiveness > exc_threshold)
     interleaving = stats.interleaving > int_threshold
     direction = stats.before - stats.before.T
@@ -164,11 +164,6 @@ def classify_relation(
 ) -> Relation:
     """The relation of one ordered pair, read from the whole-matrix rule."""
     return _RELATIONS[_relation_codes(stats, exc_threshold, int_threshold)[stats.index(a), stats.index(b)]]
-
-
-def _check_threshold(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} threshold must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ log, and ``tree_accepts`` provides an exact membership oracle for tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_fraction, check_int
 from .eventlog import EventLog, Trace
 
 SeedLike = Union[int, tuple[int, ...]]
@@ -55,7 +56,8 @@ class Loop:
 Node = Union[Leaf, Seq, Xor, And, Loop]
 ProcessTree = Node
 
-_OP_NAMES = {Seq: "seq", Xor: "xor", And: "and", Loop: "loop"}
+_OPERATORS = {"seq": Seq, "xor": Xor, "and": And, "loop": Loop}
+_OP_NAMES = {cls: name for name, cls in _OPERATORS.items()}
 
 
 def leaves(tree: Node) -> tuple[str, ...]:
@@ -75,21 +77,22 @@ def tree_to_json(tree: Node) -> dict:
 
 
 def tree_from_json(data: dict) -> Node:
+    """The tree :func:`tree_to_json` wrote; a :class:`ConfigError` says what a malformed node lacks."""
+    if not isinstance(data, dict) or not ("leaf" in data or "op" in data):
+        raise ConfigError(f"a tree node must be an object with a 'leaf' or an 'op' key, got {data!r}")
     if "leaf" in data:
         return Leaf(str(data["leaf"]))
-    children = tuple(tree_from_json(c) for c in data["children"])
-    op = data["op"]
-    if op == "seq":
-        return Seq(children)
-    if op == "xor":
-        return Xor(children)
-    if op == "and":
-        return And(children)
-    if op == "loop":
-        if len(children) != 2:
-            raise ConfigError("loop nodes need exactly a body and a redo child")
-        return Loop(children[0], children[1])
-    raise ConfigError(f"unknown tree operator {op!r}")
+    op, children = data["op"], data.get("children")
+    if not (isinstance(op, str) and op in _OPERATORS):
+        raise ConfigError(f"unknown tree operator {op!r}")
+    if not (isinstance(children, list) and children):
+        raise ConfigError(f"{op} node needs a non-empty list of children, got {children!r}")
+    nodes = tuple(tree_from_json(c) for c in children)
+    if op != "loop":
+        return _OPERATORS[op](nodes)
+    if len(nodes) != 2:
+        raise ConfigError("loop nodes need exactly a body and a redo child")
+    return Loop(*nodes)
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,11 @@ class GenConfig:
         check_int("max_depth", self.max_depth)
         if self.target_leaves >= 2 and self.max_depth < 2:
             raise ConfigError(f"max_depth {self.max_depth} cannot hold {self.target_leaves} leaves")
-        check_operator_weights(self.operator_weights.items())
-
-
-def check_operator_weights(weights: Iterable[tuple[str, float]]) -> None:
-    """Each ``operator_weights`` entry names an operator and has a finite weight of at least 0."""
-    for operator, weight in weights:
-        if operator not in _OP_NAMES.values():
-            raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ConfigError(f"operator_weights: {operator!r} needs a finite weight of at least 0, got {weight!r}")
+        for operator, weight in self.operator_weights.items():
+            if operator not in _OPERATORS:
+                raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
+            if not (isinstance(weight, numbers.Real) and math.isfinite(weight) and weight >= 0.0):
+                raise ConfigError(f"operator_weights: {operator!r} needs a finite weight of at least 0, got {weight!r}")
 
 
 def generate_process_tree(seed: SeedLike, config: GenConfig | None = None) -> Node:
@@ -321,8 +319,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_int("n_traces", self.n_traces, 0)
         check_int("max_loop_iterations", self.max_loop_iterations, 1)
-        if not 0.0 <= self.noise_probability <= 1.0:
-            raise ConfigError("noise_probability must lie in [0, 1]")
+        check_fraction("noise_probability", self.noise_probability)
         _seed_words(self.seed)  # raises ConfigError on a bad seed
 
 
@@ -545,8 +542,7 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
     (swapping or deleting on a single event) are excluded from the uniform
     draw.  Timestamps are re-spaced from the trace's original start.
     """
-    if not 0.0 <= probability <= 1.0:
-        raise ConfigError("noise probability must lie in [0, 1]")
+    check_fraction("probability", probability)
     rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
     spaced = _spacer()

@@ -23,7 +23,7 @@ from .compatibility import (
     build_compatibility_graph,
     enumerate_changes,
 )
-from .errors import ConfigError, DataError, LogSimilarityWarning, VacuousChangeError, check_int
+from .errors import DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -44,7 +44,9 @@ SIMILARITY_WARNING_BOUND = 0.5
 
 @dataclass(frozen=True)
 class Alignment:
-    """One affected own-log variant with its closest benchmark variant."""
+    """One affected own-log variant with its closest benchmark variant.
+
+    The two mean performances are set only when the change is scored with performance."""
 
     original: Variant
     modified: Variant
@@ -82,9 +84,7 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         for name in ("exc_threshold", "int_threshold", "min_feasibility"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+            check_fraction(name, getattr(self, name))
         check_int("max_change_size", self.max_change_size, 1)
         if self.top is not None:
             check_int("top", self.top, 0)
@@ -207,9 +207,10 @@ class ChangeScorer:
             entry = self.own.entries[original]
             matched = self._variants[int(pool[best[k]])]
             similarity = float(similarities[k])
-            own_perf = entry.mean_performance
-            bench_perf = self.benchmark.entries[matched].mean_performance
+            own_perf = bench_perf = None
             if self.with_performance:
+                own_perf = entry.mean_performance
+                bench_perf = self.benchmark.entries[matched].mean_performance
                 if own_perf is None or bench_perf is None:
                     raise DataError("performance measure required on both logs")
                 impact_sum += entry.frequency * (bench_perf - own_perf)
@@ -224,7 +225,7 @@ class ChangeScorer:
                     frequency=entry.frequency,
                     tie_count=int(ties[k]),
                     own_performance=own_perf,
-                    benchmark_performance=bench_perf if self.with_performance else None,
+                    benchmark_performance=bench_perf,
                 )
             )
         return ScoredChange(
@@ -265,8 +266,14 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
 
     own_matrix = build_footprint_matrix(log_own, config.exc_threshold, config.int_threshold, own_index)
     bench_matrix = build_footprint_matrix(log_benchmark, config.exc_threshold, config.int_threshold, bench_index)
-    matches = match_activities(own_matrix, bench_matrix)
-    changes = enumerate_changes(build_compatibility_graph(matches), config.max_change_size)
+    graph = build_compatibility_graph(match_activities(own_matrix, bench_matrix))
+    if len(graph.groups) > config.max_change_size:
+        warnings.warn(
+            f"compatible sets larger than {config.max_change_size} replacements exist and were not enumerated",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    changes = enumerate_changes(graph, config.max_change_size)
 
     scorer = ChangeScorer(own_index, bench_index, with_performance)
     scored = []

@@ -13,7 +13,7 @@ from execbench.compatibility import (
     count_changes,
     enumerate_changes,
 )
-from execbench.errors import ConfigError, TruncationWarning
+from execbench.errors import ConfigError
 from execbench.matching import Match, MatchSet
 
 
@@ -68,8 +68,7 @@ def test_empty_graph_enumerates_nothing():
 def test_truncation_warning_when_larger_cliques_exist():
     matches = [Match("a", "x"), Match("b", "x"), Match("c", "x")]
     graph = _graph(matches)
-    with pytest.warns(TruncationWarning):
-        changes = enumerate_changes(graph, 2)
+    changes = enumerate_changes(graph, 2)
     assert all(len(c.replacements) <= 2 for c in changes)
     full = enumerate_changes(graph, 3)
     assert {tuple(c.replacements) for c in changes} == {
@@ -130,7 +129,7 @@ def random_match_graphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_enumeration_matches_brute_force(matches, max_size):
     graph = _graph(matches)
-    changes = enumerate_changes(graph, max_size, warn_truncation=False)
+    changes = enumerate_changes(graph, max_size)
     got = {tuple(c.replacements) for c in changes}
     expected = _brute_force_cliques(graph.nodes, graph.adjacency, max_size)
     assert got == expected
@@ -145,7 +144,7 @@ def test_enumeration_matches_brute_force(matches, max_size):
 def test_count_matches_enumeration_and_brute_force(matches, max_size):
     graph = _graph(matches)
     count = count_changes(graph, max_size)
-    assert count == len(enumerate_changes(graph, max_size, warn_truncation=False))
+    assert count == len(enumerate_changes(graph, max_size))
     assert count == len(_brute_force_cliques(graph.nodes, graph.adjacency, max_size))
 
 
@@ -153,7 +152,7 @@ def test_count_matches_enumeration_and_brute_force(matches, max_size):
 @settings(max_examples=100, deadline=None)
 def test_size_cap_is_a_filter(matches, k):
     graph = _graph(matches)
-    capped = {tuple(c.replacements) for c in enumerate_changes(graph, k, warn_truncation=False)}
-    everything = enumerate_changes(graph, len(graph), warn_truncation=False)
+    capped = {tuple(c.replacements) for c in enumerate_changes(graph, k)}
+    everything = enumerate_changes(graph, len(graph))
     assert capped == {tuple(c.replacements) for c in everything if len(c.replacements) <= k}
 

@@ -18,7 +18,7 @@ def _compatible_graph(n):
 def test_singleton_changes_pass_a_limit_above_their_count():
     graph = _compatible_graph(12)
     assert count_changes(graph, max_size=1) == 12
-    changes = enumerate_changes(graph, max_size=1, warn_truncation=False)
+    changes = enumerate_changes(graph, max_size=1)
     assert len(changes) == 12
     assert all(len(c.replacements) == 1 for c in changes)
 
@@ -31,7 +31,7 @@ def test_pairs_and_edges_count_toward_the_limit_above_size_one():
     # 12 nodes and 66 edges: 78 changes of size up to 2.
     graph = _compatible_graph(12)
     assert count_changes(graph, max_size=2) == 78
-    assert len(enumerate_changes(graph, max_size=2, warn_truncation=False)) == 78
+    assert len(enumerate_changes(graph, max_size=2)) == 78
 
 
 def test_pairs_run_in_index_order():
@@ -73,6 +73,9 @@ def test_pairs_run_in_index_order():
         ("master_seed", -1),
         ("master_seed", 1.5),
         ("master_seed", (1, -2)),
+        ("noise_probability", "0.1"),
+        ("exc_threshold", None),
+        ("operator_weights", (("seq", "1"),)),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):

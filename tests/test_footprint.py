@@ -88,6 +88,8 @@ def test_threshold_bounds_checked(own_stats):
         classify_relation(own_stats, "a", "d", 1.5, 0.9)
     with pytest.raises(ConfigError):
         build_footprint_matrix(make_log([("a",)]), 0.9, -0.1)
+    with pytest.raises(ConfigError, match="exc_threshold"):
+        build_footprint_matrix(make_log([("a",)]), "0.9")
 
 
 def test_matrix_rows_of_worked_example(own_log, benchmark_log):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -264,6 +265,22 @@ def test_json_round_trip():
     assert tree_from_json(tree_to_json(tree)) == tree
 
 
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"op": "seq"}, "seq node needs a non-empty list of children, got None"),
+        ({"op": "xor", "children": []}, "xor node needs a non-empty list of children"),
+        (["a"], "a tree node must be an object with a 'leaf' or an 'op' key"),
+        ({}, "a tree node must be an object with a 'leaf' or an 'op' key"),
+        ({"op": "and", "children": ["a"]}, "a tree node must be an object"),
+    ],
+    ids=["no-children", "empty-children", "list", "empty-object", "child-not-an-object"],
+)
+def test_malformed_tree_json_rejected(data, problem):
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        tree_from_json(data)
+
+
 def test_json_schema_shape():
     tree = Loop(Leaf("x"), Seq((Leaf("y"), Leaf("z"))))
     data = tree_to_json(tree)
@@ -465,6 +482,18 @@ def test_bad_seed_rejected(seed):
         random_baseline(["a"], ["b"], 1, seed)
 
 
+@pytest.mark.parametrize("probability", ["0.5", None])
+def test_non_numeric_noise_probability_rejected(probability):
+    with pytest.raises(ConfigError, match="probability"):
+        inject_noise(make_log([("a", "b")]), 1, probability)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, "2", None])
+def test_bad_baseline_size_rejected(n):
+    with pytest.raises(ConfigError, match="^n must"):
+        random_baseline("ab", "cd", n, 0)
+
+
 @pytest.mark.parametrize(
     "config, field, value",
     [
@@ -481,6 +510,8 @@ def test_bad_seed_rejected(seed):
         (SimConfig, "n_traces", 2.5),
         (SimConfig, "max_loop_iterations", 0),
         (SimConfig, "max_loop_iterations", 2.0),
+        (SimConfig, "noise_probability", None),
+        (GenConfig, "operator_weights", {"seq": "1"}),
     ],
 )
 def test_invalid_lab_config_rejected_when_built(config, field, value):

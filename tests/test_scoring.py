@@ -357,6 +357,21 @@ def test_benchmark_identical_logs_with_performance():
     assert all(s.feasibility == 1.0 for s in scored)
 
 
+def test_benchmark_warns_when_more_own_activities_match_than_the_change_size(own_log):
+    # four own activities have a match
+    with pytest.warns(TruncationWarning, match="larger than 3") as record:
+        benchmark(own_log, own_log, BenchmarkConfig(max_change_size=3))
+    assert record[0].filename == __file__  # attributed to the caller of benchmark()
+    benchmark(own_log, own_log, BenchmarkConfig(max_change_size=4))  # warnings are errors under pytest
+
+
+def test_alignments_carry_no_performance_when_scored_without_it():
+    log = make_log([("a", "b"), ("c", "b")], performance=[5.0, 7.0])
+    scored = benchmark(log, log)
+    assert scored
+    assert {(a.own_performance, a.benchmark_performance) for s in scored for a in s.alignments} == {(None, None)}
+
+
 def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
     scored = benchmark(own_log, benchmark_log, BenchmarkConfig(min_feasibility=1.0))
     assert scored
@@ -375,6 +390,8 @@ def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
         ("max_change_size", 2.5),
         ("top", -1),
         ("top", 1.5),
+        ("min_feasibility", "0.5"),
+        ("int_threshold", None),
     ],
 )
 def test_invalid_benchmark_config_rejected(field, value):
