@@ -74,7 +74,6 @@ from .proctree import (
     inject_noise,
     mutate_tree,
     simulate_log,
-    tree_accepts,
     tree_from_json,
     tree_to_json,
 )

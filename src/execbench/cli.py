@@ -268,9 +268,10 @@ def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -
 
 
 def _cmd_footprint(args) -> int:
+    config = BenchmarkConfig(args.exc, args.int_)  # checks the thresholds before the read
     log = read_event_log(args.log, _schema(args))
     stats = ordering_counts(log)
-    matrix = stats.footprint(args.exc, args.int_)
+    matrix = stats.footprint(config.exc_threshold, config.int_threshold)
     sections = [
         ("relations.csv", lambda s: matrix.to_csv(s)),
         ("exclusiveness.csv", lambda s: _score_csv(stats.activities, stats.exclusiveness, s)),

@@ -222,7 +222,7 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
 
 
 def read_event_log(path: str, schema: SchemaConfig | None = None) -> EventLog:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:  # skips a byte-order mark
         return parse_event_log(handle, schema)
 
 

@@ -4,13 +4,15 @@ Trees are block-structured with sequence, exclusive choice, parallel and
 loop operators over uniquely named leaves.  They serve as the data factory
 for the evaluation harness: a random tree yields the own log, a mutated
 copy (with replacements recorded as ground truth) yields the benchmark
-log, and ``tree_accepts`` provides an exact membership oracle for tests.
+log.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Callable, Sequence, Union
@@ -64,10 +66,7 @@ def leaves(tree: Node) -> tuple[str, ...]:
     """Leaf names in depth-first order."""
     if isinstance(tree, Leaf):
         return (tree.name,)
-    out: list[str] = []
-    for child in tree.children:
-        out.extend(leaves(child))
-    return tuple(out)
+    return tuple(name for child in tree.children for name in leaves(child))
 
 
 def tree_to_json(tree: Node) -> dict:
@@ -77,17 +76,29 @@ def tree_to_json(tree: Node) -> dict:
 
 
 def tree_from_json(data: dict) -> Node:
-    """The tree :func:`tree_to_json` wrote; a :class:`ConfigError` says what a malformed node lacks."""
+    """The tree :func:`tree_to_json` wrote; a :class:`ConfigError` says what a
+    malformed node lacks, or names a leaf that is blank, padded or repeated."""
+    tree = _node_from_json(data)
+    repeated = [name for name, count in Counter(leaves(tree)).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"leaf name {repeated[0]!r} appears more than once in the tree")
+    return tree
+
+
+def _node_from_json(data: dict) -> Node:
     if not isinstance(data, dict) or not ("leaf" in data or "op" in data):
         raise ConfigError(f"a tree node must be an object with a 'leaf' or an 'op' key, got {data!r}")
     if "leaf" in data:
-        return Leaf(str(data["leaf"]))
+        name = data["leaf"]
+        if not (isinstance(name, str) and name and name == name.strip()):
+            raise ConfigError(f"a leaf name must be a non-empty string without surrounding whitespace, got {name!r}")
+        return Leaf(name)
     op, children = data["op"], data.get("children")
     if not (isinstance(op, str) and op in _OPERATORS):
         raise ConfigError(f"unknown tree operator {op!r}")
     if not (isinstance(children, list) and children):
         raise ConfigError(f"{op} node needs a non-empty list of children, got {children!r}")
-    nodes = tuple(tree_from_json(c) for c in children)
+    nodes = tuple(_node_from_json(c) for c in children)
     if op != "loop":
         return _OPERATORS[op](nodes)
     if len(nodes) != 2:
@@ -95,16 +106,16 @@ def tree_from_json(data: dict) -> Node:
     return Loop(*nodes)
 
 
+# Choice, parallel and loop operators get children of at least this many
+# leaves, which keeps alternative branches distinguishable by their behavior;
+# with bare single-activity alternatives the branches are behaviorally
+# interchangeable and every analysis of the resulting logs conflates them.
+_MIN_BRANCH_LEAVES = 2
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape knobs for random tree construction.
-
-    ``min_branch_leaves`` forces the children of choice, parallel and loop
-    operators to be multi-activity blocks, which keeps alternative
-    branches distinguishable by their behavior; with bare single-activity
-    alternatives the branches are behaviorally interchangeable and every
-    analysis of the resulting logs conflates them.
-    """
+    """Shape knobs for random tree construction."""
 
     target_leaves: int = 10
     operator_weights: dict[str, float] = field(
@@ -112,12 +123,10 @@ class GenConfig:
     )
     max_depth: int = 6
     max_children: int = 4
-    min_branch_leaves: int = 2
 
     def __post_init__(self) -> None:
         check_int("target_leaves", self.target_leaves, 1)
         check_int("max_children", self.max_children, 2)
-        check_int("min_branch_leaves", self.min_branch_leaves, 1)
         check_int("max_depth", self.max_depth)
         if self.target_leaves >= 2 and self.max_depth < 2:
             raise ConfigError(f"max_depth {self.max_depth} cannot hold {self.target_leaves} leaves")
@@ -139,11 +148,7 @@ def generate_process_tree(seed: SeedLike, config: GenConfig | None = None) -> No
     config = config or GenConfig()
     _seed_words(seed)  # raises ConfigError on a bad seed
     rng = np.random.default_rng(seed)
-    counter = [0]
-
-    def next_leaf() -> Leaf:
-        counter[0] += 1
-        return Leaf(f"a{counter[0]}")
+    labels = map("a{}".format, itertools.count(1))
 
     def split(budget: int, parts: int, minimum: int) -> list[int]:
         extra = budget - parts * minimum
@@ -151,19 +156,19 @@ def generate_process_tree(seed: SeedLike, config: GenConfig | None = None) -> No
 
     def build(budget: int, depth_left: int) -> Node:
         if budget == 1:
-            return next_leaf()
-        composite_ok = depth_left >= 3 and budget >= 2 * config.min_branch_leaves
+            return Leaf(next(labels))
+        composite_ok = depth_left >= 3 and budget >= 2 * _MIN_BRANCH_LEAVES
         names = ["seq"] + (["xor", "and", "loop"] if composite_ok else [])
         weights = np.array([config.operator_weights.get(n, 0.0) for n in names])
         if weights.sum() <= 0:
             weights = np.ones(len(names))
         op = names[int(rng.choice(len(names), p=weights / weights.sum()))]
         if op == "loop":
-            body_budget, redo_budget = split(budget, 2, config.min_branch_leaves)
+            body_budget, redo_budget = split(budget, 2, _MIN_BRANCH_LEAVES)
             return Loop(build(body_budget, depth_left - 1), build(redo_budget, depth_left - 1))
         if op in ("xor", "and"):
-            k = int(rng.integers(2, min(config.max_children, budget // config.min_branch_leaves) + 1))
-            parts = split(budget, k, config.min_branch_leaves)
+            k = int(rng.integers(2, min(config.max_children, budget // _MIN_BRANCH_LEAVES) + 1))
+            parts = split(budget, k, _MIN_BRANCH_LEAVES)
             children = tuple(build(p, depth_left - 1) for p in parts)
             return Xor(children) if op == "xor" else And(children)
         if depth_left == 2:
@@ -213,28 +218,18 @@ def mutate_tree(tree: Node, seed: SeedLike, config: MutationConfig | None = None
             f"and delete {config.n_deletions}"
         )
     existing = set(original)
-    fresh_counter = [0]
-
-    def fresh_name() -> str:
-        while True:
-            fresh_counter[0] += 1
-            candidate = f"x{fresh_counter[0]}"
-            if candidate not in existing:
-                existing.add(candidate)
-                return candidate
-
+    fresh_names = (name for name in map("x{}".format, itertools.count(1)) if name not in existing)
     picked = rng.choice(len(original), size=taken, replace=False)
     replaced = [original[int(i)] for i in picked[: config.n_replacements]]
     deleted = [original[int(i)] for i in picked[config.n_replacements:]]
 
-    renames = {old: fresh_name() for old in replaced}
-    mutated: Node | None = _rename_leaves(tree, renames)
-    for name in deleted:
-        mutated = _delete_leaf(mutated, name)
-        assert mutated is not None  # guarded by the leaf-count check above
+    renames = {old: next(fresh_names) for old in replaced}
+    mapping = {**dict.fromkeys(deleted), **renames}  # a deleted leaf maps to None
+    mutated = _map_leaves(tree, lambda name: mapping.get(name, name))
+    assert mutated is not None  # guarded by the leaf-count check above
     inserted = []
     for _ in range(config.n_insertions):
-        name = fresh_name()
+        name = next(fresh_names)
         inserted.append(name)
         mutated = _insert_into_gap(mutated, name, rng)
     truth = GroundTruth(
@@ -245,32 +240,22 @@ def mutate_tree(tree: Node, seed: SeedLike, config: MutationConfig | None = None
     return mutated, truth
 
 
-def _rename_leaves(node: Node, renames: dict[str, str]) -> Node:
-    if isinstance(node, Leaf):
-        return Leaf(renames.get(node.name, node.name))
-    if isinstance(node, Loop):
-        return Loop(_rename_leaves(node.body, renames), _rename_leaves(node.redo, renames))
-    children = tuple(_rename_leaves(c, renames) for c in node.children)
-    return type(node)(children)
+def _like(node: Node, children: Sequence[Node]) -> Node:
+    """An operator of ``node``'s kind over ``children``."""
+    return Loop(*children) if isinstance(node, Loop) else type(node)(tuple(children))
 
 
-def _delete_leaf(node: Node, name: str) -> Node | None:
+def _map_leaves(node: Node, f: Callable[[str], str | None]) -> Node | None:
+    """``node`` with each leaf replaced by ``f(name)``, dropped where that is
+    None.  An operator left with one child collapses into that child, and
+    one left with none disappears."""
     if isinstance(node, Leaf):
-        return None if node.name == name else node
-    if isinstance(node, Loop):
-        body = _delete_leaf(node.body, name)
-        redo = _delete_leaf(node.redo, name)
-        if body is None:
-            return redo
-        if redo is None:
-            return body
-        return Loop(body, redo)
-    kept = [c for c in (_delete_leaf(c, name) for c in node.children) if c is not None]
-    if not kept:
-        return None
-    if len(kept) == 1:
-        return kept[0]
-    return type(node)(tuple(kept))
+        name = f(node.name)
+        return None if name is None else Leaf(name)
+    kept = [c for c in (_map_leaves(c, f) for c in node.children) if c is not None]
+    if len(kept) < 2:
+        return kept[0] if kept else None
+    return _like(node, kept)
 
 
 def _count_gaps(node: Node) -> int:
@@ -285,24 +270,23 @@ def _insert_into_gap(node: Node, name: str, rng: np.random.Generator) -> Node:
     if total == 0:
         pair = (Leaf(name), node) if rng.integers(2) == 0 else (node, Leaf(name))
         return Seq(pair)
-    box = [int(rng.integers(total))]
+    gap = int(rng.integers(total))
 
     def rebuild(current: Node) -> Node:
+        nonlocal gap
         if isinstance(current, Leaf):
             return current
-        if isinstance(current, Loop):
-            return Loop(rebuild(current.body), rebuild(current.redo))
         if not isinstance(current, Seq):
-            return type(current)(tuple(rebuild(c) for c in current.children))
+            return _like(current, [rebuild(c) for c in current.children])
         out: list[Node] = []
         for child in current.children:
-            if box[0] == 0:
+            if gap == 0:
                 out.append(Leaf(name))
-            box[0] -= 1
+            gap -= 1
             out.append(rebuild(child))
-        if box[0] == 0:
+        if gap == 0:
             out.append(Leaf(name))
-        box[0] -= 1
+        gap -= 1
         return Seq(tuple(out))
 
     return rebuild(node)
@@ -572,78 +556,3 @@ def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
         traces[case_id] = Trace(case_id, tuple(names), keys, trace.performance)
     return EventLog(traces)
 
-
-def tree_accepts(tree: Node, variant: Sequence[str], max_loop_iterations: int | None = None) -> bool:
-    """Exact play-out language membership.
-
-    Leaf names are unique within a tree, so every symbol of the variant
-    belongs to at most one child of any operator node; projecting the
-    variant onto the children decides membership without search.
-    """
-    alphabets: dict[int, frozenset[str]] = {}
-
-    def alphabet(node: Node) -> frozenset[str]:
-        known = alphabets.get(id(node))
-        if known is None:
-            if isinstance(node, Leaf):
-                known = frozenset((node.name,))
-            else:
-                known = frozenset().union(*(alphabet(c) for c in node.children))
-            alphabets[id(node)] = known
-        return known
-
-    def accepts(node: Node, seq: tuple[str, ...]) -> bool:
-        if not seq:
-            return False
-        if isinstance(node, Leaf):
-            return seq == (node.name,)
-        owner: dict[str, int] = {}
-        for i, child in enumerate(node.children):
-            for symbol in alphabet(child):
-                owner[symbol] = i
-        assigned = []
-        for symbol in seq:
-            child_index = owner.get(symbol)
-            if child_index is None:
-                return False
-            assigned.append(child_index)
-        if isinstance(node, Xor):
-            target = assigned[0]
-            if any(i != target for i in assigned):
-                return False
-            return accepts(node.children[target], seq)
-        if isinstance(node, Seq):
-            if any(b < a for a, b in zip(assigned, assigned[1:])):
-                return False
-            blocks = _blocks(seq, assigned)
-            if [i for i, _ in blocks] != list(range(len(node.children))):
-                return False
-            return all(accepts(node.children[i], block) for i, block in blocks)
-        if isinstance(node, And):
-            projections: list[list[str]] = [[] for _ in node.children]
-            for symbol, child_index in zip(seq, assigned):
-                projections[child_index].append(symbol)
-            return all(accepts(child, tuple(p)) for child, p in zip(node.children, projections))
-        runs = _blocks(seq, assigned)
-        expected = [i % 2 for i in range(len(runs))]
-        if len(runs) % 2 == 0 or [i for i, _ in runs] != expected:
-            return False
-        body_runs = (len(runs) + 1) // 2
-        if max_loop_iterations is not None and body_runs > max_loop_iterations:
-            return False
-        return all(
-            accepts(node.body if i == 0 else node.redo, block) for i, block in runs
-        )
-
-    return accepts(tree, tuple(variant))
-
-
-def _blocks(seq: tuple[str, ...], assigned: list[int]) -> list[tuple[int, tuple[str, ...]]]:
-    """Split a sequence into maximal runs of equal child assignment."""
-    out: list[tuple[int, tuple[str, ...]]] = []
-    start = 0
-    for i in range(1, len(seq) + 1):
-        if i == len(seq) or assigned[i] != assigned[start]:
-            out.append((assigned[start], seq[start:i]))
-            start = i
-    return out

@@ -1,6 +1,8 @@
-"""Command-line entry point: option defaults, early option checks and the matrix dump."""
+"""Command-line entry point: option defaults, early option checks and the files each command writes."""
 
-from conftest import OWN_CSV
+import json
+
+from conftest import BENCHMARK_CSV, OWN_CSV
 from execbench import footprint
 from execbench.cli import _experiment_config, build_parser, main
 from execbench.experiment import ExperimentConfig
@@ -21,6 +23,11 @@ def test_benchmark_options_are_checked_before_reading_logs(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert main(["benchmark", missing, missing, "--top", "-1"]) == 2
     assert "top" in capsys.readouterr().err
+
+
+def test_footprint_thresholds_are_checked_before_reading_the_log(tmp_path, capsys):
+    assert main(["footprint", str(tmp_path / "missing.csv"), "--exc", "2"]) == 2
+    assert "exc_threshold" in capsys.readouterr().err
 
 
 def test_footprint_writes_the_three_matrices(tmp_path):
@@ -65,3 +72,70 @@ def test_footprint_counts_order_statistics_once(tmp_path, monkeypatch, capsys):
     assert main(["footprint", str(log)]) == 0
     assert len(calls) == 1
     assert "# relations" in capsys.readouterr().out
+
+
+def test_footprint_reads_a_log_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(OWN_CSV, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + OWN_CSV.encode("utf-8"))
+    assert main(["footprint", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["footprint", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _worked_example_logs(tmp_path):
+    own, bench = tmp_path / "own.csv", tmp_path / "benchmark.csv"
+    own.write_text(OWN_CSV, encoding="utf-8")
+    bench.write_text(BENCHMARK_CSV, encoding="utf-8")
+    return str(own), str(bench)
+
+
+def test_benchmark_out_writes_the_json_report_and_the_csv(tmp_path, capsys):
+    own, bench = _worked_example_logs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["benchmark", own, bench, "--format", "json", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
+    assert (out / "report.json").read_text(encoding="utf-8") == stdout
+    assert len(json.loads(stdout)["changes"]) == 11
+    assert main(["benchmark", own, bench, "--format", "csv"]) == 0
+    assert (out / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_benchmark_csv_and_table_formats(tmp_path, capsys):
+    own, bench = _worked_example_logs(tmp_path)
+    assert main(["benchmark", own, bench, "--format", "csv", "--top", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "rank,replacements,feasibility,performance_impact,affected_traces,transitive\n"
+        "1,a -> b; f -> e,1.0,,3,False\n"
+        "2,a -> c; f -> e,1.0,,3,False\n"
+    )
+    assert main(["benchmark", own, bench, "--format", "table", "--top", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "Replacements    Feasibility        Impact  Traces\n"
+        "-------------------------------------------------\n"
+        "a -> b; f -> e       1.0000             -       3\n"
+        "a -> c; f -> e       1.0000             -       3\n"
+    )
+
+
+def test_synth_out_writes_one_directory_per_pair(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--pairs", "1", "--traces", "30", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 pair(s) under {out}\n"
+    assert [p.name for p in out.iterdir()] == ["pair_0000"]
+    assert sorted(p.name for p in (out / "pair_0000").iterdir()) == [
+        "benchmark_log.csv", "benchmark_tree.json", "ground_truth.json", "own_log.csv", "own_tree.json",
+    ]
+    truth = json.loads((out / "pair_0000" / "ground_truth.json").read_text(encoding="utf-8"))
+    assert sorted(truth) == ["deletions", "insertions", "replacements"]
+
+
+def test_eval_out_writes_the_report_and_the_summary(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["eval", "--pairs", "1", "--traces", "30", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "summary.txt"]
+    assert (out / "summary.txt").read_text(encoding="utf-8") == stdout
+    assert len(json.loads((out / "report.json").read_text(encoding="utf-8"))["pairs"]) == 1

@@ -383,3 +383,12 @@ def test_parser_equals_the_row_sort_oracle(text):
 def test_trace_without_events_is_rejected():
     with pytest.raises(DataError, match="'c7' has no events"):
         Trace("c7", (), ())
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(OWN_CSV, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + OWN_CSV.encode("utf-8"))
+    log = read_event_log(str(marked))
+    assert list(log.traces.items()) == list(read_event_log(str(plain)).traces.items())
+    assert log.alphabet == {"a", "c", "d", "e", "f", "g"}

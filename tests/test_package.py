@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     # synthetic lab and evaluation
     "ProcessTree", "Leaf", "Seq", "Xor", "And", "Loop", "GenConfig", "MutationConfig", "SimConfig",
     "GroundTruth", "generate_process_tree", "mutate_tree", "simulate_log", "inject_noise",
-    "tree_accepts", "tree_to_json", "tree_from_json", "ExperimentConfig", "ExperimentReport",
+    "tree_to_json", "tree_from_json", "ExperimentConfig", "ExperimentReport",
     "run_experiment", "precision_recall", "random_baseline",
     # errors and warnings
     "ExecbenchError", "ConfigError", "DataError", "SchemaError", "UndefinedScoreError",

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import re
 from datetime import datetime, timedelta
 
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from conftest import make_log, naive_levenshtein
 from execbench.errors import ConfigError
 from execbench.eventlog import EventLog, Trace, extract_variants, write_event_log
-from execbench.experiment import random_baseline
+from execbench.experiment import ExperimentConfig, random_baseline
 from execbench.proctree import (
     _EPOCH,
     _derive,
+    _map_leaves,
     _stream_states,
     And,
     GenConfig,
@@ -31,7 +33,6 @@ from execbench.proctree import (
     leaves,
     mutate_tree,
     simulate_log,
-    tree_accepts,
     tree_from_json,
     tree_to_json,
 )
@@ -134,6 +135,31 @@ def test_mutation_insufficient_leaves_rejected():
         mutate_tree(tree, 0, MutationConfig(n_replacements=2, n_deletions=1))
     with pytest.raises(ConfigError):
         mutate_tree(Leaf("a"), 0, MutationConfig(n_replacements=0, n_deletions=1))
+
+
+# Recorded with a rename pass followed by one pass per deleted leaf (the
+# oracle_* functions below), so a one-pass leaf map that differs shows.
+MUTATION_GOLDEN_SHA256 = "91e6e04b022a4a2d30c75298d915deb21983073e2c3c3af8fd6b2a247dee3452"
+
+
+def test_golden_mutations():
+    shapes = [GenConfig(), ExperimentConfig().gen_config(25)]
+    mutations = [MutationConfig(1, 0, 0), MutationConfig(2, 1, 1), MutationConfig(1, 2, 3), MutationConfig(0, 3, 5)]
+    digest = hashlib.sha256()
+    for shape_index, shape in enumerate(shapes):
+        for seed in range(60):
+            tree = generate_process_tree((shape_index, seed), shape)
+            for mutation_index, mutation in enumerate(mutations):
+                mutated, truth = mutate_tree(tree, (seed, mutation_index), mutation)
+                record = {
+                    "tree": tree_to_json(tree),
+                    "mutated": tree_to_json(mutated),
+                    "replacements": sorted(truth.replacements),
+                    "insertions": sorted(truth.insertions),
+                    "deletions": sorted(truth.deletions),
+                }
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == MUTATION_GOLDEN_SHA256
 
 
 def test_insertion_wraps_root_when_tree_has_no_sequence():
@@ -273,8 +299,19 @@ def test_json_round_trip():
         (["a"], "a tree node must be an object with a 'leaf' or an 'op' key"),
         ({}, "a tree node must be an object with a 'leaf' or an 'op' key"),
         ({"op": "and", "children": ["a"]}, "a tree node must be an object"),
+        (
+            {"op": "seq", "children": [{"leaf": "a"}, {"leaf": "b"}, {"leaf": "a"}]},
+            "leaf name 'a' appears more than once in the tree",
+        ),
+        ({"leaf": None}, "a leaf name must be a non-empty string without surrounding whitespace, got None"),
+        ({"leaf": ""}, "a leaf name must be a non-empty string without surrounding whitespace, got ''"),
+        ({"op": "xor", "children": [{"leaf": "a"}, {"leaf": " b"}]}, "surrounding whitespace, got ' b'"),
+        ({"leaf": 7}, "a leaf name must be a non-empty string without surrounding whitespace, got 7"),
     ],
-    ids=["no-children", "empty-children", "list", "empty-object", "child-not-an-object"],
+    ids=[
+        "no-children", "empty-children", "list", "empty-object", "child-not-an-object",
+        "repeated-leaf", "null-leaf", "empty-leaf", "padded-leaf", "number-leaf",
+    ],
 )
 def test_malformed_tree_json_rejected(data, problem):
     with pytest.raises(ConfigError, match=re.escape(problem)):
@@ -305,8 +342,114 @@ def test_synthetic_performance_optional():
     assert idx.entries[("a", "b")].mean_performance == -1.0
 
 
-# Oracles: the recursive play-out and the per-trace ``default_rng`` loops
-# that define the lab's stream contract.  The package must give equal logs.
+# Oracles: exact play-out language membership, the leaf rename and the
+# per-leaf deletion that mutation once ran one after the other, and the
+# recursive play-out and per-trace ``default_rng`` loops that define the
+# lab's stream contract.  The package must give equal trees and logs.
+
+
+def tree_accepts(tree, variant, max_loop_iterations=None):
+    """Exact play-out language membership.
+
+    Leaf names are unique within a tree, so every symbol of the variant
+    belongs to at most one child of any operator node; projecting the
+    variant onto the children decides membership without search.
+    """
+    alphabets = {}
+
+    def alphabet(node):
+        known = alphabets.get(id(node))
+        if known is None:
+            if isinstance(node, Leaf):
+                known = frozenset((node.name,))
+            else:
+                known = frozenset().union(*(alphabet(c) for c in node.children))
+            alphabets[id(node)] = known
+        return known
+
+    def accepts(node, seq):
+        if not seq:
+            return False
+        if isinstance(node, Leaf):
+            return seq == (node.name,)
+        owner = {}
+        for i, child in enumerate(node.children):
+            for symbol in alphabet(child):
+                owner[symbol] = i
+        assigned = []
+        for symbol in seq:
+            child_index = owner.get(symbol)
+            if child_index is None:
+                return False
+            assigned.append(child_index)
+        if isinstance(node, Xor):
+            target = assigned[0]
+            if any(i != target for i in assigned):
+                return False
+            return accepts(node.children[target], seq)
+        if isinstance(node, Seq):
+            if any(b < a for a, b in zip(assigned, assigned[1:])):
+                return False
+            blocks = _blocks(seq, assigned)
+            if [i for i, _ in blocks] != list(range(len(node.children))):
+                return False
+            return all(accepts(node.children[i], block) for i, block in blocks)
+        if isinstance(node, And):
+            projections = [[] for _ in node.children]
+            for symbol, child_index in zip(seq, assigned):
+                projections[child_index].append(symbol)
+            return all(accepts(child, tuple(p)) for child, p in zip(node.children, projections))
+        runs = _blocks(seq, assigned)
+        expected = [i % 2 for i in range(len(runs))]
+        if len(runs) % 2 == 0 or [i for i, _ in runs] != expected:
+            return False
+        body_runs = (len(runs) + 1) // 2
+        if max_loop_iterations is not None and body_runs > max_loop_iterations:
+            return False
+        return all(
+            accepts(node.body if i == 0 else node.redo, block) for i, block in runs
+        )
+
+    return accepts(tree, tuple(variant))
+
+
+def _blocks(seq, assigned):
+    """Split a sequence into maximal runs of equal child assignment."""
+    out = []
+    start = 0
+    for i in range(1, len(seq) + 1):
+        if i == len(seq) or assigned[i] != assigned[start]:
+            out.append((assigned[start], seq[start:i]))
+            start = i
+    return out
+
+
+def oracle_rename_leaves(node, renames):
+    if isinstance(node, Leaf):
+        return Leaf(renames.get(node.name, node.name))
+    if isinstance(node, Loop):
+        return Loop(oracle_rename_leaves(node.body, renames), oracle_rename_leaves(node.redo, renames))
+    children = tuple(oracle_rename_leaves(c, renames) for c in node.children)
+    return type(node)(children)
+
+
+def oracle_delete_leaf(node, name):
+    if isinstance(node, Leaf):
+        return None if node.name == name else node
+    if isinstance(node, Loop):
+        body = oracle_delete_leaf(node.body, name)
+        redo = oracle_delete_leaf(node.redo, name)
+        if body is None:
+            return redo
+        if redo is None:
+            return body
+        return Loop(body, redo)
+    kept = [c for c in (oracle_delete_leaf(c, name) for c in node.children) if c is not None]
+    if not kept:
+        return None
+    if len(kept) == 1:
+        return kept[0]
+    return type(node)(tuple(kept))
 
 
 def oracle_play_out(node, rng, max_loop):
@@ -439,6 +582,25 @@ def test_simulate_log_equals_recursive_oracle(tree, seed, n_traces, max_loop, no
 
 
 @given(
+    tree=trees(),
+    renames=st.dictionaries(st.sampled_from("abcdefgh"), st.sampled_from("abcdefghxyz")),
+    deleted=st.lists(st.sampled_from("abcdefghxyz"), unique=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_leaf_map_equals_rename_then_each_deletion(tree, renames, deleted):
+    expected = oracle_rename_leaves(tree, renames)
+    for name in deleted:
+        if expected is not None:
+            expected = oracle_delete_leaf(expected, name)
+
+    def rename_or_drop(name):
+        name = renames.get(name, name)
+        return None if name in deleted else name
+
+    assert _map_leaves(tree, rename_or_drop) == expected
+
+
+@given(
     variants=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=6), min_size=0, max_size=20),
     seed=seeds,
     probability=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
@@ -501,7 +663,6 @@ def test_bad_baseline_size_rejected(n):
         (GenConfig, "target_leaves", 2.5),
         (GenConfig, "max_children", 1),
         (GenConfig, "max_children", 3.0),
-        (GenConfig, "min_branch_leaves", 0),
         (GenConfig, "max_depth", 1),
         (GenConfig, "max_depth", 4.5),
         (MutationConfig, "n_replacements", -1),
