@@ -242,15 +242,15 @@ def _cmd_benchmark(args) -> int:
         "alphabet_jaccard": len(shared) / len(union) if union else 1.0,
         "changes": [_change_payload(c) for c in changes],
     }
+    text = json.dumps(report, indent=2) if args.out or args.format == "json" else None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+            handle.write(text + "\n")
         with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as handle:
             _benchmark_csv(changes, handle)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(text)
     elif args.format == "csv":
         buffer = io.StringIO()
         _benchmark_csv(changes, buffer)

@@ -11,11 +11,19 @@ event order) and the matching tuple of order keys (timestamps, or row
 numbers when the log has no timestamp column), plus an optional per-case
 performance value.  No object is kept per event; :attr:`Trace.events`
 builds :class:`Event` records on demand.
+
+Within one log, equal activity names share one string object and equal
+variants one tuple, so a log's memory grows with its distinct names and
+variants, not with its rows and traces.  The cyclic
+garbage collector is paused while a log is parsed and restored afterwards,
+also when the parse raises; the parse makes no reference cycles, so its
+collections would only rescan the per-case lists already built.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import operator
 from dataclasses import dataclass
@@ -141,10 +149,15 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
     and :class:`DataError` for malformed rows or per-case inconsistencies.
     """
     reader = csv.reader(source)
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return _parse_rows(reader, schema or SchemaConfig())
     except csv.Error as err:  # only the reader raises it
         raise DataError(f"line {reader.line_num}: malformed CSV: {err}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
@@ -164,47 +177,55 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
     act_idx = column(schema.activity_col, mandatory=True)
     time_idx = column(schema.time_col, mandatory=False)
     perf_idx = column(schema.perf_col, mandatory=False)
+    width = len(header)
 
     columns_by_case: dict[str, tuple[list[str], list[datetime | int]]] = {}
     perf_by_case: dict[str, float] = {}
+    names: dict[str, str] = {}
+    # The raw case and performance cells of the previous row: a row that
+    # repeats them continues the same run and needs no second lookup or check.
+    raw_case = raw_perf = None
     for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
-        case_id = row[case_idx].strip()
+        if len(row) != width:
+            if not row:
+                continue
+            raise DataError(f"row {row_number}: expected {width} fields, got {len(row)}")
+        if row[case_idx] != raw_case:
+            raw_case, raw_perf = row[case_idx], None
+            case_id = raw_case.strip()
+            if not case_id:
+                raise DataError(f"row {row_number}: empty case identifier")
+            activities, keys = columns_by_case.setdefault(case_id, ([], []))
         activity = row[act_idx].strip()
-        if not case_id:
-            raise DataError(f"row {row_number}: empty case identifier")
         if not activity:
             raise DataError(f"row {row_number}: empty activity name")
-        order_key: datetime | int = row_number
-        if time_idx is not None:
+        activities.append(names.setdefault(activity, activity))
+        if time_idx is None:
+            keys.append(row_number)
+        else:
             try:  # the common case: a bare ISO 8601 timestamp
-                order_key = datetime.fromisoformat(row[time_idx])
+                keys.append(datetime.fromisoformat(row[time_idx]))
             except ValueError:
-                order_key = _parse_timestamp(row[time_idx], row_number)
-        columns = columns_by_case.get(case_id)
-        if columns is None:
-            columns = columns_by_case[case_id] = ([], [])
-        columns[0].append(activity)
-        columns[1].append(order_key)
-        if perf_idx is not None and row[perf_idx].strip():
-            try:
-                value = float(row[perf_idx])
-            except ValueError:
-                raise DataError(
-                    f"row {row_number}: unparseable performance value {row[perf_idx]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(f"row {row_number}: non-finite performance value {row[perf_idx]!r}")
-            known = perf_by_case.get(case_id)
-            if known is not None and known != value:
-                raise DataError(
-                    f"case {case_id!r}: conflicting performance values {known} and {value}"
-                )
-            perf_by_case[case_id] = value
+                keys.append(_parse_timestamp(row[time_idx], row_number))
+        if perf_idx is not None and row[perf_idx] != raw_perf:
+            raw_perf = row[perf_idx]
+            if raw_perf.strip():
+                try:
+                    value = float(raw_perf)
+                except ValueError:
+                    raise DataError(
+                        f"row {row_number}: unparseable performance value {raw_perf!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"row {row_number}: non-finite performance value {raw_perf!r}")
+                known = perf_by_case.get(case_id)
+                if known is not None and known != value:
+                    raise DataError(
+                        f"case {case_id!r}: conflicting performance values {known} and {value}"
+                    )
+                perf_by_case[case_id] = value
 
+    variants: dict[Variant, Variant] = {}
     traces: dict[str, Trace] = {}
     for case_id, (activities, keys) in columns_by_case.items():
         try:
@@ -217,13 +238,26 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
             raise DataError(
                 f"case {case_id!r}: cannot order events, timestamps mix naive and offset-aware values"
             ) from None
-        traces[case_id] = Trace(case_id, tuple(activities), tuple(keys), perf_by_case.get(case_id))
+        variant = tuple(activities)
+        variant = variants.setdefault(variant, variant)
+        traces[case_id] = Trace(case_id, variant, tuple(keys), perf_by_case.get(case_id))
     return EventLog(traces)
 
 
 def read_event_log(path: str, schema: SchemaConfig | None = None) -> EventLog:
+    """:func:`parse_event_log` on a UTF-8 file; a byte that is not UTF-8
+    raises :class:`DataError` naming the path and the byte's offset."""
     with open(path, newline="", encoding="utf-8-sig") as handle:  # skips a byte-order mark
-        return parse_event_log(handle, schema)
+        try:
+            return parse_event_log(handle, schema)
+        except UnicodeDecodeError as err:
+            # The decoder raises on the bytes it was last given, which end
+            # where the binary buffer stands.
+            offset = handle.buffer.tell() - len(err.object) + err.start
+            raise DataError(
+                f"{path}: not UTF-8 at byte offset {offset} "
+                f"(byte 0x{err.object[err.start]:02x}: {err.reason})"
+            ) from None
 
 
 def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None = None) -> None:

@@ -79,10 +79,14 @@ def tree_from_json(data: dict) -> Node:
     """The tree :func:`tree_to_json` wrote; a :class:`ConfigError` says what a
     malformed node lacks, or names a leaf that is blank, padded or repeated."""
     tree = _node_from_json(data)
-    repeated = [name for name, count in Counter(leaves(tree)).items() if count > 1]
+    _check_unique(leaves(tree))
+    return tree
+
+
+def _check_unique(names: Sequence[str]) -> None:
+    repeated = [name for name, count in Counter(names).items() if count > 1]
     if repeated:
         raise ConfigError(f"leaf name {repeated[0]!r} appears more than once in the tree")
-    return tree
 
 
 def _node_from_json(data: dict) -> Node:
@@ -205,12 +209,14 @@ def mutate_tree(tree: Node, seed: SeedLike, config: MutationConfig | None = None
     Replacements rename a uniformly chosen leaf to a fresh name; deletions
     remove a (different) leaf and collapse operators left with a single
     child; insertions splice a fresh leaf into a uniformly chosen sequence
-    gap, wrapping the root in a sequence when the tree has none.
+    gap, wrapping the root in a sequence when the tree has none.  A tree
+    whose leaf names repeat raises :class:`ConfigError` naming the leaf.
     """
     config = config or MutationConfig()
     _seed_words(seed)  # raises ConfigError on a bad seed
     rng = np.random.default_rng(seed)
     original = leaves(tree)
+    _check_unique(original)  # leaves are picked and mapped by name
     taken = config.n_replacements + config.n_deletions
     if taken > len(original) or config.n_deletions > len(original) - 1:
         raise ConfigError(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import BENCHMARK_CSV, OWN_CSV
 from execbench import footprint
 from execbench.cli import _experiment_config, build_parser, main
@@ -101,6 +103,34 @@ def test_benchmark_out_writes_the_json_report_and_the_csv(tmp_path, capsys):
     assert len(json.loads(stdout)["changes"]) == 11
     assert main(["benchmark", own, bench, "--format", "csv"]) == 0
     assert (out / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_benchmark_encodes_the_json_report_once(tmp_path, monkeypatch, capsys):
+    own, bench = _worked_example_logs(tmp_path)
+    calls = []
+    encode = json.JSONEncoder.iterencode  # json.dump and json.dumps both call it
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    assert main(["benchmark", own, bench, "--format", "json", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "out" / "report.json").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["benchmark", "footprint"])
+def test_a_log_that_is_not_utf8_exits_with_a_data_error(tmp_path, capsys, command):
+    log = tmp_path / "latin1.csv"
+    log.write_bytes("case_id,activity\nc1,café\n".encode("latin-1"))
+    paths = [str(log)] * (2 if command == "benchmark" else 1)
+    assert main([command, *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {log}: not UTF-8 at byte offset 23 (byte 0xe9: invalid continuation byte)\n"
+    )
 
 
 def test_benchmark_csv_and_table_formats(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Parsing, variant extraction and performance normalization."""
 
 import csv
+import gc
 import io
+import math
+import operator
 import os
+import re
 import tempfile
 from collections import Counter
 from datetime import datetime
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import BENCHMARK_CSV, OWN_CSV, make_log
 from execbench.errors import ConfigError, DataError, ExecbenchError, SchemaError
 from execbench.eventlog import (
+    _parse_timestamp,
     Event,
     EventLog,
     PerfConfig,
@@ -378,6 +383,198 @@ def test_parser_equals_the_row_sort_oracle(text):
     for case_id, (variant, keys) in expected.items():
         assert log.traces[case_id].variant == variant
         assert _strict(log.traces[case_id].order_keys) == _strict(keys)
+
+
+def oracle_row_loop(text, schema=None):
+    """The parser's former row loop, kept plain: every row looks its case up
+    and runs every check, with the collector left alone and no name or
+    variant shared.  The reference for the parser's traces, order keys and
+    performance, and for which error a faulty log reports first."""
+    schema = schema or SchemaConfig()
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("input is empty: missing header row")
+        header = [h.strip() for h in header]
+
+        def column(name, mandatory):
+            if name in header:
+                return header.index(name)
+            if mandatory:
+                raise SchemaError(f"missing required column {name!r}")
+            return None
+
+        case_idx = column(schema.case_col, mandatory=True)
+        act_idx = column(schema.activity_col, mandatory=True)
+        time_idx = column(schema.time_col, mandatory=False)
+        perf_idx = column(schema.perf_col, mandatory=False)
+        columns_by_case, perf_by_case = {}, {}
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
+            case_id = row[case_idx].strip()
+            activity = row[act_idx].strip()
+            if not case_id:
+                raise DataError(f"row {row_number}: empty case identifier")
+            if not activity:
+                raise DataError(f"row {row_number}: empty activity name")
+            order_key = row_number
+            if time_idx is not None:
+                try:
+                    order_key = datetime.fromisoformat(row[time_idx])
+                except ValueError:
+                    order_key = _parse_timestamp(row[time_idx], row_number)
+            columns = columns_by_case.setdefault(case_id, ([], []))
+            columns[0].append(activity)
+            columns[1].append(order_key)
+            if perf_idx is not None and row[perf_idx].strip():
+                try:
+                    value = float(row[perf_idx])
+                except ValueError:
+                    raise DataError(
+                        f"row {row_number}: unparseable performance value {row[perf_idx]!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"row {row_number}: non-finite performance value {row[perf_idx]!r}")
+                known = perf_by_case.get(case_id)
+                if known is not None and known != value:
+                    raise DataError(f"case {case_id!r}: conflicting performance values {known} and {value}")
+                perf_by_case[case_id] = value
+    except csv.Error as err:
+        raise DataError(f"line {reader.line_num}: malformed CSV: {err}") from None
+    traces = {}
+    for case_id, (activities, keys) in columns_by_case.items():
+        try:
+            if not all(map(operator.le, keys, keys[1:])):
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                activities = [activities[i] for i in order]
+                keys = [keys[i] for i in order]
+        except TypeError:
+            raise DataError(
+                f"case {case_id!r}: cannot order events, timestamps mix naive and offset-aware values"
+            ) from None
+        traces[case_id] = Trace(case_id, tuple(activities), tuple(keys), perf_by_case.get(case_id))
+    return EventLog(traces)
+
+
+def _outcome(parser, text):
+    """A parse's traces in order, or its error's type and message."""
+    try:
+        log = parser(text)
+    except ExecbenchError as err:
+        return type(err), str(err)
+    return [(cid, t.variant, _strict(t.order_keys), t.performance) for cid, t in log.traces.items()]
+
+
+@st.composite
+def run_logs(draw):
+    """Rows in runs of one case, as logs usually come: a case may recur after
+    others, under a padded id, and a performance cell may repeat, change or
+    turn bad within a run."""
+    with_time, with_perf = draw(st.booleans()), draw(st.booleans())
+    lines = [",".join(["case_id", "activity"] + ["timestamp"] * with_time + ["performance"] * with_perf)]
+    perf_cells = st.sampled_from(["", "1", "1.0", " 1", "2", "nan", "x"])
+    for _ in range(draw(st.integers(0, 5))):
+        case, perf = draw(st.sampled_from(["c1", " c1", "c2", "c3 ", " "])), draw(perf_cells)
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.integers(0, 5)) == 0:
+                perf = draw(perf_cells)
+            cells = [case, draw(st.sampled_from(["review", " review", "approve", ""]))]
+            cells += [draw(instants)] * with_time + [perf] * with_perf
+            lines.append(",".join(cells))
+            if draw(st.integers(0, 7)) == 0:
+                lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+@given(text=fuzz_texts() | interleaved_logs() | run_logs())
+@settings(max_examples=600, deadline=None)
+def test_parser_equals_the_former_row_loop(text):
+    assert _outcome(parse, text) == _outcome(oracle_row_loop, text)
+
+
+def test_equal_names_and_variants_in_one_log_are_shared():
+    log = parse("case_id,activity\nc1,review\nc1,approve\nc2,review\nc2,approve\nc3, approve\n")
+    first, second, third = (log.traces[c].variant for c in ("c1", "c2", "c3"))
+    assert first == second and first is second
+    assert third == ("approve",) and third[0] is first[1]
+
+
+def _lines_seen_by(text, states):
+    """``text``'s lines, noting whether the collector runs as each is read."""
+    for line in io.StringIO(text):
+        states.append(gc.isenabled())
+        yield line
+
+
+faulty_texts = [
+    pytest.param("case_id,timestamp\nc1,2024-01-01\n", SchemaError, id="schema"),
+    pytest.param("case_id,activity\nc1, \n", DataError, id="data"),
+    pytest.param("case_id,activity\nc1,a\nc3,0\r0\n", DataError, id="malformed-csv"),
+]
+
+
+@pytest.mark.parametrize("text, error", [pytest.param(OWN_CSV, None, id="valid"), *faulty_texts])
+def test_the_collector_is_paused_for_the_parse_and_then_restored(text, error):
+    assert gc.isenabled()
+    states = []
+    if error is None:
+        parse_event_log(_lines_seen_by(text, states))
+    else:
+        with pytest.raises(error):
+            parse_event_log(_lines_seen_by(text, states))
+    assert states and not any(states)
+    assert gc.isenabled()
+
+
+def test_the_collector_is_restored_after_a_log_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("case_id,activity\nc1,café\n".encode("latin-1"))
+    with pytest.raises(DataError):
+        read_event_log(str(path))
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("text, error", [pytest.param(OWN_CSV, None, id="valid"), *faulty_texts])
+def test_a_collector_the_caller_disabled_stays_disabled(text, error):
+    gc.disable()
+    try:
+        if error is None:
+            parse(text)
+        else:
+            with pytest.raises(error):
+                parse(text)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@given(
+    rows=st.integers(0, 1500),
+    mark=st.booleans(),
+    bad=st.sampled_from([b"\xe9", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]),
+    tail=st.sampled_from([b",x\n", b""]),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_log_that_is_not_utf8_names_the_path_and_the_byte_offset(rows, mark, bad, tail):
+    # Two-byte names shift where the decoder's chunks end; the bad bytes may
+    # sit anywhere from the first chunk to the end of the file.
+    data = b"\xef\xbb\xbf" * mark + "case_id,activity\n".encode()
+    data += "".join(f"c{i},café\n" for i in range(rows)).encode() + b"c0," + bad + tail
+    try:
+        data.decode("utf-8")  # a byte-order mark is valid UTF-8, so offsets stay file offsets
+    except UnicodeDecodeError as err:
+        offset, byte = err.start, data[err.start]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "log.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        message = f"{path}: not UTF-8 at byte offset {offset} (byte 0x{byte:02x}: "
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_event_log(path)
 
 
 def test_trace_without_events_is_rejected():

@@ -137,6 +137,18 @@ def test_mutation_insufficient_leaves_rejected():
         mutate_tree(Leaf("a"), 0, MutationConfig(n_replacements=0, n_deletions=1))
 
 
+@pytest.mark.parametrize(
+    "tree, config",
+    [
+        (Seq((Leaf("a"), Leaf("a"))), MutationConfig(0, 0, 1)),  # both leaves would go
+        (Seq((Leaf("a"), Leaf("a"), Leaf("b"))), MutationConfig(2, 0, 0)),  # one rename for two
+    ],
+)
+def test_mutation_refuses_repeated_leaf_names(tree, config):
+    with pytest.raises(ConfigError, match="leaf name 'a' appears more than once in the tree"):
+        mutate_tree(tree, 0, config)
+
+
 # Recorded with a rename pass followed by one pass per deleted leaf (the
 # oracle_* functions below), so a one-pass leaf map that differs shows.
 MUTATION_GOLDEN_SHA256 = "91e6e04b022a4a2d30c75298d915deb21983073e2c3c3af8fd6b2a247dee3452"
