@@ -13,11 +13,11 @@ performance value.  No object is kept per event; :attr:`Trace.events`
 builds :class:`Event` records on demand.
 
 Within one log, equal activity names share one string object and equal
-variants one tuple, so a log's memory grows with its distinct names and
-variants, not with its rows and traces.  The cyclic
-garbage collector is paused while a log is parsed and restored afterwards,
-also when the parse raises; the parse makes no reference cycles, so its
-collections would only rescan the per-case lists already built.
+variants one tuple, so the memory names and variants take grows with the
+distinct ones, not with rows and traces.  The cyclic garbage collector is
+paused while a log is parsed and restored afterwards, also when the parse
+raises; the parse makes no reference cycles, so its collections would only
+rescan the per-case lists already built.
 """
 
 from __future__ import annotations
@@ -147,6 +147,11 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
 
     Raises :class:`SchemaError` when the case or activity column is missing
     and :class:`DataError` for malformed rows or per-case inconsistencies.
+
+    The cyclic garbage collector is paused for the whole process, not just
+    the calling thread, until the parse returns or raises; it is then turned
+    back on only if it was on at entry.  Do not call this while another
+    thread turns the collector on or off: that thread's change may be undone.
     """
     reader = csv.reader(source)
     enabled = gc.isenabled()
@@ -182,20 +187,23 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
     columns_by_case: dict[str, tuple[list[str], list[datetime | int]]] = {}
     perf_by_case: dict[str, float] = {}
     names: dict[str, str] = {}
-    # The raw case and performance cells of the previous row: a row that
-    # repeats them continues the same run and needs no second lookup or check.
-    raw_case = raw_perf = None
+    # The raw case cell of the previous row: a row that repeats it continues
+    # the same case, whose columns are already at hand.
+    raw_case = None
     for row_number, row in enumerate(reader, start=2):
         if len(row) != width:
             if not row:
                 continue
             raise DataError(f"row {row_number}: expected {width} fields, got {len(row)}")
         if row[case_idx] != raw_case:
-            raw_case, raw_perf = row[case_idx], None
+            raw_case = row[case_idx]
             case_id = raw_case.strip()
             if not case_id:
                 raise DataError(f"row {row_number}: empty case identifier")
-            activities, keys = columns_by_case.setdefault(case_id, ([], []))
+            columns = columns_by_case.get(case_id)
+            if columns is None:
+                columns = columns_by_case[case_id] = ([], [])
+            activities, keys = columns
         activity = row[act_idx].strip()
         if not activity:
             raise DataError(f"row {row_number}: empty activity name")
@@ -207,23 +215,21 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
                 keys.append(datetime.fromisoformat(row[time_idx]))
             except ValueError:
                 keys.append(_parse_timestamp(row[time_idx], row_number))
-        if perf_idx is not None and row[perf_idx] != raw_perf:
-            raw_perf = row[perf_idx]
-            if raw_perf.strip():
-                try:
-                    value = float(raw_perf)
-                except ValueError:
-                    raise DataError(
-                        f"row {row_number}: unparseable performance value {raw_perf!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"row {row_number}: non-finite performance value {raw_perf!r}")
-                known = perf_by_case.get(case_id)
-                if known is not None and known != value:
-                    raise DataError(
-                        f"case {case_id!r}: conflicting performance values {known} and {value}"
-                    )
-                perf_by_case[case_id] = value
+        if perf_idx is not None and row[perf_idx].strip():
+            try:
+                value = float(row[perf_idx])
+            except ValueError:
+                raise DataError(
+                    f"row {row_number}: unparseable performance value {row[perf_idx]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(f"row {row_number}: non-finite performance value {row[perf_idx]!r}")
+            known = perf_by_case.get(case_id)
+            if known is not None and known != value:
+                raise DataError(
+                    f"case {case_id!r}: conflicting performance values {known} and {value}"
+                )
+            perf_by_case[case_id] = value
 
     variants: dict[Variant, Variant] = {}
     traces: dict[str, Trace] = {}
