@@ -23,7 +23,6 @@ from .errors import (
     ExecbenchError,
     ExecbenchWarning,
     SchemaError,
-    UndefinedScoreError,
     UnknownActivityError,
     VacuousChangeError,
 )
@@ -53,9 +52,6 @@ from .footprint import (
     FootprintMatrix,
     Relation,
     build_footprint_matrix,
-    classify_relation,
-    exclusiveness_score,
-    interleaving_score,
     ordering_counts,
 )
 from .matching import Match, MatchSet, match_activities
@@ -85,7 +81,6 @@ from .scoring import (
     affected_variants,
     apply_change,
     benchmark,
-    edit_similarity,
 )
 
 __version__ = "0.1.0"

@@ -135,9 +135,7 @@ def _schema(args) -> SchemaConfig:
 def _resolve_performance(args, own: EventLog, bench: EventLog) -> PerfConfig | None:
     mode = args.perf_mode
     if mode == "auto":
-        have_column = all(
-            t.performance is not None for log in (own, bench) for t in log.traces.values()
-        ) and bool(own.traces)
+        have_column = all(t.performance is not None for log in (own, bench) for t in log.traces.values())
         mode = "column" if have_column else "none"
     if mode == "none":
         return None
@@ -239,7 +237,7 @@ def _cmd_benchmark(args) -> int:
         "own_alphabet": sorted(own.alphabet),
         "benchmark_alphabet": sorted(bench.alphabet),
         "shared_alphabet": sorted(shared),
-        "alphabet_jaccard": len(shared) / len(union) if union else 1.0,
+        "alphabet_jaccard": len(shared) / len(union),
         "changes": [_change_payload(c) for c in changes],
     }
     text = json.dumps(report, indent=2) if args.out or args.format == "json" else None

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, product
-from typing import Iterable
 
 from .errors import check_int
 from .matching import Match, MatchSet
@@ -80,8 +79,8 @@ class CompatGraph:
         return len(self.nodes)
 
 
-def build_compatibility_graph(matches: MatchSet | Iterable[Match]) -> CompatGraph:
-    return CompatGraph(tuple(matches.matches if isinstance(matches, MatchSet) else matches))
+def build_compatibility_graph(matches: MatchSet) -> CompatGraph:
+    return CompatGraph(matches.matches)
 
 
 def count_changes(graph: CompatGraph, max_size: int = DEFAULT_MAX_CHANGE_SIZE) -> int:

@@ -22,8 +22,8 @@ class ConfigError(ExecbenchError):
 
 def check_int(name: str, value, least: int | None = None) -> None:
     """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an int
-    (numpy integers count) of at least ``least``, when given."""
-    if not isinstance(value, numbers.Integral):
+    (numpy integers count, bools do not) of at least ``least``, when given."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
@@ -31,8 +31,8 @@ def check_int(name: str, value, least: int | None = None) -> None:
 
 def check_fraction(name: str, value) -> None:
     """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a real
-    number (numpy scalars count) in [0, 1]; NaN is not."""
-    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+    number (numpy scalars count, bools do not) in [0, 1]; NaN is not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
@@ -41,10 +41,6 @@ class UnknownActivityError(ExecbenchError, KeyError):
 
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0] if self.args else ""
-
-
-class UndefinedScoreError(ExecbenchError):
-    """A score was requested for a pair with no co-occurring traces."""
 
 
 class VacuousChangeError(ExecbenchError):

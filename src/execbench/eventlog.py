@@ -172,6 +172,8 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
     header = [h.strip() for h in header]
 
     def column(name: str, mandatory: bool) -> int | None:
+        if header.count(name) > 1:
+            raise SchemaError(f"column {name!r} appears more than once in the header")
         if name in header:
             return header.index(name)
         if mandatory:
@@ -325,16 +327,18 @@ def extract_variants(log: EventLog, performance: Mapping[str, float] | None = No
     return VariantIndex(entries)
 
 
+_MISSING_SHOWN = 5  # case ids named in the missing-performance error
+
+
 def trace_performance(log: EventLog, perf: PerfConfig | None = None) -> dict[str, float]:
     """Per-case performance, normalized so that higher is better."""
     perf = perf or PerfConfig()
     values: dict[str, float] = {}
     if perf.mode == "column":
-        missing = [cid for cid, t in log.traces.items() if t.performance is None]
+        missing = sorted(cid for cid, t in log.traces.items() if t.performance is None)
         if missing:
-            raise DataError(
-                "performance value missing for cases: " + ", ".join(sorted(missing))
-            )
+            shown = ", ".join(missing[:_MISSING_SHOWN]) + (", ..." if len(missing) > _MISSING_SHOWN else "")
+            raise DataError(f"performance value missing for {len(missing)} case(s): {shown}")
         values = {cid: float(t.performance) for cid, t in log.traces.items()}  # type: ignore[arg-type]
     else:
         for case_id, trace in log.traces.items():

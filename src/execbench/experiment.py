@@ -199,15 +199,14 @@ def _median(values: Iterable[float | None]) -> float | None:
     return statistics.median(collected) if collected else None
 
 
-def precision_recall(predicted: MatchSet | Iterable[Match], truth: GroundTruth) -> tuple[float, float]:
+def precision_recall(predicted: MatchSet, truth: GroundTruth) -> tuple[float, float]:
     """Precision and recall of predicted matches against true replacements.
 
     An empty prediction set has precision 1.0 by convention; an empty
     ground truth yields recall 1.0.  Insertions and deletions are not
     replacements and never count.
     """
-    matches = predicted.matches if isinstance(predicted, MatchSet) else tuple(predicted)
-    pairs = {(m.own, m.benchmark) for m in matches}
+    pairs = {(m.own, m.benchmark) for m in predicted.matches}
     true_pairs = set(truth.replacements)
     tp = len(pairs & true_pairs)
     precision = tp / len(pairs) if pairs else 1.0
@@ -237,7 +236,7 @@ def random_baseline(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pool), size=n, replace=False) if n else []
     matches = tuple(sorted(Match(*pool[int(i)]) for i in chosen))
-    return MatchSet(matches, frozenset(own) & frozenset(bench))
+    return MatchSet(matches)
 
 
 @dataclass(frozen=True)

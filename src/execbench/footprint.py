@@ -7,7 +7,7 @@ traces cannot flip a relation; the exclusiveness and interleaving decisions
 go through user-set thresholds that should sit close to 1.
 
 The scores and the relations are computed as whole arrays over all
-ordered pairs at once; the per-pair functions read one cell of them.
+ordered pairs at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from ._kernels import encode_sequences, order_stats
-from .errors import DataError, UndefinedScoreError, UnknownActivityError, check_fraction
+from .errors import DataError, UnknownActivityError, check_fraction
 from .eventlog import EventLog, VariantIndex, extract_variants
 
 DEFAULT_EXCLUSIVENESS_THRESHOLD = 0.9
@@ -91,10 +91,27 @@ class CooccurrenceStats(_ActivityIndex):
         exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
         int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
     ) -> "FootprintMatrix":
-        """Classify every ordered pair, including the diagonal."""
+        """Classify every ordered pair, including the diagonal, all at once.
+
+        Pairs that never co-occur are exclusive outright, which also covers
+        an activity against itself when it never repeats.  Otherwise the
+        scores are checked against the thresholds (strictly greater), and
+        remaining pairs are sequential in the majority direction; an exact
+        tie in direction counts, reachable only at an interleaving threshold
+        of 1, falls back to interleaving.  The rule is symmetric in the pair,
+        so exclusive and interleaving cells are symmetric and strict order
+        flips direction across the diagonal.
+        """
         if not self.n_traces:
             raise DataError("cannot build a footprint matrix for an empty event log")
-        return FootprintMatrix(self.activities, _relation_codes(self, exc_threshold, int_threshold))
+        check_fraction("exc_threshold", exc_threshold)
+        check_fraction("int_threshold", int_threshold)
+        exclusive = (self.cooccur == 0) | (self.exclusiveness > exc_threshold)
+        interleaving = self.interleaving > int_threshold
+        direction = self.before - self.before.T
+        # Codes index _RELATIONS: exclusive 0, interleaving 3, strict order 1, reverse order 2.
+        codes = np.select([exclusive, interleaving, direction > 0, direction < 0], [0, 3, 1, 2], default=3)
+        return FootprintMatrix(self.activities, codes.astype(np.int8))
 
 
 def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> CooccurrenceStats:
@@ -117,53 +134,6 @@ def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> Cooc
         cooccur=cooccur,
         before=before,
     )
-
-
-def exclusiveness_score(stats: CooccurrenceStats, a: str, b: str) -> float:
-    """min(|T_a without b| / |T_a|, |T_b without a| / |T_b|)."""
-    return float(stats.exclusiveness[stats.index(a), stats.index(b)])
-
-
-def interleaving_score(stats: CooccurrenceStats, a: str, b: str) -> float:
-    """1 - |#(a before b) - #(b before a)| / #(a and b co-occur)."""
-    score = float(stats.interleaving[stats.index(a), stats.index(b)])
-    if np.isnan(score):
-        raise UndefinedScoreError(
-            f"activities {a!r} and {b!r} never co-occur; the interleaving score is undefined"
-        )
-    return score
-
-
-def _relation_codes(stats: CooccurrenceStats, exc_threshold: float, int_threshold: float) -> np.ndarray:
-    """The relation rule, applied to every ordered pair at once.
-
-    Pairs that never co-occur are exclusive outright, which also covers an
-    activity against itself when it never repeats.  Otherwise the scores
-    are checked against the thresholds (strictly greater), and remaining
-    pairs are sequential in the majority direction; an exact tie in
-    direction counts, reachable only at an interleaving threshold of 1,
-    falls back to interleaving.  The rule is symmetric in the pair, so
-    exclusive and interleaving cells are symmetric and strict order flips
-    direction across the diagonal.
-    """
-    check_fraction("exc_threshold", exc_threshold)
-    check_fraction("int_threshold", int_threshold)
-    exclusive = (stats.cooccur == 0) | (stats.exclusiveness > exc_threshold)
-    interleaving = stats.interleaving > int_threshold
-    direction = stats.before - stats.before.T
-    # Codes index _RELATIONS: exclusive 0, interleaving 3, strict order 1, reverse order 2.
-    return np.select([exclusive, interleaving, direction > 0, direction < 0], [0, 3, 1, 2], default=3).astype(np.int8)
-
-
-def classify_relation(
-    stats: CooccurrenceStats,
-    a: str,
-    b: str,
-    exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
-    int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
-) -> Relation:
-    """The relation of one ordered pair, read from the whole-matrix rule."""
-    return _RELATIONS[_relation_codes(stats, exc_threshold, int_threshold)[stats.index(a), stats.index(b)]]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ class Match:
 @dataclass(frozen=True)
 class MatchSet:
     matches: tuple[Match, ...]
-    shared_alphabet: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -49,4 +48,4 @@ def match_activities(own: FootprintMatrix, benchmark: FootprintMatrix) -> MatchS
         for b in with_row.get(row.tobytes(), ())
         if a != b
     ]
-    return MatchSet(tuple(sorted(matches)), frozenset(shared))
+    return MatchSet(tuple(sorted(matches)))

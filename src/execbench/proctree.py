@@ -335,11 +335,12 @@ def _seed_words(seed: SeedLike, name: str = "seed") -> list[int]:
     ``seed``: for each part, its words from least significant up, at least one.
 
     This is the package's one seed rule: a :class:`ConfigError` naming
-    ``name`` unless ``seed`` is a non-negative int or a tuple of them."""
+    ``name`` unless ``seed`` is a non-negative int or a tuple of them
+    (numpy integers count, bools do not)."""
     parts = seed if isinstance(seed, tuple) else (seed,)
     words: list[int] = []
     for part in parts:
-        if not isinstance(part, (int, np.integer)) or part < 0:
+        if not isinstance(part, (int, np.integer)) or isinstance(part, bool) or part < 0:
             raise ConfigError(f"{name} must be a non-negative int or a tuple of them, got {seed!r}")
         part = int(part)
         words.append(part & _MASK32)

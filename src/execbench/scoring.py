@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -104,15 +103,6 @@ def apply_change(variant: Variant, change: ProcessChange) -> Variant:
     """
     mapping = change.mapping()
     return tuple(mapping.get(a, a) for a in variant)
-
-
-def edit_similarity(v: Sequence[str], w: Sequence[str]) -> float:
-    """1 - Levenshtein(v, w) / max(|v|, |w|), over activity tokens."""
-    if not v or not w:
-        raise ValueError("edit similarity requires non-empty variants")
-    tokens, lengths = encode_sequences([tuple(v), tuple(w)], {})
-    distance = int(levenshtein_many(tokens[:1], tokens[1:], lengths[:1], lengths[1:], [0], [0])[0])
-    return 1.0 - distance / max(len(v), len(w))
 
 
 def _best_matches(
@@ -240,10 +230,12 @@ class ChangeScorer:
 def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> list[ScoredChange]:
     """Run the full pipeline and return the ranked list of scored changes.
 
-    Footprints, matching, compatible grouping, then scoring; vacuous
-    changes are dropped, the rest are filtered by minimum feasibility and
-    sorted by performance impact (when available), feasibility, and
-    canonical change order.
+    Footprints, matching, compatible grouping, then scoring; the scored
+    changes are filtered by minimum feasibility and sorted by performance
+    impact (when available), feasibility, and canonical change order.
+
+    Every change affects some own variant, since a match's own activity
+    comes from the own log's alphabet, so no change here is vacuous.
     """
     config = config or BenchmarkConfig()
     if not (log_own.traces and log_benchmark.traces):
@@ -251,7 +243,7 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
         raise DataError("cannot build a footprint matrix for an empty event log")
     shared = log_own.alphabet & log_benchmark.alphabet
     union = log_own.alphabet | log_benchmark.alphabet
-    if union and len(shared) / len(union) < SIMILARITY_WARNING_BOUND:
+    if len(shared) / len(union) < SIMILARITY_WARNING_BOUND:
         warnings.warn(
             f"logs share only {len(shared)} of {len(union)} activities; matches may be unreliable",
             LogSimilarityWarning,
@@ -276,13 +268,7 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
     changes = enumerate_changes(graph, config.max_change_size)
 
     scorer = ChangeScorer(own_index, bench_index, with_performance)
-    scored = []
-    for change in changes:
-        try:
-            scored.append(scorer.score(change))
-        except VacuousChangeError:
-            continue
-    scored = [s for s in scored if s.feasibility >= config.min_feasibility]
+    scored = [s for s in map(scorer.score, changes) if s.feasibility >= config.min_feasibility]
     if with_performance:
         scored.sort(key=lambda s: (-s.performance_impact, -s.feasibility, s.change.sort_key()))
     else:

@@ -21,7 +21,7 @@ WORKED_MATCHES = [Match("a", "b"), Match("a", "c"), Match("c", "b"), Match("f", 
 
 
 def _graph(matches):
-    return build_compatibility_graph(MatchSet(tuple(sorted(matches)), frozenset()))
+    return build_compatibility_graph(MatchSet(tuple(sorted(matches))))
 
 
 def _pairs(change: ProcessChange):

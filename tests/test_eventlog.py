@@ -112,6 +112,19 @@ def test_repeated_equal_performance_is_fine():
     assert log.traces["c1"].performance == 10.0
 
 
+@pytest.mark.parametrize("column", ["case_id", "activity", "timestamp", "performance"])
+def test_a_used_column_named_twice_is_rejected(column):
+    header = ["case_id", "activity", "timestamp", "performance", column]
+    row = ["c1", "a", "2024-01-01T00:00:00", "1", "b"]
+    with pytest.raises(SchemaError, match=repr(column)):
+        parse(",".join(header) + "\n" + ",".join(row) + "\n")
+
+
+def test_an_unused_column_named_twice_is_ignored():
+    log = parse("case_id,note,activity,note\nc1,x,a,y\n")
+    assert log.traces["c1"].variant == ("a",)
+
+
 def test_custom_schema_names():
     csv = "Case,Step,When\n7,start,2024-05-05T01:00:00\n"
     schema = SchemaConfig(case_col="Case", activity_col="Step", time_col="When")
@@ -176,6 +189,13 @@ def test_missing_performance_values_list_cases():
     log = parse("case_id,activity,performance\nc1,a,1\nc2,a,\n")
     with pytest.raises(DataError, match="c2"):
         trace_performance(log, PerfConfig("column"))
+
+
+def test_missing_performance_error_names_the_count_and_the_first_cases():
+    log = parse("case_id,activity\n" + "".join(f"c{i:03d},a\n" for i in range(99, -1, -1)))
+    with pytest.raises(DataError) as caught:
+        trace_performance(log, PerfConfig("column"))
+    assert str(caught.value) == "performance value missing for 100 case(s): c000, c001, c002, c003, c004, ..."
 
 
 def test_invalid_perf_config_rejected():

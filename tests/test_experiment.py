@@ -5,14 +5,14 @@ import pytest
 
 from execbench.compatibility import build_compatibility_graph, count_changes, enumerate_changes
 from execbench.errors import ConfigError
-from execbench.experiment import ExperimentConfig, generate_pair, run_experiment
-from execbench.matching import Match
-from execbench.proctree import generate_process_tree, leaves
+from execbench.experiment import ExperimentConfig, generate_pair, precision_recall, run_experiment
+from execbench.matching import Match, MatchSet
+from execbench.proctree import GroundTruth, generate_process_tree, leaves
 
 
 def _compatible_graph(n):
     # Distinct own activities, so every pair of replacements is compatible.
-    return build_compatibility_graph(Match(f"o{i:02d}", f"b{i:02d}") for i in range(n))
+    return build_compatibility_graph(MatchSet(tuple(Match(f"o{i:02d}", f"b{i:02d}") for i in range(n))))
 
 
 def test_singleton_changes_pass_a_limit_above_their_count():
@@ -32,6 +32,25 @@ def test_pairs_and_edges_count_toward_the_limit_above_size_one():
     graph = _compatible_graph(12)
     assert count_changes(graph, max_size=2) == 78
     assert len(enumerate_changes(graph, max_size=2)) == 78
+
+
+def _truth(replacements, insertions=(), deletions=()):
+    return GroundTruth(frozenset(replacements), frozenset(insertions), frozenset(deletions))
+
+
+def test_precision_recall_goldens():
+    predicted = MatchSet((Match("a", "x"), Match("b", "y"), Match("c", "z")))
+    assert precision_recall(predicted, _truth({("a", "x"), ("b", "w")})) == (1 / 3, 1 / 2)
+    # an empty prediction has precision 1.0, an empty ground truth recall 1.0
+    assert precision_recall(MatchSet(()), _truth({("a", "x")})) == (1.0, 0.0)
+    assert precision_recall(predicted, _truth(())) == (0.0, 1.0)
+    assert precision_recall(MatchSet(()), _truth(())) == (1.0, 1.0)
+
+
+def test_insertions_and_deletions_never_count_in_precision_recall():
+    predicted = MatchSet((Match("a", "x"), Match("b", "y")))
+    truth = _truth({("a", "x")}, insertions={"y", "x"}, deletions={"b", "a"})
+    assert precision_recall(predicted, truth) == precision_recall(predicted, _truth({("a", "x")})) == (0.5, 1.0)
 
 
 def test_pairs_run_in_index_order():
@@ -76,6 +95,7 @@ def test_pairs_run_in_index_order():
         ("noise_probability", "0.1"),
         ("exc_threshold", None),
         ("operator_weights", (("seq", "1"),)),
+        ("n_pairs", True),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):

@@ -1,23 +1,16 @@
 """Ordering counts, relation scores and matrix classification."""
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log
-from execbench.errors import ConfigError, DataError, UndefinedScoreError, UnknownActivityError
+from execbench.errors import ConfigError, DataError, UnknownActivityError
 from execbench.eventlog import EventLog
-from execbench.footprint import (
-    _RELATIONS,
-    Relation,
-    build_footprint_matrix,
-    classify_relation,
-    exclusiveness_score,
-    interleaving_score,
-    ordering_counts,
-)
+from execbench.footprint import _RELATIONS, Relation, build_footprint_matrix, ordering_counts
 
 
 @pytest.fixture
@@ -27,6 +20,10 @@ def own_stats(own_log):
 
 def relation(matrix, a, b):
     return _RELATIONS[matrix.cells[matrix.index(a), matrix.index(b)]]
+
+
+def cell(scores, stats, a, b):
+    return float(scores[stats.index(a), stats.index(b)])
 
 
 def test_hand_counts_on_worked_example(own_stats):
@@ -50,42 +47,42 @@ def test_disjoint_traces_never_cooccur():
 
 
 def test_exclusiveness_goldens(own_stats):
-    assert exclusiveness_score(own_stats, "a", "c") == 1.0
-    assert exclusiveness_score(own_stats, "d", "e") == 0.0
+    assert cell(own_stats.exclusiveness, own_stats, "a", "c") == 1.0
+    assert cell(own_stats.exclusiveness, own_stats, "d", "e") == 0.0
     # an activity against itself: the only-one-side sets are empty
-    assert exclusiveness_score(own_stats, "a", "a") == 0.0
+    assert cell(own_stats.exclusiveness, own_stats, "a", "a") == 0.0
 
 
 def test_interleaving_goldens(own_stats):
-    assert interleaving_score(own_stats, "a", "d") == 0.0
+    assert cell(own_stats.interleaving, own_stats, "a", "d") == 0.0
     both = ordering_counts(make_log([("a", "b"), ("b", "a")]))
-    assert interleaving_score(both, "a", "b") == 1.0
+    assert cell(both.interleaving, both, "a", "b") == 1.0
     always = ordering_counts(make_log([("a", "b")], freqs=[5]))
-    assert interleaving_score(always, "a", "b") == 0.0
+    assert cell(always.interleaving, always, "a", "b") == 0.0
 
 
 def test_interleaving_undefined_without_cooccurrence(own_stats):
-    with pytest.raises(UndefinedScoreError):
-        interleaving_score(own_stats, "a", "c")
+    assert math.isnan(cell(own_stats.interleaving, own_stats, "a", "c"))
 
 
 def test_unknown_activity_raises_lookup_error(own_stats):
     with pytest.raises(UnknownActivityError):
-        exclusiveness_score(own_stats, "a", "zz")
-    with pytest.raises(KeyError):
         own_stats.index("zz")
+    with pytest.raises(KeyError):
+        build_footprint_matrix(make_log([("a",)])).index("zz")
 
 
 def test_classification_goldens(own_stats):
-    assert classify_relation(own_stats, "a", "c", 0.9, 0.9) is Relation.EXCLUSIVE
-    assert classify_relation(own_stats, "a", "d", 0.9, 0.9) is Relation.STRICT_ORDER
-    assert classify_relation(own_stats, "f", "e", 0.9, 0.9) is Relation.EXCLUSIVE
-    assert classify_relation(own_stats, "d", "a", 0.9, 0.9) is Relation.REVERSE_ORDER
+    matrix = own_stats.footprint(0.9, 0.9)
+    assert relation(matrix, "a", "c") is Relation.EXCLUSIVE
+    assert relation(matrix, "a", "d") is Relation.STRICT_ORDER
+    assert relation(matrix, "f", "e") is Relation.EXCLUSIVE
+    assert relation(matrix, "d", "a") is Relation.REVERSE_ORDER
 
 
 def test_threshold_bounds_checked(own_stats):
     with pytest.raises(ConfigError):
-        classify_relation(own_stats, "a", "d", 1.5, 0.9)
+        own_stats.footprint(1.5, 0.9)
     with pytest.raises(ConfigError):
         build_footprint_matrix(make_log([("a",)]), 0.9, -0.1)
     with pytest.raises(ConfigError, match="exc_threshold"):
@@ -169,13 +166,14 @@ def test_scores_symmetric_and_bounded(variants):
     stats = ordering_counts(make_log(variants))
     for a in stats.activities:
         for b in stats.activities:
-            s = exclusiveness_score(stats, a, b)
+            s = cell(stats.exclusiveness, stats, a, b)
             assert 0.0 <= s <= 1.0
-            assert s == exclusiveness_score(stats, b, a)
+            assert s == cell(stats.exclusiveness, stats, b, a)
+            i = cell(stats.interleaving, stats, a, b)
+            assert math.isnan(i) == (count_both(stats, a, b) == 0)
             if count_both(stats, a, b) > 0:
-                i = interleaving_score(stats, a, b)
                 assert 0.0 <= i <= 1.0
-                assert i == interleaving_score(stats, b, a)
+                assert i == cell(stats.interleaving, stats, b, a)
 
 
 @given(variants=random_logs, exc=st.floats(0, 1), higher=st.floats(0, 1))
@@ -183,10 +181,11 @@ def test_scores_symmetric_and_bounded(variants):
 def test_raising_exc_never_creates_exclusive(variants, exc, higher):
     stats = ordering_counts(make_log(variants))
     high = max(exc, higher)
+    low_matrix, high_matrix = stats.footprint(exc, 0.9), stats.footprint(high, 0.9)
     for a in stats.activities:
         for b in stats.activities:
-            low_rel = classify_relation(stats, a, b, exc, 0.9)
-            high_rel = classify_relation(stats, a, b, high, 0.9)
+            low_rel = relation(low_matrix, a, b)
+            high_rel = relation(high_matrix, a, b)
             if low_rel is not Relation.EXCLUSIVE:
                 assert high_rel is not Relation.EXCLUSIVE
 
@@ -220,10 +219,10 @@ def test_extreme_thresholds_reduce_to_definitions(variants):
     the zero-co-occurrence rule) and interleaving threshold 0.0 (a positive
     score means both orders were observed) collapse the scored
     classification to a plain reading of the relation definitions."""
-    stats = ordering_counts(make_log(variants))
-    for a in stats.activities:
-        for b in stats.activities:
-            got = classify_relation(stats, a, b, 1.0, 0.0)
+    matrix = build_footprint_matrix(make_log(variants), 1.0, 0.0)
+    for a in matrix.activities:
+        for b in matrix.activities:
+            got = relation(matrix, a, b)
             expected = _definition_relation(variants, a, b)
             assert got is expected, (a, b, variants)
 
@@ -287,12 +286,10 @@ def test_matrix_and_scores_equal_the_scalar_rule(variants, freqs, exc, inter):
         for b in stats.activities:
             expected = _scalar_relation(stats, a, b, exc, inter)
             assert relation(matrix, a, b) is expected, (a, b)
-            assert classify_relation(stats, a, b, exc, inter) is expected, (a, b)
-            assert exclusiveness_score(stats, a, b) == _scalar_exclusiveness(stats, a, b)
+            assert cell(stats.exclusiveness, stats, a, b) == _scalar_exclusiveness(stats, a, b)
             both = count_both(stats, a, b)
             if both == 0:
-                with pytest.raises(UndefinedScoreError):
-                    interleaving_score(stats, a, b)
+                assert math.isnan(cell(stats.interleaving, stats, a, b))
             else:
                 skew = abs(count_before(stats, a, b) - count_before(stats, b, a))
-                assert interleaving_score(stats, a, b) == 1.0 - skew / both
+                assert cell(stats.interleaving, stats, a, b) == 1.0 - skew / both

@@ -5,9 +5,8 @@ import execbench
 PUBLIC_NAMES = {
     # pipeline
     "read_event_log", "parse_event_log", "write_event_log", "extract_variants", "trace_performance",
-    "ordering_counts", "build_footprint_matrix", "classify_relation", "exclusiveness_score",
-    "interleaving_score", "match_activities", "build_compatibility_graph", "count_changes",
-    "enumerate_changes", "affected_variants", "apply_change", "edit_similarity", "benchmark",
+    "ordering_counts", "build_footprint_matrix", "match_activities", "build_compatibility_graph",
+    "count_changes", "enumerate_changes", "affected_variants", "apply_change", "benchmark",
     # data and configs
     "Event", "Trace", "EventLog", "Variant", "VariantIndex", "SchemaConfig", "PerfConfig",
     "CooccurrenceStats", "FootprintMatrix", "Relation", "Match", "MatchSet", "CompatGraph",
@@ -18,7 +17,7 @@ PUBLIC_NAMES = {
     "tree_to_json", "tree_from_json", "ExperimentConfig", "ExperimentReport",
     "run_experiment", "precision_recall", "random_baseline",
     # errors and warnings
-    "ExecbenchError", "ConfigError", "DataError", "SchemaError", "UndefinedScoreError",
+    "ExecbenchError", "ConfigError", "DataError", "SchemaError",
     "UnknownActivityError", "VacuousChangeError", "ExecbenchWarning",
 }
 

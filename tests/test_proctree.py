@@ -642,7 +642,7 @@ def test_golden_log_bytes():
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, (1, -2), (1, 2.0), [1, 2], "7", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, (1, -2), (1, 2.0), [1, 2], "7", None, True, (1, False)])
 def test_bad_seed_rejected(seed):
     with pytest.raises(ConfigError, match="seed"):
         SimConfig(seed=seed)
@@ -685,6 +685,7 @@ def test_bad_baseline_size_rejected(n):
         (SimConfig, "max_loop_iterations", 2.0),
         (SimConfig, "noise_probability", None),
         (GenConfig, "operator_weights", {"seq": "1"}),
+        (SimConfig, "n_traces", False),
     ],
 )
 def test_invalid_lab_config_rejected_when_built(config, field, value):

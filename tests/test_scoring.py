@@ -1,13 +1,22 @@
 """Change scoring: alignments, feasibility, performance impact, pipeline."""
 
+import warnings
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_VARIANTS, OWN_VARIANTS, make_log, naive_levenshtein
 from execbench import footprint, scoring
 from execbench.compatibility import ProcessChange
-from execbench.errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError
+from execbench.errors import (
+    ConfigError,
+    DataError,
+    ExecbenchWarning,
+    LogSimilarityWarning,
+    TruncationWarning,
+    VacuousChangeError,
+)
 from execbench.eventlog import EventLog, PerfConfig, extract_variants
 from execbench.matching import Match
 from execbench.scoring import (
@@ -16,7 +25,6 @@ from execbench.scoring import (
     affected_variants,
     apply_change,
     benchmark,
-    edit_similarity,
 )
 
 DELTA_1 = ProcessChange((Match("a", "b"), Match("f", "e")))
@@ -50,27 +58,6 @@ def test_apply_change_goldens():
     assert apply_change(("a", "d", "f", "g"), DELTA_1) == ("b", "d", "e", "g")
     assert apply_change(("c", "d", "f", "g"), DELTA_1) == ("c", "d", "e", "g")
     assert apply_change(("c", "d", "e", "g"), DELTA_2) == ("c", "d", "e", "g")
-
-
-def test_edit_similarity_goldens():
-    assert edit_similarity(("b", "d", "f", "g"), ("b", "d", "e", "g")) == 0.75
-    assert edit_similarity(("a", "b"), ("a", "b")) == 1.0
-    assert edit_similarity(("a",), ("b", "c", "d", "e")) == 0.0
-    with pytest.raises(ValueError):
-        edit_similarity((), ("a",))
-
-
-token_tuples = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=10).map(tuple)
-
-
-@given(v=token_tuples, w=token_tuples)
-@settings(max_examples=300, deadline=None)
-def test_edit_similarity_matches_naive_dp(v, w):
-    expected = 1.0 - naive_levenshtein(v, w) / max(len(v), len(w))
-    got = edit_similarity(v, w)
-    assert got == expected
-    assert 0.0 <= got <= 1.0
-    assert got == edit_similarity(w, v)
 
 
 def closest_match(modified, candidates):
@@ -392,6 +379,8 @@ def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
         ("top", 1.5),
         ("min_feasibility", "0.5"),
         ("int_threshold", None),
+        ("max_change_size", True),
+        ("min_feasibility", True),
     ],
 )
 def test_invalid_benchmark_config_rejected(field, value):
@@ -433,3 +422,27 @@ def test_empty_log_is_reported_before_missing_performance(empty_side):
     logs[empty_side] = EventLog({})
     with pytest.raises(DataError, match="empty event log"):
         benchmark(*logs, BenchmarkConfig(performance=PerfConfig("column")))
+
+
+small_logs = st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(tuple), min_size=1, max_size=5)
+
+
+@given(own=small_logs, bench=small_logs, with_performance=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_ranked_change_has_an_alignment(own, bench, with_performance, data):
+    """A match's own activity comes from the own log's alphabet, so every
+    change that ``benchmark`` enumerates affects some own variant: no
+    change is vacuous and each ranked one carries its alignments."""
+    values = st.lists(st.integers(-5, 5).map(float), min_size=len(own) + len(bench), max_size=len(own) + len(bench))
+    performance = data.draw(values) if with_performance else [None] * (len(own) + len(bench))
+    own_log = make_log(own, performance=performance[: len(own)])
+    bench_log = make_log(bench, performance=performance[len(own) :])
+    assume(own_log.alphabet & bench_log.alphabet)
+    config = BenchmarkConfig(performance=PerfConfig("column") if with_performance else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExecbenchWarning)
+        scored = benchmark(own_log, bench_log, config)
+    for s in scored:
+        assert s.alignments
+        assert s.affected_trace_count == sum(a.frequency for a in s.alignments)
+        assert (s.performance_impact is not None) == with_performance
