@@ -78,8 +78,6 @@ from .scoring import (
     BenchmarkConfig,
     ChangeScorer,
     ScoredChange,
-    affected_variants,
-    apply_change,
     benchmark,
 )
 

@@ -18,7 +18,8 @@ of encoded variants.
 pipeline (see ``perfbench/NOTES.md``).
 
 Encoding contract: activity tokens are non-negative int32 codes, padding
-cells are -1.
+cells are -1.  :attr:`execbench.eventlog.VariantIndex.codes` produces them:
+a code is the activity's position in its log's sorted alphabet.
 """
 
 from __future__ import annotations
@@ -167,17 +168,3 @@ def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_sy
     np.fill_diagonal(cooccur, np.diagonal(before))
     return traces_with, cooccur, before
 
-
-def encode_sequences(seqs, vocabulary: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack string sequences into a -1-padded int32 matrix plus lengths.
-
-    ``vocabulary`` is extended in place for unseen tokens.
-    """
-    width = max((len(s) for s in seqs), default=0)
-    tokens = np.full((len(seqs), max(width, 1)), -1, dtype=np.int32)
-    lengths = np.empty(len(seqs), dtype=np.int32)
-    for row, seq in enumerate(seqs):
-        lengths[row] = len(seq)
-        for col, name in enumerate(seq):
-            tokens[row, col] = vocabulary.setdefault(name, len(vocabulary))
-    return tokens, lengths

@@ -18,6 +18,12 @@ distinct ones, not with rows and traces.  The cyclic garbage collector is
 paused while a log is parsed and restored afterwards, also when the parse
 raises; the parse makes no reference cycles, so its collections would only
 rescan the per-case lists already built.
+
+A :class:`VariantIndex` holds a log's distinct variants in ascending order
+and their one encoding, read by the order statistics and the scorer:
+``activities`` is the sorted alphabet, an activity's code is its position
+there, and ``codes`` is an int32 token matrix (a row per entry, -1-padded,
+width at least 1), the int32 true lengths and the int64 trace counts.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from datetime import datetime
 from functools import cached_property
 from itertools import chain
 from typing import IO, Mapping
+
+import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 
@@ -89,11 +97,27 @@ class VariantEntry:
 
 @dataclass(frozen=True)
 class VariantIndex:
+    """Distinct variants in ascending order and their encoding (see the module docstring)."""
+
     entries: dict[Variant, VariantEntry]
 
     @property
     def total_traces(self) -> int:
         return sum(e.frequency for e in self.entries.values())
+
+    @cached_property
+    def activities(self) -> tuple[str, ...]:
+        return tuple(sorted(set(chain.from_iterable(self.entries))))
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        position = {name: code for code, name in enumerate(self.activities)}
+        lengths = np.array([len(v) for v in self.entries], dtype=np.int32)
+        tokens = np.full((len(lengths), max(lengths.max(initial=0), 1)), -1, dtype=np.int32)
+        flat = [position[name] for variant in self.entries for name in variant]
+        tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = flat  # a mask assigns in row-major order
+        frequencies = np.array([e.frequency for e in self.entries.values()], dtype=np.int64)
+        return tokens, lengths, frequencies
 
 
 @dataclass(frozen=True)
@@ -310,7 +334,7 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
 
 
 def extract_variants(log: EventLog, performance: Mapping[str, float] | None = None) -> VariantIndex:
-    """Group traces by their activity sequence.
+    """Group traces by their activity sequence, in ascending variant order.
 
     ``performance`` optionally overrides per-trace performance values (e.g.
     with normalized ones from :func:`trace_performance`).  A variant's mean
@@ -321,8 +345,9 @@ def extract_variants(log: EventLog, performance: Mapping[str, float] | None = No
         value = performance.get(trace.case_id) if performance is not None else trace.performance
         values_by_variant.setdefault(trace.variant, []).append(value)
     entries: dict[Variant, VariantEntry] = {}
-    for variant, values in values_by_variant.items():
-        mean = sum(values) / len(values) if all(v is not None for v in values) else None
+    for variant, values in sorted(values_by_variant.items()):  # variants are distinct, so no list is compared
+        # fsum is exactly rounded, so the mean does not depend on the order of the cases.
+        mean = math.fsum(values) / len(values) if all(v is not None for v in values) else None
         entries[variant] = VariantEntry(frequency=len(values), mean_performance=mean)
     return VariantIndex(entries)
 

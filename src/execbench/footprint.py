@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from ._kernels import encode_sequences, order_stats
+from ._kernels import order_stats
 from .errors import DataError, UnknownActivityError, check_fraction
 from .eventlog import EventLog, VariantIndex, extract_variants
 
@@ -121,14 +121,9 @@ def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> Cooc
     which is equivalent to enumerating traces directly.
     """
     variants = variants or extract_variants(log)
-    activities = tuple(sorted(log.alphabet))
-    vocabulary = {name: i for i, name in enumerate(activities)}
-    seqs = list(variants.entries.keys())
-    freqs = np.array([variants.entries[v].frequency for v in seqs], dtype=np.int64)
-    tokens, lengths = encode_sequences(seqs, vocabulary)
-    traces_with, cooccur, before = order_stats(tokens, lengths, freqs, len(activities))
+    traces_with, cooccur, before = order_stats(*variants.codes, len(variants.activities))
     return CooccurrenceStats(
-        activities=activities,
+        activities=variants.activities,
         n_traces=variants.total_traces,
         traces_with=traces_with,
         cooccur=cooccur,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import encode_sequences, levenshtein_many
+from ._kernels import levenshtein_many
 from .compatibility import (
     DEFAULT_MAX_CHANGE_SIZE,
     ProcessChange,
@@ -89,22 +89,6 @@ class BenchmarkConfig:
             check_int("top", self.top, 0)
 
 
-def affected_variants(index: VariantIndex, change: ProcessChange) -> set[Variant]:
-    """Own-log variants executing at least one replaced activity."""
-    own = change.own_activities
-    return {v for v in index.entries if own.intersection(v)}
-
-
-def apply_change(variant: Variant, change: ProcessChange) -> Variant:
-    """Substitute every occurrence of each replaced activity, in place.
-
-    Replacements within one change rewrite pairwise distinct activities,
-    so the substitution is order-independent and length-preserving.
-    """
-    mapping = change.mapping()
-    return tuple(mapping.get(a, a) for a in variant)
-
-
 def _best_matches(
     distances: np.ndarray, query_lens: np.ndarray, cand_lens: np.ndarray, cand_freqs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,76 +108,77 @@ def _best_matches(
 class ChangeScorer:
     """Scores many changes against one pair of variant indexes.
 
-    The benchmark variants are encoded once, in ascending variant order.
-    Each set of replacement activities gets one candidate pool: the indices
-    of the benchmark variants that execute one of them.  One distance cache
-    serves every pool: for each modified variant, an int32 row of its edit
-    distances to all benchmark variants, -1 where not yet computed.  A
-    change sends all of its missing (modified variant, pool candidate)
-    pairs to the kernel in one call and then scores whole pools, so tie
-    counts are exact and the outcome does not depend on scoring order.
+    It reads both logs' :attr:`VariantIndex.codes`.  Presence masks, built
+    once, pick a change's affected own rows and its pool of benchmark rows.
+    The modified variants are one gather through a code map from own to
+    benchmark codes; a name the benchmark log lacks goes to the spare code
+    ``len(benchmark.activities)``, which no candidate holds.  One cache,
+    keyed by the bytes of a modified code row, holds its int32 distances to
+    all benchmark variants, -1 where not yet computed.  A change sends its
+    missing pairs to the kernel in one call and scores whole pools, so tie
+    counts are exact and do not depend on scoring order.
     """
 
     def __init__(self, own: VariantIndex, benchmark: VariantIndex, with_performance: bool = False):
         self.own = own
         self.benchmark = benchmark
         self.with_performance = with_performance
-        self._variants = sorted(benchmark.entries)
-        self._vocabulary: dict[str, int] = {}
-        self._tokens, self._lengths = encode_sequences(self._variants, self._vocabulary)
-        self._freqs = np.array([benchmark.entries[v].frequency for v in self._variants], dtype=np.int64)
-        self._pools: dict[frozenset[str], np.ndarray] = {}
-        self._distances: dict[Variant, np.ndarray] = {}
+        self._own_variants = list(own.entries)
+        self._variants = list(benchmark.entries)
+        self._own_tokens, self._own_lengths, _ = own.codes
+        self._tokens, self._lengths, self._freqs = benchmark.codes
+        self._own_codes = {name: code for code, name in enumerate(own.activities)}
+        self._codes = {name: code for code, name in enumerate(benchmark.activities)}
+        self._spare = len(benchmark.activities)
+        own_to_benchmark = [self._codes.get(a, self._spare) for a in own.activities]
+        self._code_map = np.array(own_to_benchmark + [-1], dtype=np.int32)  # the last cell keeps padding at -1
+        self._own_present = _presence(self._own_tokens, len(own.activities))
+        self._present = _presence(self._tokens, self._spare)
+        self._distances: dict[bytes, np.ndarray] = {}
 
-    def _pool(self, benchmark_activities: frozenset[str]) -> np.ndarray:
-        pool = self._pools.get(benchmark_activities)
-        if pool is None:
-            pool = np.array(
-                [i for i, v in enumerate(self._variants) if not benchmark_activities.isdisjoint(v)],
-                dtype=np.intp,
-            )
-            if not len(pool):
-                raise DataError("no benchmark variant executes any replacement activity")
-            self._pools[benchmark_activities] = pool
-        return pool
-
-    def _pool_distances(self, modified: list[Variant], pool: np.ndarray) -> np.ndarray:
+    def _pool_distances(self, modified: np.ndarray, lengths: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Distances (len(modified), len(pool)); the missing ones in one kernel call."""
-        unique = list(dict.fromkeys(modified))
-        for variant in unique:
-            if variant not in self._distances:
-                self._distances[variant] = np.full(len(self._variants), -1, dtype=np.int32)
-        known = np.stack([self._distances[v][pool] for v in unique])
+        position: dict[bytes, int] = {}
+        rows = [position.setdefault(row.tobytes(), len(position)) for row in modified]
+        for key in position:
+            if key not in self._distances:
+                self._distances[key] = np.full(len(self._variants), -1, dtype=np.int32)
+        known = np.stack([self._distances[key][pool] for key in position])
         qi, columns = np.nonzero(known < 0)
         if len(qi):
-            queries, query_lens = encode_sequences(unique, self._vocabulary)
+            unique = np.empty(len(position), dtype=np.intp)
+            unique[rows] = np.arange(len(rows))  # a row of each distinct modified variant
             known[qi, columns] = levenshtein_many(
-                queries, self._tokens, query_lens, self._lengths, qi, pool[columns]
+                modified[unique], self._tokens, lengths[unique], self._lengths, qi, pool[columns]
             )
-            for variant, row in zip(unique, known):
-                self._distances[variant][pool] = row
-        position = {v: k for k, v in enumerate(unique)}
-        return known[[position[v] for v in modified]]
+            for key, row in zip(position, known):
+                self._distances[key][pool] = row
+        return known[rows]
 
     def score(self, change: ProcessChange) -> ScoredChange:
-        affected = sorted(affected_variants(self.own, change))
-        if not affected:
+        mapping = change.mapping()
+        replaced = {self._own_codes[a]: b for a, b in mapping.items() if a in self._own_codes}
+        rows = np.flatnonzero(self._own_present[:, list(replaced)].any(axis=1))
+        if not len(rows):
             raise VacuousChangeError(
                 "no affected variants: none of the replaced activities occurs in the own log"
             )
-        pool = self._pool(change.benchmark_activities)
-        modified = [apply_change(original, change) for original in affected]
-        best, similarities, ties = _best_matches(
-            self._pool_distances(modified, pool),
-            np.array([len(v) for v in modified]),
-            self._lengths[pool],
-            self._freqs[pool],
-        )
+        targets = [self._codes[name] for name in change.benchmark_activities if name in self._codes]
+        pool = np.flatnonzero(self._present[:, targets].any(axis=1))
+        if not len(pool):
+            raise DataError("no benchmark variant executes any replacement activity")
+        code_map = self._code_map.copy()
+        code_map[list(replaced)] = [self._codes.get(b, self._spare) for b in replaced.values()]
+        modified = code_map[self._own_tokens[rows]]
+        query_lens = self._own_lengths[rows]
+        distances = self._pool_distances(modified, query_lens, pool)
+        best, similarities, ties = _best_matches(distances, query_lens, self._lengths[pool], self._freqs[pool])
         alignments = []
         weight_total = 0
         feasibility_sum = 0.0
         impact_sum = 0.0
-        for k, original in enumerate(affected):
+        for k, row in enumerate(rows.tolist()):
+            original = self._own_variants[row]
             entry = self.own.entries[original]
             matched = self._variants[int(pool[best[k]])]
             similarity = float(similarities[k])
@@ -209,7 +194,7 @@ class ChangeScorer:
             alignments.append(
                 Alignment(
                     original=original,
-                    modified=modified[k],
+                    modified=tuple(mapping.get(a, a) for a in original),
                     matched=matched,
                     similarity=similarity,
                     frequency=entry.frequency,
@@ -225,6 +210,13 @@ class ChangeScorer:
             affected_trace_count=weight_total,
             alignments=tuple(alignments),
         )
+
+
+def _presence(tokens: np.ndarray, n_activities: int) -> np.ndarray:
+    """``present[r, a]``: row r of ``tokens`` holds code a."""
+    present = np.zeros((len(tokens), n_activities + 1), dtype=bool)
+    present[np.arange(len(tokens))[:, None], tokens] = True  # padding marks the last column
+    return present[:, :-1]
 
 
 def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> list[ScoredChange]:

@@ -1,13 +1,24 @@
 """Command-line entry point: option defaults, early option checks and the files each command writes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
 from execbench import footprint
 from execbench.cli import _experiment_config, build_parser, main
-from execbench.experiment import ExperimentConfig
+from execbench.errors import ExecbenchWarning, TruncationWarning
+from execbench.eventlog import EventLog, Trace, write_event_log
+from execbench.experiment import ExperimentConfig, generate_pair
 
 
 def test_eval_defaults_are_the_package_defaults():
@@ -169,3 +180,157 @@ def test_eval_out_writes_the_report_and_the_summary(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "summary.txt"]
     assert (out / "summary.txt").read_text(encoding="utf-8") == stdout
     assert len(json.loads((out / "report.json").read_text(encoding="utf-8"))["pairs"]) == 1
+
+
+# ---------------------------------------------------------- whole-run outputs
+
+
+def _write_logs(directory, own: EventLog, bench: EventLog) -> None:
+    for name, log in (("own.csv", own), ("benchmark.csv", bench)):
+        with open(Path(directory) / name, "w", encoding="utf-8", newline="") as handle:
+            write_event_log(log, handle)
+
+
+def _lab_pair():
+    pair = generate_pair(ExperimentConfig(n_traces=60), 0)
+    return pair.own_log, pair.benchmark_log
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of the whole output of each command on the lab pair, run with
+# relative paths from the directory that holds the logs.
+LAB_PAIR_DIGESTS = {
+    "benchmark.json": "ee686745068a995f70617008a2a8b4d925b50695318626cff507293c5e40f399",
+    "relations.csv": "a9db7f6f1f94a769025cd1e38fd93207b9752c9feac942da966a3c18df78e1f0",
+    "exclusiveness.csv": "d337f6a6d87e3c913d55ff3f10c5cbfe84706be6be2161662e4e503bda030f99",
+    "interleaving.csv": "dc096a6d810793eba11d106f4cf96dae111592f3341f016c0ee0762370542698",
+}
+
+
+def test_lab_pair_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    _write_logs(tmp_path, *_lab_pair())
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(TruncationWarning):
+        assert main(["benchmark", "own.csv", "benchmark.csv", "--format", "json"]) == 0
+    digests = {"benchmark.json": _sha256(capsys.readouterr().out)}
+    assert main(["footprint", "own.csv", "--out", "matrices"]) == 0
+    for name in ("relations.csv", "exclusiveness.csv", "interleaving.csv"):
+        digests[name] = _sha256((tmp_path / "matrices" / name).read_text(encoding="utf-8"))
+    assert digests == LAB_PAIR_DIGESTS
+
+
+def _run_benchmark(own: EventLog, bench: EventLog, *options: str) -> tuple[int, list | str]:
+    """Exit code and ``report["changes"]`` (or stderr) of ``execbench benchmark``
+    on the two logs, written as CSV files to a fresh directory."""
+    with tempfile.TemporaryDirectory() as directory:
+        _write_logs(directory, own, bench)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExecbenchWarning)
+            code = main([
+                "benchmark", str(Path(directory) / "own.csv"), str(Path(directory) / "benchmark.csv"),
+                "--format", "json", *options,
+            ])
+    return code, json.loads(out.getvalue())["changes"] if code == 0 else err.getvalue()
+
+
+def _recased(log: EventLog, order, copies: int = 1) -> EventLog:
+    """The log's cases in the given order, each written ``copies`` times under fresh ids."""
+    cases = list(log.traces.values())
+    traces = {}
+    for k in order:
+        for _ in range(copies):
+            case_id = f"r{len(traces)}"
+            traces[case_id] = Trace(case_id, cases[k].variant, cases[k].order_keys, cases[k].performance)
+    return EventLog(traces)
+
+
+def _check_renamed_and_reordered(own: EventLog, bench: EventLog, own_order, bench_order, *options: str) -> None:
+    again = _run_benchmark(_recased(own, own_order), _recased(bench, bench_order), *options)
+    assert json.dumps(again) == json.dumps(_run_benchmark(own, bench, *options))
+
+
+UNSCALED = ("original", "modified", "matched", "similarity", "tie_count")
+
+
+def _check_copied(own: EventLog, bench: EventLog, copies: int, *options: str) -> None:
+    """Every case written ``copies`` times scales frequencies and trace counts
+    by that factor; nothing a change is ranked or aligned by moves."""
+    code, changes = _run_benchmark(own, bench, *options)
+    copied_code, copied = _run_benchmark(
+        _recased(own, range(len(own)), copies), _recased(bench, range(len(bench)), copies), *options
+    )
+    assert copied_code == code
+    if code:
+        return
+    by_change = {json.dumps(c["replacements"]): c for c in copied}
+    assert len(by_change) == len(copied) == len(changes)
+    for change in changes:
+        scaled = by_change[json.dumps(change["replacements"])]
+        assert scaled["affected_traces"] == copies * change["affected_traces"]
+        assert scaled["feasibility"] == pytest.approx(change["feasibility"], rel=1e-12, abs=1e-12)
+        if change["performance_impact"] is None:
+            assert scaled["performance_impact"] is None
+        else:
+            assert scaled["performance_impact"] == pytest.approx(change["performance_impact"], rel=1e-9, abs=1e-9)
+        assert len(scaled["alignments"]) == len(change["alignments"])
+        for a, b in zip(change["alignments"], scaled["alignments"]):
+            assert b["frequency"] == copies * a["frequency"]
+            assert [b[k] for k in UNSCALED] == [a[k] for k in UNSCALED]
+
+
+@pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])
+def test_lab_pair_changes_ignore_case_ids_and_case_order(options):
+    own, bench = _lab_pair()
+    rng = np.random.default_rng(5)
+    _check_renamed_and_reordered(own, bench, rng.permutation(len(own)), rng.permutation(len(bench)), *options)
+
+
+@pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])
+def test_lab_pair_changes_scale_with_copied_cases(options):
+    _check_copied(*_lab_pair(), 3, *options)
+
+
+def _log_of(cases) -> EventLog:
+    return EventLog({
+        f"c{k}": Trace(f"c{k}", variant, tuple(range(len(variant))), value) for k, (variant, value) in enumerate(cases)
+    })
+
+
+# (variant, performance value) per case
+case_lists = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(tuple),
+        st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def test_changes_ignore_the_order_of_fractional_performance_values():
+    # Summed left to right, the variant's mean is 0.6000000000000001 / 3 one way and 0.6 / 3 the other.
+    own = _log_of([(("a", "c"), 0.1), (("a", "c"), 0.2), (("a", "c"), 0.3)])
+    bench = _log_of([(("b", "c"), 0.0)])
+    _check_renamed_and_reordered(own, bench, [2, 1, 0], [0])
+
+
+@given(own=case_lists, bench=case_lists, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_changes_ignore_case_ids_and_case_order(own, bench, data):
+    own_log, bench_log = _log_of(own), _log_of(bench)
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_renamed_and_reordered(
+        own_log, bench_log, data.draw(st.permutations(range(len(own)))), data.draw(st.permutations(range(len(bench))))
+    )
+
+
+@given(own=case_lists, bench=case_lists)
+@settings(max_examples=60, deadline=None)
+def test_changes_scale_with_copied_cases(own, bench):
+    own_log, bench_log = _log_of(own), _log_of(bench)
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_copied(own_log, bench_log, 3)

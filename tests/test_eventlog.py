@@ -11,6 +11,7 @@ import tempfile
 from collections import Counter
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +161,37 @@ def test_mean_performance_requires_all_traces():
     assert idx.entries[("a",)].mean_performance is None
     idx = extract_variants(log, {"c1": 4.0, "c2": 6.0})
     assert idx.entries[("a",)].mean_performance == 5.0
+
+
+def test_mean_performance_does_not_depend_on_case_order():
+    # A plain left-to-right sum gives 0.6000000000000001 one way and 0.6 the other.
+    forward = make_log([("a",)] * 3, performance=[0.1, 0.2, 0.3])
+    backward = make_log([("a",)] * 3, performance=[0.3, 0.2, 0.1])
+    assert extract_variants(forward).entries == extract_variants(backward).entries
+    assert extract_variants(forward).entries[("a",)].mean_performance == 0.6 / 3
+
+
+def test_variant_index_entries_come_in_ascending_order():
+    log = make_log([("b", "a"), ("a", "c"), ("b",), ("a",)])
+    assert list(extract_variants(log).entries) == [("a",), ("a", "c"), ("b",), ("b", "a")]
+
+
+def test_variant_index_codes_are_positions_in_the_sorted_alphabet():
+    index = extract_variants(make_log([("c", "a", "c"), ("b",), ("a", "b")], freqs=[2, 3, 1]))
+    assert index.activities == ("a", "b", "c")
+    tokens, lengths, freqs = index.codes
+    assert (tokens.dtype, lengths.dtype, freqs.dtype) == (np.int32, np.int32, np.int64)
+    # rows follow the entries: ("a", "b"), ("b",), ("c", "a", "c")
+    assert tokens.tolist() == [[0, 1, -1], [1, -1, -1], [2, 0, 2]]
+    assert lengths.tolist() == [2, 1, 3]
+    assert freqs.tolist() == [1, 3, 2]
+
+
+def test_one_event_variants_give_width_one():
+    tokens, lengths, freqs = extract_variants(make_log([("b",), ("a",)], freqs=[1, 4])).codes
+    assert tokens.tolist() == [[0], [1]]
+    assert lengths.tolist() == [1, 1]
+    assert freqs.tolist() == [4, 1]
 
 
 def test_performance_column_identity_and_negation():
@@ -609,3 +641,18 @@ def test_byte_order_mark_is_skipped(tmp_path):
     log = read_event_log(str(marked))
     assert list(log.traces.items()) == list(read_event_log(str(plain)).traces.items())
     assert log.alphabet == {"a", "c", "d", "e", "f", "g"}
+
+
+@given(variants=variant_lists, freqs=st.data())
+@settings(max_examples=100, deadline=None)
+def test_variant_codes_decode_to_the_entries(variants, freqs):
+    counts = freqs.draw(st.lists(st.integers(1, 4), min_size=len(variants), max_size=len(variants)))
+    index = extract_variants(make_log(variants, freqs=counts))
+    assert list(index.entries) == sorted(index.entries)
+    assert index.activities == tuple(sorted({a for v in variants for a in v}))
+    tokens, lengths, freqs = index.codes
+    assert tokens.shape == (len(index.entries), max(len(v) for v in index.entries))
+    decoded = [tuple(index.activities[c] for c in row[:n]) for row, n in zip(tokens.tolist(), lengths.tolist())]
+    assert decoded == list(index.entries)
+    assert all(c == -1 for row, n in zip(tokens.tolist(), lengths.tolist()) for c in row[n:])
+    assert freqs.tolist() == [e.frequency for e in index.entries.values()]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
-from execbench._kernels import CHUNK_ROWS, encode_sequences, levenshtein_many, order_stats
+from execbench._kernels import CHUNK_ROWS, levenshtein_many, order_stats
 
 
 def _pad(seqs):
@@ -135,11 +135,3 @@ def test_order_stats_diagonal_counts_repeats():
     assert cooccur[0, 1] == cooccur[1, 0] == 1
     assert before[0, 1] == 1 and before[1, 0] == 1 and before[0, 0] == 1
 
-
-def test_encode_sequences_grows_vocabulary():
-    vocab = {}
-    tokens, lengths = encode_sequences([("a", "b"), ("b", "c", "a")], vocab)
-    assert vocab == {"a": 0, "b": 1, "c": 2}
-    assert tokens.shape == (2, 3)
-    assert list(lengths) == [2, 3]
-    assert tokens[0, 2] == -1

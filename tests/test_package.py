@@ -6,7 +6,7 @@ PUBLIC_NAMES = {
     # pipeline
     "read_event_log", "parse_event_log", "write_event_log", "extract_variants", "trace_performance",
     "ordering_counts", "build_footprint_matrix", "match_activities", "build_compatibility_graph",
-    "count_changes", "enumerate_changes", "affected_variants", "apply_change", "benchmark",
+    "count_changes", "enumerate_changes", "benchmark",
     # data and configs
     "Event", "Trace", "EventLog", "Variant", "VariantIndex", "SchemaConfig", "PerfConfig",
     "CooccurrenceStats", "FootprintMatrix", "Relation", "Match", "MatchSet", "CompatGraph",

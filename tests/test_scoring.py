@@ -3,7 +3,7 @@
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_VARIANTS, OWN_VARIANTS, make_log, naive_levenshtein
@@ -19,13 +19,7 @@ from execbench.errors import (
 )
 from execbench.eventlog import EventLog, PerfConfig, extract_variants
 from execbench.matching import Match
-from execbench.scoring import (
-    BenchmarkConfig,
-    ChangeScorer,
-    affected_variants,
-    apply_change,
-    benchmark,
-)
+from execbench.scoring import BenchmarkConfig, ChangeScorer, benchmark
 
 DELTA_1 = ProcessChange((Match("a", "b"), Match("f", "e")))
 DELTA_2 = ProcessChange((Match("a", "b"),))
@@ -41,23 +35,47 @@ def benchmark_index(benchmark_log):
     return extract_variants(benchmark_log)
 
 
-def test_affected_variants_goldens(own_index):
-    assert affected_variants(own_index, DELTA_1) == {
+def affected_variants(index, change):
+    """Own-log variants executing at least one replaced activity: the
+    reference for the scorer's row mask."""
+    own = change.own_activities
+    return {v for v in index.entries if own.intersection(v)}
+
+
+def apply_change(variant, change):
+    """Every occurrence of each replaced activity substituted in place: the
+    reference for the scorer's code map."""
+    mapping = change.mapping()
+    return tuple(mapping.get(a, a) for a in variant)
+
+
+def test_affected_variants_goldens(own_index, benchmark_index):
+    scorer = ChangeScorer(own_index, benchmark_index)
+    assert [a.original for a in scorer.score(DELTA_1).alignments] == [
         ("a", "d", "e", "g"),
         ("a", "d", "f", "g"),
         ("c", "d", "f", "g"),
-    }
-    assert affected_variants(own_index, DELTA_2) == {
+    ]
+    assert [a.original for a in scorer.score(DELTA_2).alignments] == [
         ("a", "d", "e", "g"),
         ("a", "d", "f", "g"),
+    ]
+    with pytest.raises(VacuousChangeError):
+        scorer.score(ProcessChange((Match("zz", "b"),)))
+
+
+def test_apply_change_goldens(own_index, benchmark_index):
+    scorer = ChangeScorer(own_index, benchmark_index)
+    assert {a.original: a.modified for a in scorer.score(DELTA_1).alignments} == {
+        ("a", "d", "e", "g"): ("b", "d", "e", "g"),
+        ("a", "d", "f", "g"): ("b", "d", "e", "g"),
+        ("c", "d", "f", "g"): ("c", "d", "e", "g"),
     }
-    assert affected_variants(own_index, ProcessChange((Match("zz", "b"),))) == set()
-
-
-def test_apply_change_goldens():
-    assert apply_change(("a", "d", "f", "g"), DELTA_1) == ("b", "d", "e", "g")
-    assert apply_change(("c", "d", "f", "g"), DELTA_1) == ("c", "d", "e", "g")
-    assert apply_change(("c", "d", "e", "g"), DELTA_2) == ("c", "d", "e", "g")
+    # Activities the change does not replace stay in place.
+    assert {a.original: a.modified for a in scorer.score(DELTA_2).alignments} == {
+        ("a", "d", "e", "g"): ("b", "d", "e", "g"),
+        ("a", "d", "f", "g"): ("b", "d", "f", "g"),
+    }
 
 
 def closest_match(modified, candidates):
@@ -257,6 +275,64 @@ def test_oracle_equivalence_on_random_small_logs():
 
 def test_oracle_equivalence_on_variants_longer_than_a_word():
     _check_oracle_equivalence(64, cases=10, min_length=50, max_length=140, max_variants=8)
+
+
+def _variant_table(letters):
+    """{variant: (frequency, performance)} over the given activities."""
+    variant = st.lists(st.sampled_from(letters), min_size=1, max_size=6).map(tuple)
+    values = st.tuples(st.integers(1, 4), st.integers(-20, 20).map(float))
+    return st.dictionaries(variant, values, min_size=1, max_size=8)
+
+
+# Own activities a to f, benchmark activities c to h: the alphabets overlap
+# but differ, and a target may be z, which neither log holds.
+replacement_lists = st.lists(
+    st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdefghz")),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda pair: pair[0],
+)
+
+
+@given(
+    own=_variant_table("abcdef"),
+    bench=_variant_table("cdefgh"),
+    changes=st.lists(replacement_lists, min_size=1, max_size=3),
+)
+@example(own={("a", "c", "d"): (1, 0.0)}, bench={("g", "c", "d"): (1, 2.0)}, changes=[[("a", "g")]])
+@example(  # a target neither log holds, and an own activity the benchmark lacks
+    own={("a", "b", "c"): (2, 1.0), ("b", "d"): (1, 3.0)},
+    bench={("c", "d"): (1, 0.0)},
+    changes=[[("a", "z"), ("b", "d")], [("a", "z")]],
+)
+@example(  # two originals that map to one modified row
+    own={("a", "d"): (1, 1.0), ("b", "d"): (3, 2.0)},
+    bench={("c", "d"): (1, 0.0), ("d",): (2, 5.0)},
+    changes=[[("a", "c"), ("b", "c")]],
+)
+@settings(max_examples=150, deadline=None)
+def test_scorer_equals_the_oracles(own, bench, changes):
+    """One scorer, shared by all the changes, against the row-mask and
+    code-map oracles and the brute-force closest match."""
+    own_idx, bench_idx = _indexes_from(own, bench)
+    scorer = ChangeScorer(own_idx, bench_idx, with_performance=True)
+    for pairs in changes:
+        change = ProcessChange(tuple(Match(a, b) for a, b in pairs))
+        affected = sorted(affected_variants(own_idx, change))
+        if not affected:
+            with pytest.raises(VacuousChangeError):
+                scorer.score(change)
+        elif not any(change.benchmark_activities.intersection(w) for w in bench):
+            with pytest.raises(DataError, match="no benchmark variant"):
+                scorer.score(change)
+        else:
+            feasibility, impact, matches = brute_force_scores(own, bench, pairs)
+            scored = scorer.score(change)
+            assert [(a.original, a.modified, a.matched, a.tie_count) for a in scored.alignments] == [
+                (v, apply_change(v, change), *matches[v]) for v in affected
+            ]
+            assert scored.feasibility == pytest.approx(feasibility, abs=1e-9)
+            assert scored.performance_impact == pytest.approx(impact, abs=1e-9)
 
 
 def test_scoring_order_does_not_change_results():
