@@ -12,7 +12,10 @@ first, so candidate column ``j`` only updates a prefix of the rows, and are
 processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
 
 ``order_stats`` counts per-activity and per-pair occurrences over a batch
-of encoded variants.
+of V encoded variants of A symbols.  Beside int64 V × A arrays (first and
+last positions, weighted presence), it allocates one bool V × A × A array,
+``first[x] < last[y]``, which ``einsum`` sums in buffered chunks: no int64
+copy of it is made.
 
 ``perfbench/`` at the repository root times both kernels inside the whole
 pipeline (see ``perfbench/NOTES.md``).
@@ -149,7 +152,7 @@ def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_sy
     some x occurrence precedes some y occurrence, and ``cooccur[x, y]``
     counts traces containing both.  The diagonal of ``cooccur`` counts
     traces where the symbol occurs at least twice, i.e. co-occurs with
-    itself as two distinct events.
+    itself as two distinct events.  ``lengths`` is unused.
     """
     n_variants, width = tokens.shape
     first = np.full((n_variants, n_symbols), width, dtype=np.int64)
@@ -160,11 +163,9 @@ def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_sy
     np.maximum.at(last, (rows, symbols), positions)
     present = last >= 0
     weights = freqs.astype(np.int64)
-    traces_with = weights @ present.astype(np.int64)
-    pair_present = present[:, :, None] & present[:, None, :]
-    before_mask = pair_present & (first[:, :, None] < last[:, None, :])
-    before = np.tensordot(weights, before_mask.astype(np.int64), axes=([0], [0]))
-    cooccur = np.tensordot(weights, pair_present.astype(np.int64), axes=([0], [0]))
+    # first[x] < last[y] implies both occur: an absent one has first = width, last = -1.
+    before = np.einsum("v,vxy->xy", weights, first[:, :, None] < last[:, None, :])
+    cooccur = (present * weights[:, None]).T @ present.astype(np.int64)
+    traces_with = np.diagonal(cooccur).copy()
     np.fill_diagonal(cooccur, np.diagonal(before))
     return traces_with, cooccur, before
-

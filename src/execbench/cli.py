@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -121,6 +121,20 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--out", default=None, metavar="DIR", help="write report.json and summary.txt here")
     p_eval.set_defaults(func=_cmd_eval)
     return parser
+
+
+def _write_files(directory: str, files: Mapping[str, str]) -> None:
+    """Write each ``{name: text}`` under ``directory``; every text ends its lines with ``\\n``."""
+    os.makedirs(directory, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+
+
+def _render(write: Callable[[IO[str]], None]) -> str:
+    buffer = io.StringIO()
+    write(buffer)
+    return buffer.getvalue()
 
 
 def _schema(args) -> SchemaConfig:
@@ -241,18 +255,13 @@ def _cmd_benchmark(args) -> int:
         "changes": [_change_payload(c) for c in changes],
     }
     text = json.dumps(report, indent=2) if args.out or args.format == "json" else None
+    csv_text = _render(lambda s: _benchmark_csv(changes, s)) if args.out or args.format == "csv" else None
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as handle:
-            _benchmark_csv(changes, handle)
+        _write_files(args.out, {"report.json": text + "\n", "report.csv": csv_text})
     if args.format == "json":
         print(text)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        _benchmark_csv(changes, buffer)
-        print(buffer.getvalue(), end="")
+        print(csv_text, end="")
     else:
         print(_benchmark_table(changes))
     return 0
@@ -270,22 +279,17 @@ def _cmd_footprint(args) -> int:
     log = read_event_log(args.log, _schema(args))
     stats = ordering_counts(log)
     matrix = stats.footprint(config.exc_threshold, config.int_threshold)
-    sections = [
-        ("relations.csv", lambda s: matrix.to_csv(s)),
-        ("exclusiveness.csv", lambda s: _score_csv(stats.activities, stats.exclusiveness, s)),
-        ("interleaving.csv", lambda s: _score_csv(stats.activities, stats.interleaving, s)),
-    ]
+    files = {
+        "relations.csv": _render(matrix.to_csv),
+        "exclusiveness.csv": _render(lambda s: _score_csv(stats.activities, stats.exclusiveness, s)),
+        "interleaving.csv": _render(lambda s: _score_csv(stats.activities, stats.interleaving, s)),
+    }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, render in sections:
-            with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
-                render(handle)
+        _write_files(args.out, files)
     else:
-        for name, render in sections:
+        for name, text in files.items():
             print(f"# {name[:-4]}")
-            buffer = io.StringIO()
-            render(buffer)
-            print(buffer.getvalue(), end="")
+            print(text, end="")
     return 0
 
 
@@ -310,23 +314,21 @@ def _cmd_synth(args) -> int:
     config = _experiment_config(args, args.pairs)
     for index in range(args.pairs):
         pair = generate_pair(config, index)
-        directory = os.path.join(args.out, f"pair_{index:04d}")
-        os.makedirs(directory, exist_ok=True)
-        for name, tree in (("own_tree.json", pair.tree), ("benchmark_tree.json", pair.mutated)):
-            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-                json.dump(tree_to_json(tree), handle, indent=2)
-                handle.write("\n")
         truth = {
             "replacements": sorted([old, new] for old, new in pair.truth.replacements),
             "insertions": sorted(pair.truth.insertions),
             "deletions": sorted(pair.truth.deletions),
         }
-        with open(os.path.join(directory, "ground_truth.json"), "w", encoding="utf-8") as handle:
-            json.dump(truth, handle, indent=2)
-            handle.write("\n")
-        for name, log in (("own_log.csv", pair.own_log), ("benchmark_log.csv", pair.benchmark_log)):
-            with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as handle:
-                write_event_log(log, handle)
+        _write_files(
+            os.path.join(args.out, f"pair_{index:04d}"),
+            {
+                "own_tree.json": json.dumps(tree_to_json(pair.tree), indent=2) + "\n",
+                "benchmark_tree.json": json.dumps(tree_to_json(pair.mutated), indent=2) + "\n",
+                "ground_truth.json": json.dumps(truth, indent=2) + "\n",
+                "own_log.csv": _render(lambda s: write_event_log(pair.own_log, s)),
+                "benchmark_log.csv": _render(lambda s: write_event_log(pair.benchmark_log, s)),
+            },
+        )
     print(f"wrote {args.pairs} pair(s) under {args.out}")
     return 0
 
@@ -334,15 +336,10 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     config = _experiment_config(args, args.pairs)
     report = run_experiment(config)
+    summary = report.summary_table()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as handle:
-            handle.write(report.summary_table())
-            handle.write("\n")
-    print(report.summary_table())
+        _write_files(args.out, {"report.json": report.to_json() + "\n", "summary.txt": summary + "\n"})
+    print(summary)
     return 0
 
 
@@ -355,10 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except ExecbenchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ExecbenchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,9 @@ rescan the per-case lists already built.
 A :class:`VariantIndex` holds a log's distinct variants in ascending order
 and their one encoding, read by the order statistics and the scorer:
 ``activities`` is the sorted alphabet, an activity's code is its position
-there, and ``codes`` is an int32 token matrix (a row per entry, -1-padded,
-width at least 1), the int32 true lengths and the int64 trace counts.
+there (``code_of`` maps each name to it), and ``codes`` is an int32 token
+matrix (a row per entry, -1-padded, width at least 1), the int32 true
+lengths and the int64 trace counts.
 """
 
 from __future__ import annotations
@@ -110,11 +111,14 @@ class VariantIndex:
         return tuple(sorted(set(chain.from_iterable(self.entries))))
 
     @cached_property
+    def code_of(self) -> dict[str, int]:
+        return {name: code for code, name in enumerate(self.activities)}
+
+    @cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        position = {name: code for code, name in enumerate(self.activities)}
         lengths = np.array([len(v) for v in self.entries], dtype=np.int32)
         tokens = np.full((len(lengths), max(lengths.max(initial=0), 1)), -1, dtype=np.int32)
-        flat = [position[name] for variant in self.entries for name in variant]
+        flat = [self.code_of[name] for variant in self.entries for name in variant]
         tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = flat  # a mask assigns in row-major order
         frequencies = np.array([e.frequency for e in self.entries.values()], dtype=np.int64)
         return tokens, lengths, frequencies

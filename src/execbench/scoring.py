@@ -127,10 +127,8 @@ class ChangeScorer:
         self._variants = list(benchmark.entries)
         self._own_tokens, self._own_lengths, _ = own.codes
         self._tokens, self._lengths, self._freqs = benchmark.codes
-        self._own_codes = {name: code for code, name in enumerate(own.activities)}
-        self._codes = {name: code for code, name in enumerate(benchmark.activities)}
         self._spare = len(benchmark.activities)
-        own_to_benchmark = [self._codes.get(a, self._spare) for a in own.activities]
+        own_to_benchmark = [benchmark.code_of.get(a, self._spare) for a in own.activities]
         self._code_map = np.array(own_to_benchmark + [-1], dtype=np.int32)  # the last cell keeps padding at -1
         self._own_present = _presence(self._own_tokens, len(own.activities))
         self._present = _presence(self._tokens, self._spare)
@@ -157,18 +155,19 @@ class ChangeScorer:
 
     def score(self, change: ProcessChange) -> ScoredChange:
         mapping = change.mapping()
-        replaced = {self._own_codes[a]: b for a, b in mapping.items() if a in self._own_codes}
+        own_codes, codes = self.own.code_of, self.benchmark.code_of
+        replaced = {own_codes[a]: b for a, b in mapping.items() if a in own_codes}
         rows = np.flatnonzero(self._own_present[:, list(replaced)].any(axis=1))
         if not len(rows):
             raise VacuousChangeError(
                 "no affected variants: none of the replaced activities occurs in the own log"
             )
-        targets = [self._codes[name] for name in change.benchmark_activities if name in self._codes]
+        targets = [codes[name] for name in change.benchmark_activities if name in codes]
         pool = np.flatnonzero(self._present[:, targets].any(axis=1))
         if not len(pool):
             raise DataError("no benchmark variant executes any replacement activity")
         code_map = self._code_map.copy()
-        code_map[list(replaced)] = [self._codes.get(b, self._spare) for b in replaced.values()]
+        code_map[list(replaced)] = [codes.get(b, self._spare) for b in replaced.values()]
         modified = code_map[self._own_tokens[rows]]
         query_lens = self._own_lengths[rows]
         distances = self._pool_distances(modified, query_lens, pool)

@@ -104,23 +104,51 @@ def _naive_order_stats(seqs, freqs, n_symbols):
             for y in present:
                 if x != y:
                     cooccur[x, y] += f
-                # some x occurrence strictly before some y occurrence
-                if any(a == x and b == y for i, a in enumerate(seq) for b in seq[i + 1 :]):
-                    before[x, y] += f
+        # some x occurrence strictly before some y occurrence
+        for x, y in {(a, b) for i, a in enumerate(seq) for b in seq[i + 1 :]}:
+            before[x, y] += f
     for x in range(n_symbols):
         cooccur[x, x] = before[x, x]
     return traces_with, cooccur, before
 
 
-@given(seqs=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=7), min_size=1, max_size=6))
+def _assert_same_counts(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == np.int64  # array_equal ignores dtype
+        assert np.array_equal(g, e)
+
+
+@given(
+    weighted=st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=1, max_size=7), st.integers(1, 2**40)),
+        min_size=1,
+        max_size=6,
+    )
+)
 @settings(max_examples=150, deadline=None)
-def test_order_stats_matches_naive_count(seqs):
-    freqs = np.ones(len(seqs), dtype=np.int64)
+def test_order_stats_matches_naive_count(weighted):
+    seqs = [seq for seq, _ in weighted]
+    freqs = np.array([f for _, f in weighted], dtype=np.int64)
     pool, lens = _pad(seqs)
     got = order_stats(pool, lens.astype(np.int64), freqs, 5)
-    expected = _naive_order_stats(seqs, freqs, 5)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
+    _assert_same_counts(got, _naive_order_stats(seqs, freqs, 5))
+
+
+def test_wide_order_stats_match_naive_count():
+    rng = np.random.default_rng(5)
+    n_symbols = 300
+    used = rng.permutation(n_symbols)[:250]  # the other 50 symbols occur in no variant
+    seqs = [list(rng.choice(used, size=n)) for n in (60, 63, 64, 65, 97, 130)]
+    freqs = rng.integers(1, 2**40, size=len(seqs))
+    pool, lens = _pad(seqs)
+    got = order_stats(pool, lens.astype(np.int64), freqs, n_symbols)
+    _assert_same_counts(got, _naive_order_stats(seqs, freqs, n_symbols))
+
+
+def test_empty_order_stats_batch():
+    empty = np.empty(0, dtype=np.int64)
+    got = order_stats(np.empty((0, 0), dtype=np.int32), empty, empty, 0)
+    assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,)), (np.int64, (0, 0)), (np.int64, (0, 0))]
 
 
 def test_order_stats_diagonal_counts_repeats():
