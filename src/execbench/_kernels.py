@@ -3,11 +3,12 @@
 ``levenshtein_many`` computes one edit distance per row of a batch.  Row
 ``r`` pairs query ``qi[r]`` with candidate ``ci[r]``; queries and
 candidates are -1-padded int32 matrices with their true lengths alongside,
-so one call can align every affected variant of a change against its whole
-candidate pool.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM
-46(3)) vectorized across rows: each query's DP column is a bit vector of
-64-bit words, and queries longer than 64 tokens add and shift across words
-with carries (Hyyrö 2003).  Rows are sorted by candidate length, longest
+so one call can align a whole batch: ``ChangeScorer`` queues the missing
+(modified variant, candidate) pairs of all the changes it scores and sends
+them in one call per ``CHUNK_ROWS`` pairs.  It runs Myers' bit-vector
+recurrence (Myers 1999, J. ACM 46(3)) vectorized across rows: each query's
+DP column is a bit vector of 64-bit words, and queries longer than 64
+tokens add and shift across words with carries (Hyyrö 2003).  Rows are sorted by candidate length, longest
 first, so candidate column ``j`` only updates a prefix of the rows, and are
 processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
 

@@ -302,8 +302,9 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
                 enumerate_changes(g, config.max_change_size) for g in graphs
             )
             scorer = ChangeScorer(own_index, bench_index)
-            technique_scores = [scorer.score(c).feasibility for c in technique_changes]
-            baseline_scores = [scorer.score(c).feasibility for c in baseline_changes]
+            scores = [s.feasibility for s in scorer.score_all(technique_changes + baseline_changes)]
+            technique_scores = scores[: len(technique_changes)]
+            baseline_scores = scores[len(technique_changes) :]
             n_changes_technique = len(technique_scores)
             n_changes_baseline = len(baseline_scores)
             technique = _mean(technique_scores)

@@ -11,11 +11,12 @@ alignments yield the expected per-case performance impact.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import levenshtein_many
+from ._kernels import CHUNK_ROWS, levenshtein_many
 from .compatibility import (
     DEFAULT_MAX_CHANGE_SIZE,
     ProcessChange,
@@ -114,9 +115,11 @@ class ChangeScorer:
     benchmark codes; a name the benchmark log lacks goes to the spare code
     ``len(benchmark.activities)``, which no candidate holds.  One cache,
     keyed by the bytes of a modified code row, holds its int32 distances to
-    all benchmark variants, -1 where not yet computed.  A change sends its
-    missing pairs to the kernel in one call and scores whole pools, so tie
-    counts are exact and do not depend on scoring order.
+    all benchmark variants, -1 where not yet computed.  :meth:`score_all`
+    queues the missing (modified row, candidate) pairs of all its changes,
+    each pair once, and aligns the queue in one kernel call per
+    ``CHUNK_ROWS`` pairs; :meth:`score` is its one-change case.  Whole pools
+    are scored, so tie counts are exact and do not depend on scoring order.
     """
 
     def __init__(self, own: VariantIndex, benchmark: VariantIndex, with_performance: bool = False):
@@ -134,29 +137,10 @@ class ChangeScorer:
         self._present = _presence(self._tokens, self._spare)
         self._distances: dict[bytes, np.ndarray] = {}
 
-    def _pool_distances(self, modified: np.ndarray, lengths: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """Distances (len(modified), len(pool)); the missing ones in one kernel call."""
-        position: dict[bytes, int] = {}
-        rows = [position.setdefault(row.tobytes(), len(position)) for row in modified]
-        for key in position:
-            if key not in self._distances:
-                self._distances[key] = np.full(len(self._variants), -1, dtype=np.int32)
-        known = np.stack([self._distances[key][pool] for key in position])
-        qi, columns = np.nonzero(known < 0)
-        if len(qi):
-            unique = np.empty(len(position), dtype=np.intp)
-            unique[rows] = np.arange(len(rows))  # a row of each distinct modified variant
-            known[qi, columns] = levenshtein_many(
-                modified[unique], self._tokens, lengths[unique], self._lengths, qi, pool[columns]
-            )
-            for key, row in zip(position, known):
-                self._distances[key][pool] = row
-        return known[rows]
-
-    def score(self, change: ProcessChange) -> ScoredChange:
-        mapping = change.mapping()
+    def _affected(self, change: ProcessChange) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The change's affected own rows, its pool of benchmark rows, and the modified code rows."""
         own_codes, codes = self.own.code_of, self.benchmark.code_of
-        replaced = {own_codes[a]: b for a, b in mapping.items() if a in own_codes}
+        replaced = {own_codes[a]: b for a, b in change.mapping().items() if a in own_codes}
         rows = np.flatnonzero(self._own_present[:, list(replaced)].any(axis=1))
         if not len(rows):
             raise VacuousChangeError(
@@ -168,10 +152,74 @@ class ChangeScorer:
             raise DataError("no benchmark variant executes any replacement activity")
         code_map = self._code_map.copy()
         code_map[list(replaced)] = [codes.get(b, self._spare) for b in replaced.values()]
-        modified = code_map[self._own_tokens[rows]]
+        return rows, pool, code_map[self._own_tokens[rows]]
+
+    def _align(self, affected: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Cache the distance of every (modified row, pool column) pair of the affected sets.
+
+        A pair the cache lacks is queued once and marked -2.  The queue is
+        aligned in one kernel call before a row's pairs would take it past
+        ``CHUNK_ROWS``, so that each call fills one kernel chunk, and at the
+        end.  If a change raises first, its queued cells go back to -1.
+        """
+        queue: list[tuple[bytes, np.ndarray, int, np.ndarray]] = []
+        try:
+            queued = 0
+            for rows, pool, modified in affected:
+                for query, length in zip(modified, self._own_lengths[rows].tolist()):
+                    key = query.tobytes()
+                    cached = self._distances.get(key)
+                    if cached is None:
+                        cached = self._distances[key] = np.full(len(self._variants), -1, dtype=np.int32)
+                    columns = pool[cached[pool] == -1]
+                    if len(columns):
+                        if queued + len(columns) > CHUNK_ROWS:
+                            self._flush(queue)
+                            queued = 0
+                        cached[columns] = -2
+                        queue.append((key, query, length, columns))
+                        queued += len(columns)
+            self._flush(queue)
+        finally:
+            for key, _, _, columns in queue:
+                self._distances[key][columns] = -1
+
+    def _flush(self, queue: list[tuple[bytes, np.ndarray, int, np.ndarray]]) -> None:
+        """Align every queued pair in one kernel call, cache the distances and empty the queue."""
+        if not queue:
+            return
+        keys, queries, lengths, pools = zip(*queue)
+        counts = [len(columns) for columns in pools]
+        distances = levenshtein_many(
+            np.stack(queries),
+            self._tokens,
+            np.array(lengths),
+            self._lengths,
+            np.repeat(np.arange(len(queue)), counts),
+            np.concatenate(pools),
+        )
+        for key, columns, part in zip(keys, pools, np.split(distances, np.cumsum(counts)[:-1])):
+            self._distances[key][columns] = part
+        queue.clear()
+
+    def score_all(self, changes: Sequence[ProcessChange]) -> list[ScoredChange]:
+        """Score the changes in order; equal to :meth:`score` on each.
+
+        The missing pairs of all the changes are aligned first, so scoring
+        each change then makes no kernel call.  A change that cannot be
+        scored raises what :meth:`score` raises for it.
+        """
+        self._align(map(self._affected, changes))
+        return [self.score(change) for change in changes]
+
+    def score(self, change: ProcessChange) -> ScoredChange:
+        """Score one change: the one-change case of :meth:`score_all`."""
+        rows, pool, modified = affected = self._affected(change)
+        self._align([affected])
+        distances = np.stack([self._distances[query.tobytes()][pool] for query in modified])
         query_lens = self._own_lengths[rows]
-        distances = self._pool_distances(modified, query_lens, pool)
         best, similarities, ties = _best_matches(distances, query_lens, self._lengths[pool], self._freqs[pool])
+        mapping = change.mapping()
         alignments = []
         weight_total = 0
         feasibility_sum = 0.0
@@ -259,7 +307,7 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
     changes = enumerate_changes(graph, config.max_change_size)
 
     scorer = ChangeScorer(own_index, bench_index, with_performance)
-    scored = [s for s in map(scorer.score, changes) if s.feasibility >= config.min_feasibility]
+    scored = [s for s in scorer.score_all(changes) if s.feasibility >= config.min_feasibility]
     if with_performance:
         scored.sort(key=lambda s: (-s.performance_impact, -s.feasibility, s.change.sort_key()))
     else:

@@ -334,3 +334,49 @@ def test_changes_scale_with_copied_cases(own, bench):
     own_log, bench_log = _log_of(own), _log_of(bench)
     assume(own_log.alphabet & bench_log.alphabet)
     _check_copied(own_log, bench_log, 3)
+
+
+def _renamed(log: EventLog, prefix: str) -> EventLog:
+    """Every activity of the log renamed to ``prefix + name``, which keeps their sort order."""
+    return EventLog({
+        case_id: Trace(case_id, tuple(prefix + a for a in t.variant), t.order_keys, t.performance)
+        for case_id, t in log.traces.items()
+    })
+
+
+def _rename_report(value, prefix: str):
+    """``report["changes"]`` with every activity name in it renamed to ``prefix + name``."""
+    if isinstance(value, list):
+        return [_rename_report(v, prefix) for v in value]
+    if not isinstance(value, dict):
+        return value
+    renamed = {}
+    for key, v in value.items():
+        if key in ("own", "benchmark"):
+            renamed[key] = prefix + v
+        elif key in ("original", "modified", "matched"):
+            renamed[key] = [prefix + a for a in v]
+        else:
+            renamed[key] = _rename_report(v, prefix)
+    return renamed
+
+
+def _check_activities_renamed(own: EventLog, bench: EventLog, *options: str, prefix: str = "x_") -> None:
+    code, changes = _run_benchmark(own, bench, *options)
+    renamed_code, renamed = _run_benchmark(_renamed(own, prefix), _renamed(bench, prefix), *options)
+    assert renamed_code == code
+    if not code:
+        assert json.dumps(renamed) == json.dumps(_rename_report(changes, prefix))
+
+
+@pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])
+def test_lab_pair_changes_follow_an_order_keeping_activity_renaming(options):
+    _check_activities_renamed(*_lab_pair(), *options)
+
+
+@given(own=case_lists, bench=case_lists)
+@settings(max_examples=60, deadline=None)
+def test_changes_follow_an_order_keeping_activity_renaming(own, bench):
+    own_log, bench_log = _log_of(own), _log_of(bench)
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_activities_renamed(own_log, bench_log)

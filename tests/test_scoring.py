@@ -368,6 +368,141 @@ def test_scoring_order_does_not_change_results():
     assert [forward.score(c) for c in changes] == fresh
     reverse = ChangeScorer(own_idx, bench_idx, True)
     assert [reverse.score(c) for c in reversed(changes)] == fresh[::-1]
+    assert ChangeScorer(own_idx, bench_idx, True).score_all(changes) == fresh
+    assert ChangeScorer(own_idx, bench_idx, True).score_all(changes[::-1]) == fresh[::-1]
+
+
+# ------------------------------------------------------------ batched scoring
+
+
+def _outcome(scorer, change):
+    """The scored change, or the type and message of what scoring it raises."""
+    try:
+        return scorer.score(change)
+    except (VacuousChangeError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+DEFAULT_BOUND = scoring.CHUNK_ROWS
+QUEUE_BOUNDS = (1, 5, DEFAULT_BOUND)  # 1 and 5 flush inside a change's pool
+
+
+@given(
+    own=_variant_table("abcdef"),
+    bench=_variant_table("cdefgh"),
+    changes=st.lists(replacement_lists, min_size=1, max_size=4),
+)
+@example(  # two originals that map to one modified row
+    own={("a", "d"): (1, 1.0), ("b", "d"): (3, 2.0)},
+    bench={("c", "d"): (1, 0.0), ("d",): (2, 5.0)},
+    changes=[[("a", "c"), ("b", "c")], [("a", "c")]],
+)
+@example(  # overlapping pools: c and d share the benchmark variant (c, d)
+    own={("a", "b", "e"): (2, 1.0), ("b", "f"): (1, 3.0), ("a", "f"): (1, 0.0)},
+    bench={("c", "d"): (1, 0.0), ("d", "e"): (2, 4.0), ("c", "g"): (1, 1.0)},
+    changes=[[("a", "c")], [("b", "d")], [("a", "d"), ("b", "c")], [("f", "c")]],
+)
+@example(  # the second change has no pool, after the first has queued its pairs
+    own={("a", "b"): (1, 1.0), ("c", "d"): (2, 2.0)},
+    bench={("c", "d"): (1, 0.0), ("e", "f"): (1, 1.0)},
+    changes=[[("a", "c")], [("b", "z")], [("c", "e")]],
+)
+@example(  # the second change is vacuous, after the first has queued its pairs
+    own={("a", "b"): (1, 1.0), ("c", "d"): (2, 2.0)},
+    bench={("c", "d"): (1, 0.0), ("e", "f"): (1, 1.0)},
+    changes=[[("a", "c")], [("f", "c")], [("c", "e")]],
+)
+@settings(max_examples=100, deadline=None)
+def test_score_all_equals_a_fresh_scorer_per_change(own, bench, changes):
+    """``score_all`` equals scoring each change with its own scorer, with the
+    queue flushed at any pair.  A list with a change that cannot be scored
+    raises what ``score`` raises for the first such change, and leaves the
+    scorer equal to a fresh one."""
+    own_idx, bench_idx = _indexes_from(own, bench)
+    changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in changes]
+    expected = [_outcome(ChangeScorer(own_idx, bench_idx, True), c) for c in changes]
+    failures = [e for e in expected if isinstance(e, tuple)]
+    scorable = [(c, e) for c, e in zip(changes, expected) if not isinstance(e, tuple)]
+    for bound in QUEUE_BOUNDS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "CHUNK_ROWS", bound)
+            scorer = ChangeScorer(own_idx, bench_idx, True)
+            if failures:
+                with pytest.raises(failures[0][0]) as raised:
+                    scorer.score_all(changes)
+                assert str(raised.value) == failures[0][1]
+                assert [_outcome(scorer, c) for c in changes] == expected
+            assert scorer.score_all([c for c, _ in scorable]) == [e for _, e in scorable]
+
+
+def _spy_on_the_kernel(monkeypatch):
+    """Record, per call of the kernel, the (query bytes, candidate) pair of every row."""
+    calls = []
+    kernel = scoring.levenshtein_many
+
+    def spy(queries, cands, query_lens, cand_lens, qi, ci):
+        calls.append([(queries[q].tobytes(), int(c)) for q, c in zip(qi, ci)])
+        return kernel(queries, cands, query_lens, cand_lens, qi, ci)
+
+    monkeypatch.setattr(scoring, "levenshtein_many", spy)
+    return calls
+
+
+def test_score_all_of_no_changes_makes_no_kernel_call(own_index, benchmark_index, monkeypatch):
+    calls = _spy_on_the_kernel(monkeypatch)
+    assert ChangeScorer(own_index, benchmark_index).score_all([]) == []
+    assert calls == []
+
+
+def test_benchmark_aligns_in_one_kernel_call(monkeypatch):
+    from execbench.experiment import ExperimentConfig, generate_pair
+
+    pair = generate_pair(ExperimentConfig(n_traces=60), 0)
+    calls = _spy_on_the_kernel(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExecbenchWarning)
+        scored = benchmark(pair.own_log, pair.benchmark_log)
+    assert len(scored) > 1
+    assert len(calls) == 1
+
+
+def test_run_pair_scores_technique_and_baseline_in_one_kernel_call(monkeypatch):
+    from execbench.experiment import ExperimentConfig, run_pair
+
+    calls = _spy_on_the_kernel(monkeypatch)
+    record = run_pair(ExperimentConfig(n_pairs=1, n_traces=60), 0)
+    assert record.n_changes_technique and record.n_changes_baseline
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bound", QUEUE_BOUNDS)
+def test_a_scorer_aligns_each_pair_once(monkeypatch, bound):
+    """Across ``score_all`` and ``score`` calls with overlapping pools, no
+    pair goes to the kernel twice, and a call holds at most ``CHUNK_ROWS``
+    pairs unless they are one modified row's: at a bound of 1, each call
+    aligns one modified row, and at the default, one batch of a few changes
+    is one call."""
+    own_idx, bench_idx = _indexes_from(
+        {("a", "b", "c"): (2, 1.0), ("b", "d"): (1, 2.0), ("a", "d", "d"): (1, 0.0), ("c",): (3, 1.0)},
+        {("b", "c"): (1, 0.0), ("c", "d", "e"): (1, 3.0), ("e", "b"): (2, 1.0), ("d",): (1, 0.0)},
+    )
+    replacement_sets = [[("a", "c")], [("a", "e")], [("a", "c"), ("b", "e")], [("d", "c")], [("b", "e")]]
+    changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in replacement_sets]
+    calls = _spy_on_the_kernel(monkeypatch)
+    monkeypatch.setattr(scoring, "CHUNK_ROWS", bound)
+    scorer = ChangeScorer(own_idx, bench_idx)
+    first = scorer.score_all(changes[:3])
+    assert [scorer.score(c) for c in changes[:3]] == first
+    batched = len(calls)
+    scorer.score_all(changes[2:])
+    scorer.score(changes[3])
+    aligned = [pair for call in calls for pair in call]
+    assert len(set(aligned)) == len(aligned)
+    assert all(len(call) <= bound or len({query for query, _ in call}) == 1 for call in calls)
+    if bound == 1:
+        assert all(len({query for query, _ in call}) == 1 for call in calls)
+    if bound == DEFAULT_BOUND:
+        assert batched == 1
 
 
 def test_frequency_scaling_invariance(own_log, benchmark_index):
