@@ -23,7 +23,6 @@ from .errors import (
     ExecbenchError,
     ExecbenchWarning,
     SchemaError,
-    UnknownActivityError,
     VacuousChangeError,
 )
 from .eventlog import (

@@ -36,13 +36,6 @@ def check_fraction(name: str, value) -> None:
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
-class UnknownActivityError(ExecbenchError, KeyError):
-    """An activity name is not part of the log's alphabet."""
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0] if self.args else ""
-
-
 class VacuousChangeError(ExecbenchError):
     """A process change touches no variant of the own log."""
 

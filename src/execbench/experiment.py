@@ -73,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name, least in (("n_pairs", 0), ("n_traces", 1), ("max_changes_per_pair", 0)):
             check_int(name, getattr(self, name), least)
-        check_int("max_tree_depth", self.max_tree_depth)
+        check_int("max_tree_depth", self.max_tree_depth, 1)
         _seed_words(self.master_seed, "master_seed")
         for name, least in (
             ("leaves_range", 1),

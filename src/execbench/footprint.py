@@ -7,7 +7,8 @@ traces cannot flip a relation; the exclusiveness and interleaving decisions
 go through user-set thresholds that should sit close to 1.
 
 The scores and the relations are computed as whole arrays over all
-ordered pairs at once.
+ordered pairs at once.  Rows and columns follow the log's sorted alphabet,
+``VariantIndex.activities``: an activity's row is its variant code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import IO
 import numpy as np
 
 from ._kernels import order_stats
-from .errors import DataError, UnknownActivityError, check_fraction
+from .errors import ConfigError, DataError, check_fraction
 from .eventlog import EventLog, VariantIndex, extract_variants
 
 DEFAULT_EXCLUSIVENESS_THRESHOLD = 0.9
@@ -39,24 +40,8 @@ class Relation(Enum):
 _RELATIONS = (Relation.EXCLUSIVE, Relation.STRICT_ORDER, Relation.REVERSE_ORDER, Relation.INTERLEAVING)
 
 
-class _ActivityIndex:
-    """Row and column lookup by activity name, through one dict built on first use."""
-
-    activities: tuple[str, ...]
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.activities)}
-
-    def index(self, activity: str) -> int:
-        try:
-            return self._positions[activity]
-        except KeyError:
-            raise UnknownActivityError(f"unknown activity {activity!r}") from None
-
-
 @dataclass(frozen=True)
-class CooccurrenceStats(_ActivityIndex):
+class CooccurrenceStats:
     """Trace counts backing the relation scores.
 
     ``cooccur`` holds, off the diagonal, the number of traces containing
@@ -64,6 +49,7 @@ class CooccurrenceStats(_ActivityIndex):
     occurs at least twice (the only way an activity co-occurs with itself
     as two distinct events).  ``before[a, b]`` counts traces where some
     occurrence of a precedes some occurrence of b; any occurrence counts.
+    Every array is indexed like ``activities``, the log's sorted alphabet.
     """
 
     activities: tuple[str, ...]
@@ -132,9 +118,20 @@ def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> Cooc
 
 
 @dataclass(frozen=True)
-class FootprintMatrix(_ActivityIndex):
+class FootprintMatrix:
+    """One relation per ordered activity pair.
+
+    Rows and columns follow ``activities``, which must strictly ascend as
+    the log's sorted alphabet (``VariantIndex.activities``) does; matching
+    relies on that order to align two matrices' shared columns.
+    """
+
     activities: tuple[str, ...]
     cells: np.ndarray  # int8 codes into _RELATIONS, indexed like activities
+
+    def __post_init__(self) -> None:
+        if any(a >= b for a, b in zip(self.activities, self.activities[1:])):
+            raise ConfigError(f"footprint activities must strictly ascend, got {self.activities!r}")
 
     def to_csv(self, stream: IO[str]) -> None:
         symbols = np.array([relation.value for relation in _RELATIONS])[self.cells]

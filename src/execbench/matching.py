@@ -32,13 +32,15 @@ class MatchSet:
 def match_activities(own: FootprintMatrix, benchmark: FootprintMatrix) -> MatchSet:
     """All (own activity, benchmark activity) pairs with equal partial footprints.
 
-    Same-name pairs are trivial replacements and are left out.
+    Same-name pairs are trivial replacements and are left out.  Both
+    matrices' activities ascend (``FootprintMatrix`` checks it), so the
+    shared columns, kept in each matrix's own order, line up name by name.
     """
-    shared = sorted(set(own.activities) & set(benchmark.activities))
+    shared = set(own.activities) & set(benchmark.activities)
     if not shared:
         raise DataError("logs share no activities; benchmarking is not meaningful")
-    own_rows = own.cells[:, [own.index(c) for c in shared]]
-    benchmark_rows = benchmark.cells[:, [benchmark.index(c) for c in shared]]
+    own_rows = own.cells[:, [a in shared for a in own.activities]]
+    benchmark_rows = benchmark.cells[:, [b in shared for b in benchmark.activities]]
     with_row: dict[bytes, list[str]] = {}
     for b, row in zip(benchmark.activities, benchmark_rows):
         with_row.setdefault(row.tobytes(), []).append(b)

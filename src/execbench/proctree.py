@@ -131,7 +131,7 @@ class GenConfig:
     def __post_init__(self) -> None:
         check_int("target_leaves", self.target_leaves, 1)
         check_int("max_children", self.max_children, 2)
-        check_int("max_depth", self.max_depth)
+        check_int("max_depth", self.max_depth, 1)
         if self.target_leaves >= 2 and self.max_depth < 2:
             raise ConfigError(f"max_depth {self.max_depth} cannot hold {self.target_leaves} leaves")
         for operator, weight in self.operator_weights.items():

@@ -23,7 +23,7 @@ from .compatibility import (
     build_compatibility_graph,
     enumerate_changes,
 )
-from .errors import DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
+from .errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -88,6 +88,8 @@ class BenchmarkConfig:
         check_int("max_change_size", self.max_change_size, 1)
         if self.top is not None:
             check_int("top", self.top, 0)
+        if not (self.performance is None or isinstance(self.performance, PerfConfig)):
+            raise ConfigError(f"performance must be a PerfConfig or None, got {self.performance!r}")
 
 
 def _best_matches(

@@ -1,11 +1,13 @@
 """Command-line entry point: option defaults, early option checks and the files each command writes."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import tempfile
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
 from execbench import footprint
-from execbench.cli import _experiment_config, build_parser, main
+from execbench.cli import _change_payload, _experiment_config, _resolve_performance, build_parser, main
 from execbench.errors import ExecbenchWarning, TruncationWarning
 from execbench.eventlog import EventLog, Trace, write_event_log
 from execbench.experiment import ExperimentConfig, generate_pair
+from execbench.scoring import BenchmarkConfig, benchmark
 
 
 def test_eval_defaults_are_the_package_defaults():
@@ -222,11 +225,23 @@ def test_lab_pair_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests == LAB_PAIR_DIGESTS
 
 
+def _csv_text(log: EventLog) -> str:
+    stream = io.StringIO()
+    write_event_log(log, stream)
+    return stream.getvalue()
+
+
 def _run_benchmark(own: EventLog, bench: EventLog, *options: str) -> tuple[int, list | str]:
     """Exit code and ``report["changes"]`` (or stderr) of ``execbench benchmark``
     on the two logs, written as CSV files to a fresh directory."""
+    return _run_benchmark_csv(_csv_text(own), _csv_text(bench), *options)
+
+
+def _run_benchmark_csv(own: str, bench: str, *options: str) -> tuple[int, list | str]:
+    """``_run_benchmark`` on two logs given as CSV texts."""
     with tempfile.TemporaryDirectory() as directory:
-        _write_logs(directory, own, bench)
+        for name, text in (("own.csv", own), ("benchmark.csv", bench)):
+            (Path(directory) / name).write_text(text, encoding="utf-8", newline="")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore", ExecbenchWarning)
@@ -294,21 +309,26 @@ def test_lab_pair_changes_scale_with_copied_cases(options):
     _check_copied(*_lab_pair(), 3, *options)
 
 
-def _log_of(cases) -> EventLog:
+def _log_of(cases, timed: bool = False) -> EventLog:
+    """Row-number order keys, or with ``timed`` timestamps that strictly increase
+    within each case and put the log in time order when its cases interleave."""
+
+    def keys(k, variant):
+        if not timed:
+            return tuple(range(len(variant)))
+        return tuple(datetime(2024, 1, 1) + timedelta(seconds=i * len(cases) + k) for i in range(len(variant)))
+
     return EventLog({
-        f"c{k}": Trace(f"c{k}", variant, tuple(range(len(variant))), value) for k, (variant, value) in enumerate(cases)
+        f"c{k}": Trace(f"c{k}", variant, keys(k, variant), value) for k, (variant, value) in enumerate(cases)
     })
 
 
+_variants = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(tuple)
+_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 # (variant, performance value) per case
-case_lists = st.lists(
-    st.tuples(
-        st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(tuple),
-        st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
-    ),
-    min_size=1,
-    max_size=6,
-)
+case_lists = st.lists(st.tuples(_variants, st.one_of(st.none(), _values)), min_size=1, max_size=6)
+# Every case with a value, so that the CLI reads the performance column.
+valued_case_lists = st.lists(st.tuples(_variants, _values), min_size=1, max_size=6)
 
 
 def test_changes_ignore_the_order_of_fractional_performance_values():
@@ -380,3 +400,99 @@ def test_changes_follow_an_order_keeping_activity_renaming(own, bench):
     own_log, bench_log = _log_of(own), _log_of(bench)
     assume(own_log.alphabet & bench_log.alphabet)
     _check_activities_renamed(own_log, bench_log)
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _csv_of_rows(rows) -> str:
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerows(rows)
+    return stream.getvalue()
+
+
+def _without_time(text: str) -> str:
+    """The CSV log with its timestamp column dropped."""
+    header, *rows = _csv_rows(text)
+    keep = [i for i, name in enumerate(header) if name != "timestamp"]
+    assert len(keep) == len(header) - 1
+    return _csv_of_rows([[row[i] for i in keep] for row in (header, *rows)])
+
+
+def _interleaved(text: str) -> str:
+    """The CSV log's rows with its cases taken round-robin, one row of each in turn."""
+    header, *rows = _csv_rows(text)
+    cases: dict[str, list[list[str]]] = {}
+    for row in rows:
+        cases.setdefault(row[0], []).append(row)
+    longest = max(map(len, cases.values()))
+    return _csv_of_rows([header] + [case[i] for i in range(longest) for case in cases.values() if i < len(case)])
+
+
+def _check_csv_rewrite(rewrite, own: EventLog, bench: EventLog, *options: str) -> None:
+    own_text, bench_text = _csv_text(own), _csv_text(bench)
+    again = _run_benchmark_csv(rewrite(own_text), rewrite(bench_text), *options)
+    assert json.dumps(again) == json.dumps(_run_benchmark_csv(own_text, bench_text, *options))
+
+
+def _check_round_trip(own: EventLog, bench: EventLog, *options: str) -> None:
+    """``benchmark()`` on the logs in memory gives the changes that the CLI
+    reports on them after ``write_event_log`` and ``read_event_log``."""
+    code, changes = _run_benchmark(own, bench, *options)
+    assert code == 0, changes
+    args = build_parser().parse_args(["benchmark", "own.csv", "benchmark.csv", *options])
+    config = BenchmarkConfig(performance=_resolve_performance(args, own, bench))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExecbenchWarning)
+        direct = [_change_payload(c) for c in benchmark(own, bench, config)]
+    assert json.dumps(direct) == json.dumps(changes)
+
+
+def _strictly_timed(log: EventLog) -> bool:
+    return all(
+        isinstance(t.order_keys[0], datetime) and all(a < b for a, b in zip(t.order_keys, t.order_keys[1:]))
+        for t in log.traces.values()
+    )
+
+
+def test_lab_pair_changes_ignore_a_dropped_time_column():
+    own, bench = _lab_pair()
+    assert _strictly_timed(own) and _strictly_timed(bench)
+    _check_csv_rewrite(_without_time, own, bench)
+
+
+@pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])
+def test_lab_pair_changes_ignore_interleaved_cases(options):
+    own, bench = _lab_pair()
+    assert _strictly_timed(own) and _strictly_timed(bench)
+    _check_csv_rewrite(_interleaved, own, bench, *options)
+
+
+@pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])
+def test_lab_pair_changes_survive_a_write_and_read(options):
+    _check_round_trip(*_lab_pair(), *options)
+
+
+@given(own=case_lists, bench=case_lists)
+@settings(max_examples=60, deadline=None)
+def test_changes_ignore_a_dropped_time_column(own, bench):
+    own_log, bench_log = _log_of(own, timed=True), _log_of(bench, timed=True)
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_csv_rewrite(_without_time, own_log, bench_log)
+
+
+@given(own=case_lists, bench=case_lists)
+@settings(max_examples=60, deadline=None)
+def test_changes_ignore_interleaved_cases(own, bench):
+    own_log, bench_log = _log_of(own, timed=True), _log_of(bench, timed=True)
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_csv_rewrite(_interleaved, own_log, bench_log)
+
+
+@given(lists=st.sampled_from([case_lists, valued_case_lists]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_changes_survive_a_write_and_read(lists, data):
+    own_log, bench_log = _log_of(data.draw(lists)), _log_of(data.draw(lists))
+    assume(own_log.alphabet & bench_log.alphabet)
+    _check_round_trip(own_log, bench_log)

@@ -3,14 +3,16 @@
 import io
 import math
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log
-from execbench.errors import ConfigError, DataError, UnknownActivityError
+from execbench.errors import ConfigError, DataError
 from execbench.eventlog import EventLog
-from execbench.footprint import _RELATIONS, Relation, build_footprint_matrix, ordering_counts
+from execbench.footprint import _RELATIONS, FootprintMatrix, Relation, build_footprint_matrix, ordering_counts
 
 
 @pytest.fixture
@@ -19,11 +21,11 @@ def own_stats(own_log):
 
 
 def relation(matrix, a, b):
-    return _RELATIONS[matrix.cells[matrix.index(a), matrix.index(b)]]
+    return _RELATIONS[matrix.cells[matrix.activities.index(a), matrix.activities.index(b)]]
 
 
 def cell(scores, stats, a, b):
-    return float(scores[stats.index(a), stats.index(b)])
+    return float(scores[stats.activities.index(a), stats.activities.index(b)])
 
 
 def test_hand_counts_on_worked_example(own_stats):
@@ -65,11 +67,10 @@ def test_interleaving_undefined_without_cooccurrence(own_stats):
     assert math.isnan(cell(own_stats.interleaving, own_stats, "a", "c"))
 
 
-def test_unknown_activity_raises_lookup_error(own_stats):
-    with pytest.raises(UnknownActivityError):
-        own_stats.index("zz")
-    with pytest.raises(KeyError):
-        build_footprint_matrix(make_log([("a",)])).index("zz")
+@pytest.mark.parametrize("activities", [("b", "a"), ("a", "a")])
+def test_footprint_matrix_refuses_activities_out_of_sorted_order(activities):
+    with pytest.raises(ConfigError, match="strictly ascend"):
+        FootprintMatrix(activities, np.zeros((2, 2), dtype=np.int8))
 
 
 def test_classification_goldens(own_stats):
@@ -232,11 +233,11 @@ def test_extreme_thresholds_reduce_to_definitions(variants):
 
 
 def count_with(stats, a):
-    return int(stats.traces_with[stats.index(a)])
+    return int(stats.traces_with[stats.activities.index(a)])
 
 
 def count_both(stats, a, b):
-    return int(stats.cooccur[stats.index(a), stats.index(b)])
+    return int(stats.cooccur[stats.activities.index(a), stats.activities.index(b)])
 
 
 def count_only(stats, a, b):
@@ -245,7 +246,7 @@ def count_only(stats, a, b):
 
 
 def count_before(stats, a, b):
-    return int(stats.before[stats.index(a), stats.index(b)])
+    return int(stats.before[stats.activities.index(a), stats.activities.index(b)])
 
 
 def _scalar_exclusiveness(stats, a, b):

@@ -51,6 +51,13 @@ def test_disjoint_alphabets_rejected():
         match_activities(left, right)
 
 
+def test_names_differing_by_a_trailing_nul_are_distinct():
+    # The CSV reader keeps "a\x00" apart from "a"; numpy string arrays would not.
+    own = build_footprint_matrix(make_log([("a", "b")]))
+    bench = build_footprint_matrix(make_log([("a", "a\x00")]))
+    assert match_activities(own, bench).matches == (Match("b", "a\x00"),)
+
+
 random_logs = st.lists(
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(tuple),
     min_size=1,
@@ -107,7 +114,7 @@ def _all_pairs_matches(own, bench, keep_trivial=False):
     shared = sorted(set(own.activities) & set(bench.activities))
 
     def row(matrix, activity):
-        return [_RELATIONS[matrix.cells[matrix.index(activity), matrix.index(c)]] for c in shared]
+        return [_RELATIONS[matrix.cells[matrix.activities.index(activity), matrix.activities.index(c)]] for c in shared]
 
     return sorted(
         Match(a, b)

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "run_experiment", "precision_recall", "random_baseline",
     # errors and warnings
     "ExecbenchError", "ConfigError", "DataError", "SchemaError",
-    "UnknownActivityError", "VacuousChangeError", "ExecbenchWarning",
+    "VacuousChangeError", "ExecbenchWarning",
 }
 
 

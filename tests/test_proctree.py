@@ -693,6 +693,15 @@ def test_invalid_lab_config_rejected_when_built(config, field, value):
         config(**{field: value})
 
 
+@pytest.mark.parametrize("depth", [0, -7])
+def test_depth_below_one_rejected_for_a_one_leaf_tree(depth):
+    # A single leaf is a tree of depth 1; the two-leaf depth rule does not reach it.
+    with pytest.raises(ConfigError, match="max_depth"):
+        GenConfig(target_leaves=1, max_depth=depth)
+    with pytest.raises(ConfigError, match="max_tree_depth"):
+        ExperimentConfig(leaves_range=(1, 1), max_tree_depth=depth)
+
+
 def test_negative_trace_count_rejected():
     with pytest.raises(ConfigError, match="n_traces"):
         SimConfig(n_traces=-1)

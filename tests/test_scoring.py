@@ -592,6 +592,7 @@ def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
         ("int_threshold", None),
         ("max_change_size", True),
         ("min_feasibility", True),
+        ("performance", "column"),
     ],
 )
 def test_invalid_benchmark_config_rejected(field, value):
