@@ -145,7 +145,7 @@ def levenshtein_many(
     return out
 
 
-def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_symbols: int):
+def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
     """Trace-weighted per-activity and per-pair occurrence counts.
 
     Returns ``(traces_with, cooccur, before)`` where ``traces_with[x]``
@@ -153,7 +153,7 @@ def order_stats(tokens: np.ndarray, lengths: np.ndarray, freqs: np.ndarray, n_sy
     some x occurrence precedes some y occurrence, and ``cooccur[x, y]``
     counts traces containing both.  The diagonal of ``cooccur`` counts
     traces where the symbol occurs at least twice, i.e. co-occurs with
-    itself as two distinct events.  ``lengths`` is unused.
+    itself as two distinct events.
     """
     n_variants, width = tokens.shape
     first = np.full((n_variants, n_symbols), width, dtype=np.int64)

@@ -165,19 +165,7 @@ def _change_payload(scored: ScoredChange) -> dict:
         "performance_impact": scored.performance_impact,
         "affected_traces": scored.affected_trace_count,
         "transitive": scored.change.is_transitive,
-        "alignments": [
-            {
-                "original": list(a.original),
-                "modified": list(a.modified),
-                "matched": list(a.matched),
-                "similarity": a.similarity,
-                "frequency": a.frequency,
-                "tie_count": a.tie_count,
-                "own_performance": a.own_performance,
-                "benchmark_performance": a.benchmark_performance,
-            }
-            for a in scored.alignments
-        ],
+        "alignments": [vars(a) for a in scored.alignments],
     }
 
 

@@ -75,9 +75,6 @@ class CompatGraph:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for a, b in combinations(self.groups, 2) for i in a for j in b)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def build_compatibility_graph(matches: MatchSet) -> CompatGraph:
     return CompatGraph(matches.matches)

@@ -32,7 +32,9 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -56,7 +58,8 @@ class Event:
 @dataclass(frozen=True, slots=True)
 class Trace:
     """One case: ``variant[i]`` is the activity of its i-th event and
-    ``order_keys[i]`` that event's timestamp or row number."""
+    ``order_keys[i]`` that event's timestamp or row number.  ``performance``
+    is ``None`` or a finite real number (not a bool), stored as a float."""
 
     case_id: str
     variant: Variant
@@ -72,6 +75,13 @@ class Trace:
             raise DataError(
                 f"case {self.case_id!r}: {len(self.variant)} activities but {len(self.order_keys)} order keys"
             )
+        value = self.performance
+        if value is not None:
+            # numpy scalars are numbers.Real; NaN fails the comparison.
+            finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise DataError(f"case {self.case_id!r}: performance must be a finite number, got {value!r}")
+            object.__setattr__(self, "performance", float(value))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -101,10 +111,6 @@ class VariantIndex:
     """Distinct variants in ascending order and their encoding (see the module docstring)."""
 
     entries: dict[Variant, VariantEntry]
-
-    @property
-    def total_traces(self) -> int:
-        return sum(e.frequency for e in self.entries.values())
 
     @cached_property
     def activities(self) -> tuple[str, ...]:

@@ -243,7 +243,6 @@ def random_baseline(
 class PairData:
     """One generated own/benchmark pair with its mutation ground truth."""
 
-    index: int
     tree: object
     mutated: object
     truth: GroundTruth
@@ -270,7 +269,7 @@ def generate_pair(config: ExperimentConfig, index: int) -> PairData:
     mutated, truth = mutate_tree(tree, seed + (2,), mutation)
     own_log = simulate_log(tree, config.sim_config(seed + (3,)))
     bench_log = simulate_log(mutated, config.sim_config(seed + (4,)))
-    return PairData(index, tree, mutated, truth, own_log, bench_log)
+    return PairData(tree, mutated, truth, own_log, bench_log)
 
 
 def run_pair(config: ExperimentConfig, index: int) -> PairRecord:

@@ -53,7 +53,6 @@ class CooccurrenceStats:
     """
 
     activities: tuple[str, ...]
-    n_traces: int
     traces_with: np.ndarray
     cooccur: np.ndarray
     before: np.ndarray
@@ -88,7 +87,7 @@ class CooccurrenceStats:
         so exclusive and interleaving cells are symmetric and strict order
         flips direction across the diagonal.
         """
-        if not self.n_traces:
+        if not self.activities:  # a trace has at least one event
             raise DataError("cannot build a footprint matrix for an empty event log")
         check_fraction("exc_threshold", exc_threshold)
         check_fraction("int_threshold", int_threshold)
@@ -107,14 +106,9 @@ def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> Cooc
     which is equivalent to enumerating traces directly.
     """
     variants = variants or extract_variants(log)
-    traces_with, cooccur, before = order_stats(*variants.codes, len(variants.activities))
-    return CooccurrenceStats(
-        activities=variants.activities,
-        n_traces=variants.total_traces,
-        traces_with=traces_with,
-        cooccur=cooccur,
-        before=before,
-    )
+    tokens, _, frequencies = variants.codes
+    traces_with, cooccur, before = order_stats(tokens, frequencies, n_symbols=len(variants.activities))
+    return CooccurrenceStats(variants.activities, traces_with, cooccur, before)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,6 @@ class Match:
 class MatchSet:
     matches: tuple[Match, ...]
 
-    def __len__(self) -> int:
-        return len(self.matches)
-
 
 def match_activities(own: FootprintMatrix, benchmark: FootprintMatrix) -> MatchSet:
     """All (own activity, benchmark activity) pairs with equal partial footprints.

@@ -84,7 +84,9 @@ def test_footprint_counts_order_statistics_once(tmp_path, monkeypatch, capsys):
     log.write_text(OWN_CSV, encoding="utf-8")
     calls = []
     original = footprint.order_stats
-    monkeypatch.setattr(footprint, "order_stats", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(
+        footprint, "order_stats", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+    )
     assert main(["footprint", str(log)]) == 0
     assert len(calls) == 1
     assert "# relations" in capsys.readouterr().out
@@ -117,6 +119,24 @@ def test_benchmark_out_writes_the_json_report_and_the_csv(tmp_path, capsys):
     assert len(json.loads(stdout)["changes"]) == 11
     assert main(["benchmark", own, bench, "--format", "csv"]) == 0
     assert (out / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+REPORT_KEYS = ["config", "own_alphabet", "benchmark_alphabet", "shared_alphabet", "alphabet_jaccard", "changes"]
+CHANGE_KEYS = ["replacements", "feasibility", "performance_impact", "affected_traces", "transitive", "alignments"]
+ALIGNMENT_KEYS = [
+    "original", "modified", "matched", "similarity", "frequency", "tie_count",
+    "own_performance", "benchmark_performance",
+]
+
+
+def test_benchmark_report_keys_are_pinned_in_order(tmp_path, capsys):
+    own, bench = _worked_example_logs(tmp_path)
+    assert main(["benchmark", own, bench, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == REPORT_KEYS
+    assert [list(c) for c in report["changes"]] == [CHANGE_KEYS] * len(report["changes"])
+    alignments = [a for c in report["changes"] for a in c["alignments"]]
+    assert alignments and [list(a) for a in alignments] == [ALIGNMENT_KEYS] * len(alignments)
 
 
 def test_benchmark_encodes_the_json_report_once(tmp_path, monkeypatch, capsys):

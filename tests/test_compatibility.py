@@ -30,7 +30,7 @@ def _pairs(change: ProcessChange):
 
 def test_worked_example_graph_structure():
     graph = _graph(WORKED_MATCHES)
-    assert len(graph) == 4
+    assert len(graph.nodes) == 4
     assert len(graph.edges) == 5
     conflict = {graph.nodes.index(Match("a", "b")), graph.nodes.index(Match("a", "c"))}
     assert all(set(edge) != conflict for edge in graph.edges)
@@ -38,7 +38,7 @@ def test_worked_example_graph_structure():
 
 def test_single_match_graph():
     graph = _graph([Match("a", "b")])
-    assert len(graph) == 1 and not graph.edges
+    assert len(graph.nodes) == 1 and not graph.edges
 
 
 def test_same_own_activity_conflicts():
@@ -153,6 +153,6 @@ def test_count_matches_enumeration_and_brute_force(matches, max_size):
 def test_size_cap_is_a_filter(matches, k):
     graph = _graph(matches)
     capped = {tuple(c.replacements) for c in enumerate_changes(graph, k)}
-    everything = enumerate_changes(graph, len(graph))
+    everything = enumerate_changes(graph, len(graph.nodes))
     assert capped == {tuple(c.replacements) for c in everything if len(c.replacements) <= k}
 

@@ -151,7 +151,7 @@ def test_extract_variants_counts():
     idx = extract_variants(log)
     assert idx.entries[("a", "b")].frequency == 3
     assert idx.entries[("b", "a")].frequency == 2
-    assert idx.total_traces == 5
+    assert sum(e.frequency for e in idx.entries.values()) == 5
 
 
 def test_mean_performance_requires_all_traces():
@@ -357,7 +357,7 @@ def test_frequencies_sum_to_case_count(variants, freqs):
     )
     log = make_log(variants, freqs=counts)
     idx = extract_variants(log)
-    assert idx.total_traces == len(log)
+    assert sum(e.frequency for e in idx.entries.values()) == len(log)
     assert {v: e.frequency for v, e in idx.entries.items()} == Counter(t.variant for t in log.traces.values())
 
 
@@ -632,6 +632,21 @@ def test_a_log_that_is_not_utf8_names_the_path_and_the_byte_offset(rows, mark, b
 def test_trace_without_events_is_rejected():
     with pytest.raises(DataError, match="'c7' has no events"):
         Trace("c7", (), ())
+
+
+def test_numpy_performance_is_stored_as_a_float_and_round_trips():
+    traces = [Trace("c1", ("a",), (0,), np.float64(1.5)), Trace("c2", ("b",), (1,), np.int64(2))]
+    log = EventLog({t.case_id: t for t in traces})
+    assert [type(t.performance) for t in log.traces.values()] == [float, float]
+    buffer = io.StringIO()
+    write_event_log(log, buffer)
+    assert {cid: t.performance for cid, t in parse(buffer.getvalue()).traces.items()} == {"c1": 1.5, "c2": 2.0}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, "1.5", True, np.bool_(True)])
+def test_trace_performance_must_be_a_finite_number(value):
+    with pytest.raises(DataError, match="'c7': performance must be a finite number"):
+        Trace("c7", ("a",), (0,), value)
 
 
 def test_byte_order_mark_is_skipped(tmp_path):

@@ -129,8 +129,8 @@ def _assert_same_counts(got, expected):
 def test_order_stats_matches_naive_count(weighted):
     seqs = [seq for seq, _ in weighted]
     freqs = np.array([f for _, f in weighted], dtype=np.int64)
-    pool, lens = _pad(seqs)
-    got = order_stats(pool, lens.astype(np.int64), freqs, 5)
+    pool, _ = _pad(seqs)
+    got = order_stats(pool, freqs, n_symbols=5)
     _assert_same_counts(got, _naive_order_stats(seqs, freqs, 5))
 
 
@@ -140,23 +140,21 @@ def test_wide_order_stats_match_naive_count():
     used = rng.permutation(n_symbols)[:250]  # the other 50 symbols occur in no variant
     seqs = [list(rng.choice(used, size=n)) for n in (60, 63, 64, 65, 97, 130)]
     freqs = rng.integers(1, 2**40, size=len(seqs))
-    pool, lens = _pad(seqs)
-    got = order_stats(pool, lens.astype(np.int64), freqs, n_symbols)
+    pool, _ = _pad(seqs)
+    got = order_stats(pool, freqs, n_symbols=n_symbols)
     _assert_same_counts(got, _naive_order_stats(seqs, freqs, n_symbols))
 
 
 def test_empty_order_stats_batch():
     empty = np.empty(0, dtype=np.int64)
-    got = order_stats(np.empty((0, 0), dtype=np.int32), empty, empty, 0)
+    got = order_stats(np.empty((0, 0), dtype=np.int32), empty, n_symbols=0)
     assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,)), (np.int64, (0, 0)), (np.int64, (0, 0))]
 
 
 def test_order_stats_diagonal_counts_repeats():
     seqs = [[0, 1, 0], [1], [0]]
-    pool, lens = _pad(seqs)
-    traces_with, cooccur, before = order_stats(
-        pool, lens.astype(np.int64), np.array([1, 1, 1], dtype=np.int64), 2
-    )
+    pool, _ = _pad(seqs)
+    traces_with, cooccur, before = order_stats(pool, np.array([1, 1, 1], dtype=np.int64), n_symbols=2)
     assert traces_with[0] == 2 and traces_with[1] == 2
     assert cooccur[0, 0] == 1  # only the repeating trace
     assert cooccur[1, 1] == 0
