@@ -2,14 +2,15 @@
 
 ``levenshtein_many`` computes one edit distance per row of a batch.  Row
 ``r`` pairs query ``qi[r]`` with candidate ``ci[r]``; queries and
-candidates are -1-padded int32 matrices with their true lengths alongside,
-so one call can align a whole batch: ``ChangeScorer`` queues the missing
-(modified variant, candidate) pairs of all the changes it scores and sends
-them in one call per ``CHUNK_ROWS`` pairs.  It runs Myers' bit-vector
-recurrence (Myers 1999, J. ACM 46(3)) vectorized across rows: each query's
-DP column is a bit vector of 64-bit words, and queries longer than 64
-tokens add and shift across words with carries (Hyyrö 2003).  Rows are sorted by candidate length, longest
-first, so candidate column ``j`` only updates a prefix of the rows, and are
+candidates are -1-padded int32 matrices, and a row's length is its count of
+codes that are not padding.  So one call can align a whole batch:
+``ChangeScorer`` queues the missing (modified variant, candidate) pairs of
+all the changes it scores and sends them in one call per ``CHUNK_ROWS``
+pairs.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM 46(3))
+vectorized across rows: each query's DP column is a bit vector of 64-bit
+words, and queries longer than 64 tokens add and shift across words with
+carries (Hyyrö 2003).  Rows are sorted by candidate length, longest first,
+so candidate column ``j`` only updates a prefix of the rows, and are
 processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
 
 ``order_stats`` counts per-activity and per-pair occurrences over a batch
@@ -37,7 +38,7 @@ _TOP = np.uint64(_WORD_BITS - 1)
 _ALL = ~np.uint64(0)
 
 
-def _peq_tables(queries: np.ndarray, query_lens: np.ndarray, n_symbols: int, n_words: int) -> np.ndarray:
+def _peq_tables(queries: np.ndarray, n_symbols: int, n_words: int) -> np.ndarray:
     """Each query's match masks, stored as ``peq[word, query * n_symbols + symbol]``.
 
     Bit ``i % 64`` of word ``i // 64`` is set when the query's token ``i``
@@ -45,7 +46,7 @@ def _peq_tables(queries: np.ndarray, query_lens: np.ndarray, n_symbols: int, n_w
     code -1 becomes symbol 0, which matches nothing.
     """
     peq = np.zeros((n_words, queries.shape[0] * n_symbols), dtype=np.uint64)
-    rows, positions = np.nonzero(np.arange(queries.shape[1]) < query_lens[:, None])
+    rows, positions = np.nonzero(queries >= 0)
     symbols = rows * n_symbols + queries[rows, positions] + 1
     bits = np.left_shift(_ONE, (positions % _WORD_BITS).astype(np.uint64))
     np.bitwise_or.at(peq, (positions // _WORD_BITS, symbols), bits)
@@ -111,33 +112,26 @@ def _myers_chunk(peq, offsets, query_lens, cand_columns, cand_ids, cand_lens):
     return cand_lens + deltas.astype(np.int64)
 
 
-def levenshtein_many(
-    queries: np.ndarray,
-    cands: np.ndarray,
-    query_lens: np.ndarray,
-    cand_lens: np.ndarray,
-    qi: np.ndarray,
-    ci: np.ndarray,
-) -> np.ndarray:
+def levenshtein_many(queries: np.ndarray, cands: np.ndarray, qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
     """Edit distance between ``queries[qi[r]]`` and ``cands[ci[r]]`` for every r.
 
-    ``queries`` (Q, wq) and ``cands`` (C, wc) are int32 codes padded with -1,
-    with true lengths in ``query_lens`` and ``cand_lens``.  Rows may repeat
-    and come in any order.  Returns one int32 distance per row; an empty
-    query's distance is its candidate's length.
+    ``queries`` (Q, wq) and ``cands`` (C, wc) are int32 codes padded at the
+    end with -1, so a row's length is its count of codes >= 0; extra padding
+    columns change no distance.  Rows may repeat and come in any order.
+    Returns one int32 distance per row; an empty query's distance is its
+    candidate's length.
     """
     qi = np.asarray(qi, dtype=np.intp)
     ci = np.asarray(ci, dtype=np.intp)
-    query_lens = np.asarray(query_lens, dtype=np.int64)
-    cand_lens = np.asarray(cand_lens, dtype=np.int64)
-    m, n = query_lens[qi], cand_lens[ci]
+    query_lens = (queries >= 0).sum(axis=1)
+    m, n = query_lens[qi], (cands >= 0).sum(axis=1)[ci]
     out = n.astype(np.int32)
     rows = np.flatnonzero(m > 0)
     if not len(rows):
         return out
     rows = rows[np.argsort(-n[rows], kind="stable")]
     n_symbols = int(max(queries.max(initial=-1), cands.max(initial=-1))) + 2
-    peq = _peq_tables(queries, query_lens, n_symbols, -(-int(query_lens.max()) // _WORD_BITS))
+    peq = _peq_tables(queries, n_symbols, -(-int(query_lens.max()) // _WORD_BITS))
     cand_columns = np.ascontiguousarray(cands.T)
     for start in range(0, len(rows), CHUNK_ROWS):
         chunk = rows[start : start + CHUNK_ROWS]

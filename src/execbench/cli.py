@@ -3,8 +3,9 @@
 Subcommands: ``benchmark`` runs the full pipeline on two CSV logs,
 ``footprint`` dumps relation and score matrices for one log, ``synth``
 writes generated tree/log pairs with ground truth, ``eval`` runs the
-synthetic experiment.  Exit codes: 0 success, 1 usage error, 2 data or
-configuration error.  Warnings go to stderr.
+synthetic experiment.  Exit codes: 0 success (also when the reader closes
+standard output early), 1 usage error, 2 data or configuration error.
+Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _add_pair_generation_options(parser: argparse.ArgumentParser, defaults: Expe
 
 def build_parser() -> _Parser:
     bench_defaults, eval_defaults = BenchmarkConfig(), ExperimentConfig()
-    parser = _Parser(prog="execbench", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="execbench", description=sys.modules[__package__].__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_bench = sub.add_parser("benchmark", help="score activity replacements of OWN against BENCHMARK")
@@ -227,11 +228,7 @@ def _cmd_benchmark(args) -> int:
         "config": {
             "own": args.own,
             "benchmark": args.benchmark,
-            "exc_threshold": config.exc_threshold,
-            "int_threshold": config.int_threshold,
-            "max_change_size": config.max_change_size,
-            "min_feasibility": config.min_feasibility,
-            "top": config.top,
+            **vars(config),
             "performance": None
             if perf is None
             else {"mode": perf.mode, "direction": perf.resolved_direction},
@@ -340,6 +337,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early: not an error.  Point stdout at
+        # devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ExecbenchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

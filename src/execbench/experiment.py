@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -93,7 +93,7 @@ class ExperimentConfig:
         # Every other field is checked by the config it is passed on to.
         self.gen_config(self.leaves_range[1])
         self.sim_config(0)
-        self.benchmark_config()
+        BenchmarkConfig(self.exc_threshold, self.int_threshold, self.max_change_size)
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
@@ -110,9 +110,6 @@ class ExperimentConfig:
             max_loop_iterations=self.max_loop_iterations,
             seed=seed,
         )
-
-    def benchmark_config(self) -> BenchmarkConfig:
-        return BenchmarkConfig(self.exc_threshold, self.int_threshold, self.max_change_size)
 
     def to_mapping(self) -> dict:
         raw = asdict(self)
@@ -284,45 +281,26 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     predicted = match_activities(own_matrix, bench_matrix)
     precision, recall = precision_recall(predicted, truth)
 
-    technique = technique_median = baseline = baseline_median = None
-    n_changes_technique = n_changes_baseline = 0
-    skipped = None
+    record = PairRecord(index, precision, recall, len(predicted.matches), len(truth.replacements))
     if not predicted.matches:
-        skipped = "no-matches"
-    else:
-        sampled = random_baseline(
-            own_log.alphabet, bench_log.alphabet, len(predicted.matches), seed + (5,)
-        )
-        graphs = [build_compatibility_graph(predicted), build_compatibility_graph(sampled)]
-        if any(count_changes(g, config.max_change_size) > config.max_changes_per_pair for g in graphs):
-            skipped = "change-limit"
-        else:
-            technique_changes, baseline_changes = (
-                enumerate_changes(g, config.max_change_size) for g in graphs
-            )
-            scorer = ChangeScorer(own_index, bench_index)
-            scores = [s.feasibility for s in scorer.score_all(technique_changes + baseline_changes)]
-            technique_scores = scores[: len(technique_changes)]
-            baseline_scores = scores[len(technique_changes) :]
-            n_changes_technique = len(technique_scores)
-            n_changes_baseline = len(baseline_scores)
-            technique = _mean(technique_scores)
-            technique_median = _median(technique_scores)
-            baseline = _mean(baseline_scores)
-            baseline_median = _median(baseline_scores)
-    return PairRecord(
-        index=index,
-        precision=precision,
-        recall=recall,
-        n_predicted=len(predicted.matches),
-        n_truth=len(truth.replacements),
-        technique_feasibility=technique,
-        technique_feasibility_median=technique_median,
-        baseline_feasibility=baseline,
-        baseline_feasibility_median=baseline_median,
-        n_changes_technique=n_changes_technique,
-        n_changes_baseline=n_changes_baseline,
-        feasibility_skipped=skipped,
+        return replace(record, feasibility_skipped="no-matches")
+    sampled = random_baseline(own_log.alphabet, bench_log.alphabet, len(predicted.matches), seed + (5,))
+    graphs = [build_compatibility_graph(predicted), build_compatibility_graph(sampled)]
+    if any(count_changes(g, config.max_change_size) > config.max_changes_per_pair for g in graphs):
+        return replace(record, feasibility_skipped="change-limit")
+    technique_changes, baseline_changes = (enumerate_changes(g, config.max_change_size) for g in graphs)
+    scorer = ChangeScorer(own_index, bench_index)
+    scores = [s.feasibility for s in scorer.score_all(technique_changes + baseline_changes)]
+    technique_scores = scores[: len(technique_changes)]
+    baseline_scores = scores[len(technique_changes) :]
+    return replace(
+        record,
+        technique_feasibility=_mean(technique_scores),
+        technique_feasibility_median=_median(technique_scores),
+        baseline_feasibility=_mean(baseline_scores),
+        baseline_feasibility_median=_median(baseline_scores),
+        n_changes_technique=len(technique_scores),
+        n_changes_baseline=len(baseline_scores),
     )
 
 

@@ -164,11 +164,11 @@ class ChangeScorer:
         ``CHUNK_ROWS``, so that each call fills one kernel chunk, and at the
         end.  If a change raises first, its queued cells go back to -1.
         """
-        queue: list[tuple[bytes, np.ndarray, int, np.ndarray]] = []
+        queue: list[tuple[bytes, np.ndarray, np.ndarray]] = []
         try:
             queued = 0
-            for rows, pool, modified in affected:
-                for query, length in zip(modified, self._own_lengths[rows].tolist()):
+            for _, pool, modified in affected:
+                for query in modified:
                     key = query.tobytes()
                     cached = self._distances.get(key)
                     if cached is None:
@@ -179,26 +179,21 @@ class ChangeScorer:
                             self._flush(queue)
                             queued = 0
                         cached[columns] = -2
-                        queue.append((key, query, length, columns))
+                        queue.append((key, query, columns))
                         queued += len(columns)
             self._flush(queue)
         finally:
-            for key, _, _, columns in queue:
+            for key, _, columns in queue:
                 self._distances[key][columns] = -1
 
-    def _flush(self, queue: list[tuple[bytes, np.ndarray, int, np.ndarray]]) -> None:
+    def _flush(self, queue: list[tuple[bytes, np.ndarray, np.ndarray]]) -> None:
         """Align every queued pair in one kernel call, cache the distances and empty the queue."""
         if not queue:
             return
-        keys, queries, lengths, pools = zip(*queue)
+        keys, queries, pools = zip(*queue)
         counts = [len(columns) for columns in pools]
         distances = levenshtein_many(
-            np.stack(queries),
-            self._tokens,
-            np.array(lengths),
-            self._lengths,
-            np.repeat(np.arange(len(queue)), counts),
-            np.concatenate(pools),
+            np.stack(queries), self._tokens, np.repeat(np.arange(len(queue)), counts), np.concatenate(pools)
         )
         for key, columns, part in zip(keys, pools, np.split(distances, np.cumsum(counts)[:-1])):
             self._distances[key][columns] = part

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from datetime import datetime, timedelta
@@ -16,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
+import execbench
 from execbench import footprint
 from execbench.cli import _change_payload, _experiment_config, _resolve_performance, build_parser, main
 from execbench.errors import ExecbenchWarning, TruncationWarning
@@ -129,11 +133,17 @@ ALIGNMENT_KEYS = [
 ]
 
 
+CONFIG_KEYS = [
+    "own", "benchmark", "exc_threshold", "int_threshold", "max_change_size", "min_feasibility", "top", "performance",
+]
+
+
 def test_benchmark_report_keys_are_pinned_in_order(tmp_path, capsys):
     own, bench = _worked_example_logs(tmp_path)
     assert main(["benchmark", own, bench, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert list(report) == REPORT_KEYS
+    assert list(report["config"]) == CONFIG_KEYS
     assert [list(c) for c in report["changes"]] == [CHANGE_KEYS] * len(report["changes"])
     alignments = [a for c in report["changes"] for a in c["alignments"]]
     assert alignments and [list(a) for a in alignments] == [ALIGNMENT_KEYS] * len(alignments)
@@ -203,6 +213,29 @@ def test_eval_out_writes_the_report_and_the_summary(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "summary.txt"]
     assert (out / "summary.txt").read_text(encoding="utf-8") == stdout
     assert len(json.loads((out / "report.json").read_text(encoding="utf-8"))["pairs"]) == 1
+
+
+def test_help_describes_the_program(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    assert execbench.__doc__.splitlines()[0] in text
+    assert "entry point" not in text
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path):
+    """The JSON report is larger than a pipe holds, so printing it fails once the reader is gone."""
+    _write_logs(tmp_path, *_lab_pair())
+    src = str(Path(execbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "execbench.cli", "benchmark", "own.csv", "benchmark.csv", "--format", "json"]
+    with subprocess.Popen(command, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        assert run.stdout.readline() == b"{\n"
+        run.stdout.close()
+        stderr = run.stderr.read().decode()
+        assert run.wait(timeout=120) == 0, stderr
+    assert "error:" not in stderr
+    assert "Error" not in stderr
 
 
 # ---------------------------------------------------------- whole-run outputs

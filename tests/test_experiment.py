@@ -1,11 +1,14 @@
 """Synthetic evaluation harness: change counts and report determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from execbench import experiment
 from execbench.compatibility import build_compatibility_graph, count_changes, enumerate_changes
 from execbench.errors import ConfigError
-from execbench.experiment import ExperimentConfig, generate_pair, precision_recall, run_experiment
+from execbench.experiment import ExperimentConfig, generate_pair, precision_recall, run_experiment, run_pair
 from execbench.matching import Match, MatchSet
 from execbench.proctree import GroundTruth, generate_process_tree, leaves
 
@@ -51,6 +54,37 @@ def test_insertions_and_deletions_never_count_in_precision_recall():
     predicted = MatchSet((Match("a", "x"), Match("b", "y")))
     truth = _truth({("a", "x")}, insertions={"y", "x"}, deletions={"b", "a"})
     assert precision_recall(predicted, truth) == precision_recall(predicted, _truth({("a", "x")})) == (0.5, 1.0)
+
+
+SMALL_LAB = ExperimentConfig(n_pairs=1, n_traces=40, leaves_range=(6, 8))
+
+
+def _assert_unscored(record, skipped):
+    assert record.feasibility_skipped == skipped
+    assert (record.technique_feasibility, record.technique_feasibility_median) == (None, None)
+    assert (record.baseline_feasibility, record.baseline_feasibility_median) == (None, None)
+    assert (record.n_changes_technique, record.n_changes_baseline) == (0, 0)
+    assert record.error is None
+
+
+def test_a_pair_without_matches_keeps_its_matching_scores(monkeypatch):
+    monkeypatch.setattr(experiment, "match_activities", lambda own, bench: MatchSet(()))
+    record = run_pair(SMALL_LAB, 0)
+    truth = generate_pair(SMALL_LAB, 0).truth
+    assert truth.replacements
+    assert (record.index, record.precision, record.recall) == (0, 1.0, 0.0)
+    assert (record.n_predicted, record.n_truth) == (0, len(truth.replacements))
+    _assert_unscored(record, "no-matches")
+
+
+def test_a_pair_over_the_change_limit_keeps_its_matching_scores():
+    scored = run_pair(SMALL_LAB, 0)
+    assert scored.n_predicted and scored.n_changes_technique
+    record = run_pair(replace(SMALL_LAB, max_changes_per_pair=0), 0)
+    matching = ("index", "precision", "recall", "n_predicted", "n_truth")
+    assert [getattr(record, f) for f in matching] == [getattr(scored, f) for f in matching]
+    assert record.precision is not None and record.recall is not None
+    _assert_unscored(record, "change-limit")
 
 
 def test_pairs_run_in_index_order():

@@ -10,20 +10,17 @@ from conftest import naive_levenshtein
 from execbench._kernels import CHUNK_ROWS, levenshtein_many, order_stats
 
 
-def _pad(seqs):
-    width = max([len(s) for s in seqs] + [1])
+def _pad(seqs, extra=0):
+    """The sequences as rows of a -1-padded matrix, ``extra`` columns wider than the longest."""
+    width = max([len(s) for s in seqs] + [1]) + extra
     pool = np.full((len(seqs), width), -1, dtype=np.int32)
-    lens = np.zeros(len(seqs), dtype=np.int32)
     for i, s in enumerate(seqs):
         pool[i, : len(s)] = s
-        lens[i] = len(s)
-    return pool, lens
+    return pool
 
 
-def _distances(queries, cands, qi, ci):
-    q, q_lens = _pad(queries)
-    c, c_lens = _pad(cands)
-    return list(levenshtein_many(q, c, q_lens, c_lens, qi, ci))
+def _distances(queries, cands, qi, ci, extra=(0, 0)):
+    return list(levenshtein_many(_pad(queries, extra[0]), _pad(cands, extra[1]), qi, ci))
 
 
 token_lists = st.lists(st.integers(0, 6), min_size=1, max_size=12)
@@ -68,11 +65,12 @@ def batches(draw):
     return queries, cands, rows
 
 
-@given(batch=batches())
+@given(batch=batches(), extra=st.tuples(st.integers(0, 70), st.integers(0, 70)))
 @settings(max_examples=150, deadline=None)
-def test_batched_rows_match_naive_dp(batch):
+def test_batched_rows_match_naive_dp(batch, extra):
+    """Padding wider than the longest row changes no distance: lengths come from the padding."""
     queries, cands, rows = batch
-    got = _distances(queries, cands, [q for q, _ in rows], [c for _, c in rows])
+    got = _distances(queries, cands, [q for q, _ in rows], [c for _, c in rows], extra)
     expected = {(q, c): naive_levenshtein(queries[q], cands[c]) for q, c in set(rows)}
     assert got == [expected[row] for row in rows]
 
@@ -129,7 +127,7 @@ def _assert_same_counts(got, expected):
 def test_order_stats_matches_naive_count(weighted):
     seqs = [seq for seq, _ in weighted]
     freqs = np.array([f for _, f in weighted], dtype=np.int64)
-    pool, _ = _pad(seqs)
+    pool = _pad(seqs)
     got = order_stats(pool, freqs, n_symbols=5)
     _assert_same_counts(got, _naive_order_stats(seqs, freqs, 5))
 
@@ -140,7 +138,7 @@ def test_wide_order_stats_match_naive_count():
     used = rng.permutation(n_symbols)[:250]  # the other 50 symbols occur in no variant
     seqs = [list(rng.choice(used, size=n)) for n in (60, 63, 64, 65, 97, 130)]
     freqs = rng.integers(1, 2**40, size=len(seqs))
-    pool, _ = _pad(seqs)
+    pool = _pad(seqs)
     got = order_stats(pool, freqs, n_symbols=n_symbols)
     _assert_same_counts(got, _naive_order_stats(seqs, freqs, n_symbols))
 
@@ -153,7 +151,7 @@ def test_empty_order_stats_batch():
 
 def test_order_stats_diagonal_counts_repeats():
     seqs = [[0, 1, 0], [1], [0]]
-    pool, _ = _pad(seqs)
+    pool = _pad(seqs)
     traces_with, cooccur, before = order_stats(pool, np.array([1, 1, 1], dtype=np.int64), n_symbols=2)
     assert traces_with[0] == 2 and traces_with[1] == 2
     assert cooccur[0, 0] == 1  # only the repeating trace

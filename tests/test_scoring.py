@@ -440,9 +440,9 @@ def _spy_on_the_kernel(monkeypatch):
     calls = []
     kernel = scoring.levenshtein_many
 
-    def spy(queries, cands, query_lens, cand_lens, qi, ci):
+    def spy(queries, cands, qi, ci):
         calls.append([(queries[q].tobytes(), int(c)) for q, c in zip(qi, ci)])
-        return kernel(queries, cands, query_lens, cand_lens, qi, ci)
+        return kernel(queries, cands, qi, ci)
 
     monkeypatch.setattr(scoring, "levenshtein_many", spy)
     return calls
