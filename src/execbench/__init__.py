@@ -66,7 +66,6 @@ from .proctree import (
     SimConfig,
     Xor,
     generate_process_tree,
-    inject_noise,
     mutate_tree,
     simulate_log,
     tree_from_json,

@@ -4,7 +4,7 @@ Trees are block-structured with sequence, exclusive choice, parallel and
 loop operators over uniquely named leaves.  They serve as the data factory
 for the evaluation harness: a random tree yields the own log, a mutated
 copy (with replacements recorded as ground truth) yields the benchmark
-log.
+log.  Play-out includes the noise step: a trace may get one perturbation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -300,6 +300,14 @@ def _insert_into_gap(node: Node, name: str, rng: np.random.Generator) -> Node:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """How :func:`simulate_log` plays out a tree: ``n_traces`` cases; loops
+    run at most ``max_loop_iterations`` times, each further run with
+    probability 1/2; ``seed`` is a non-negative int or a tuple of them.
+    With ``noise_probability`` a trace gets one perturbation: an adjacent
+    swap, a deletion, or a duplication in place (the only one a single
+    event allows).  ``with_performance`` gives each trace the synthetic
+    performance ``-(events - 1)``, counted before the perturbation."""
+
     n_traces: int = 1000
     noise_probability: float = 0.05
     max_loop_iterations: int = 3
@@ -365,12 +373,13 @@ def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     return hash_step
 
 
-def _stream_states(seed: SeedLike, n: int) -> list[dict]:
+def _stream_states(seed: SeedLike, n: int) -> Iterator[dict]:
     """``default_rng(_derive(seed, i)).bit_generator.state`` for each i < n.
 
     Runs numpy's SeedSequence hashing over all n entropy rows at once as
     uint32 column arithmetic; the rows differ only in their last word, i.
-    The PCG64 seeding step then runs per row on Python ints.
+    The PCG64 seeding step then runs per row on Python ints, as each state
+    is taken, so the states are never all held at once.
     """
     if n > 1 << 32:
         raise ConfigError(f"at most 2**32 streams per seed, got {n}")
@@ -398,14 +407,12 @@ def _stream_states(seed: SeedLike, n: int) -> list[dict]:
     halves = [output_hash(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     words = [(halves[2 * k] | (halves[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
 
-    states = []
-    for high_state, low_state, high_seq, low_seq in zip(*words):
+    def pcg64_state(high_state: int, low_state: int, high_seq: int, low_seq: int) -> dict:
         inc = ((((high_seq << 64) | low_seq) << 1) | 1) & _MASK128
         state = ((inc + ((high_state << 64) | low_state)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+        return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+    return map(pcg64_state, *words)
 
 
 def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[list[str]], None]:
@@ -495,71 +502,49 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     """Independent play-outs with synthetic strictly increasing timestamps.
 
     Stream contract: trace i (case ``c{i+1}``) draws its play-out from
-    ``default_rng(seed + (i,))``, and control-flow noise, when configured,
-    uses ``inject_noise`` with seed ``seed + (n_traces,)``, an index no
-    trace stream takes.  So simulation is reproducible and any trace can be
-    replayed alone.  The streams are not built by ``default_rng``: one
-    vectorized pass computes every trace's starting generator state, and
-    one generator is re-seeded per trace.  A test checks those states, and
-    the logs, against ``default_rng`` and a recursive play-out.
+    ``default_rng(seed + (i,))`` and, when noise is configured, its noise
+    from ``default_rng(seed + (n_traces, i))``: first the uniform that
+    decides whether it is perturbed, then the kind, then the position.  So
+    simulation is reproducible and any trace can be replayed alone.  Trace
+    i's events are one second apart from minute i.  The streams are not
+    built by ``default_rng``: one vectorized pass computes every stream's
+    starting state, and one generator is re-seeded per stream.  A test
+    checks those states, and the logs, against ``default_rng`` and a
+    recursive play-out.
     """
     rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
     play = _compile(tree, rng, sim.max_loop_iterations)
     spaced = _spacer()
+    noisy = sim.noise_probability > 0
+    noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces) if noisy else itertools.repeat(None)
     traces: dict[str, Trace] = {}
-    for i, state in enumerate(_stream_states(sim.seed, sim.n_traces)):
+    for i, (state, noise_state) in enumerate(zip(_stream_states(sim.seed, sim.n_traces), noise_states)):
         bit_generator.state = state
         sequence: list[str] = []
         play(sequence)
+        performance = float(-(len(sequence) - 1)) if sim.with_performance else None
+        if noisy:
+            bit_generator.state = noise_state
+            if rng.random() < sim.noise_probability:
+                _perturb(sequence, rng)
         case_id = f"c{i + 1}"
         keys = spaced(_EPOCH + timedelta(minutes=i), len(sequence))
-        performance = float(-(len(sequence) - 1)) if sim.with_performance else None
         traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
-    log = EventLog(traces)
-    if sim.noise_probability > 0:
-        log = inject_noise(log, _derive(sim.seed, sim.n_traces), sim.noise_probability)
-    return log
-
-
-def inject_noise(log: EventLog, seed: SeedLike, probability: float) -> EventLog:
-    """With the given probability per trace, apply exactly one perturbation:
-    swap two adjacent events, delete one event, or duplicate one in place.
-
-    Stream contract: the trace at position i of ``log.traces`` draws from
-    ``default_rng(seed + (i,))``, first a uniform that decides whether it
-    is perturbed.  The streams come from the same vectorized seeding as
-    :func:`simulate_log`.  Perturbations that cannot apply to a trace
-    (swapping or deleting on a single event) are excluded from the uniform
-    draw.  Timestamps are re-spaced from the trace's original start.
-    """
-    check_fraction("probability", probability)
-    rng = np.random.Generator(np.random.PCG64())
-    bit_generator = rng.bit_generator
-    spaced = _spacer()
-    traces: dict[str, Trace] = {}
-    states = _stream_states(seed, len(log.traces))
-    for state, (case_id, trace) in zip(states, log.traces.items()):
-        bit_generator.state = state
-        if rng.random() >= probability:
-            traces[case_id] = trace
-            continue
-        names = list(trace.variant)
-        kinds = ["duplicate"] + (["swap", "delete"] if len(names) >= 2 else [])
-        kind = kinds[int(rng.integers(len(kinds)))]
-        if kind == "swap":
-            j = int(rng.integers(len(names) - 1))
-            names[j], names[j + 1] = names[j + 1], names[j]
-        elif kind == "delete":
-            del names[int(rng.integers(len(names)))]
-        else:
-            j = int(rng.integers(len(names)))
-            names.insert(j + 1, names[j])
-        first_key = trace.order_keys[0]
-        if isinstance(first_key, datetime):
-            keys = spaced(first_key, len(names))
-        else:
-            keys = tuple(range(len(names)))
-        traces[case_id] = Trace(case_id, tuple(names), keys, trace.performance)
     return EventLog(traces)
 
+
+def _perturb(names: list[str], rng: np.random.Generator) -> None:
+    """Swap two adjacent events of ``names``, delete one, or duplicate one in
+    place.  ``rng`` draws the kind uniformly among those that apply (a single
+    event can only be duplicated), then the position."""
+    kinds = ["duplicate"] + (["swap", "delete"] if len(names) >= 2 else [])
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "swap":
+        j = int(rng.integers(len(names) - 1))
+        names[j], names[j + 1] = names[j + 1], names[j]
+    elif kind == "delete":
+        del names[int(rng.integers(len(names)))]
+    else:
+        j = int(rng.integers(len(names)))
+        names.insert(j + 1, names[j])

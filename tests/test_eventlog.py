@@ -396,9 +396,11 @@ def oracle_parse(text):
 
 # Few distinct instants, so equal keys are common; each written in one of
 # the spellings the reader accepts.
-instants = st.sampled_from(["2024-01-01T09:00:00", "2024-01-01T09:00:30", "2024-01-01T10:00:00", "2024-01-02"])
-naive = ["{}", " {} ", "{}.250000"]
-aware = ["{}Z", "{}z", "{}+02:00", "{}Z "]
+instants = st.sampled_from(
+    ["2024-01-01T09:00:00", "2024-01-01T09:00:30", "2024-01-01T10:00:00", "2024-01-02", "20240102T093000"]
+)
+naive = ["{}", " {} ", "{}.250000", "{}.5"]
+aware = ["{}Z", "{}z", "{}+02:00", "{}Z ", "{}+0200"]
 
 
 @st.composite

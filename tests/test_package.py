@@ -13,8 +13,8 @@ PUBLIC_NAMES = {
     "ProcessChange", "Alignment", "ScoredChange", "ChangeScorer", "BenchmarkConfig",
     # synthetic lab and evaluation
     "ProcessTree", "Leaf", "Seq", "Xor", "And", "Loop", "GenConfig", "MutationConfig", "SimConfig",
-    "GroundTruth", "generate_process_tree", "mutate_tree", "simulate_log", "inject_noise",
-    "tree_to_json", "tree_from_json", "ExperimentConfig", "ExperimentReport",
+    "GroundTruth", "generate_process_tree", "mutate_tree", "simulate_log", "tree_to_json",
+    "tree_from_json", "ExperimentConfig", "ExperimentReport",
     "run_experiment", "precision_recall", "random_baseline",
     # errors and warnings
     "ExecbenchError", "ConfigError", "DataError", "SchemaError",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log, naive_levenshtein
+from conftest import naive_levenshtein
 from execbench.errors import ConfigError
 from execbench.eventlog import EventLog, Trace, extract_variants, write_event_log
 from execbench.experiment import ExperimentConfig, random_baseline
@@ -29,7 +29,6 @@ from execbench.proctree import (
     SimConfig,
     Xor,
     generate_process_tree,
-    inject_noise,
     leaves,
     mutate_tree,
     simulate_log,
@@ -215,19 +214,10 @@ def test_simulation_is_deterministic_and_timestamped():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
-def test_zero_noise_is_identity():
-    tree = generate_process_tree(4, GenConfig(target_leaves=8))
-    log = simulate_log(tree, SimConfig(n_traces=30, noise_probability=0.0, seed=5))
-    assert inject_noise(log, 123, 0.0) is not log
-    assert {t.variant for t in inject_noise(log, 123, 0.0).traces.values()} == {
-        t.variant for t in log.traces.values()
-    }
-
-
 def test_full_noise_perturbs_within_edit_distance_two():
     tree = generate_process_tree(8, GenConfig(target_leaves=10))
     clean = simulate_log(tree, SimConfig(n_traces=100, noise_probability=0.0, seed=9))
-    noisy = inject_noise(clean, 10, 1.0)
+    noisy = simulate_log(tree, SimConfig(n_traces=100, noise_probability=1.0, seed=9))
     changed = 0
     for case_id in clean.traces:
         before = clean.traces[case_id].variant
@@ -241,7 +231,7 @@ def test_full_noise_perturbs_within_edit_distance_two():
 def test_noise_rate_is_binomial():
     tree = Seq((Leaf("a"), Leaf("b"), Leaf("c")))
     clean = simulate_log(tree, SimConfig(n_traces=1000, noise_probability=0.0, seed=3))
-    noisy = inject_noise(clean, 4, 0.25)
+    noisy = simulate_log(tree, SimConfig(n_traces=1000, noise_probability=0.25, seed=3))
     changed = sum(
         clean.traces[c].variant != noisy.traces[c].variant for c in clean.traces
     )
@@ -250,9 +240,24 @@ def test_noise_rate_is_binomial():
 
 
 def test_single_event_traces_only_duplicate():
-    log = simulate_log(Leaf("a"), SimConfig(n_traces=50, noise_probability=0.0, seed=6))
-    noisy = inject_noise(log, 7, 1.0)
+    clean = simulate_log(Leaf("a"), SimConfig(n_traces=50, noise_probability=0.0, seed=6))
+    noisy = simulate_log(Leaf("a"), SimConfig(n_traces=50, noise_probability=1.0, seed=6))
+    assert {t.variant for t in clean.traces.values()} == {("a",)}
     assert {t.variant for t in noisy.traces.values()} == {("a", "a")}
+
+
+def test_noise_keeps_the_clean_performance_and_spaces_each_trace_from_its_minute():
+    tree = generate_process_tree(8, GenConfig(target_leaves=10))
+    clean, noisy = (
+        simulate_log(tree, SimConfig(n_traces=100, noise_probability=p, seed=9, with_performance=True))
+        for p in (0.0, 1.0)
+    )
+    assert any(len(noisy.traces[c].variant) != len(clean.traces[c].variant) for c in clean.traces)
+    for i, (case_id, trace) in enumerate(noisy.traces.items()):
+        assert case_id == f"c{i + 1}"
+        assert trace.performance == -(len(clean.traces[case_id].variant) - 1)
+        start = _EPOCH + timedelta(minutes=i)
+        assert trace.order_keys == tuple(start + timedelta(seconds=j) for j in range(len(trace.variant)))
 
 
 def test_tree_accepts_goldens():
@@ -555,7 +560,7 @@ seeds = seed_parts | st.tuples() | st.lists(seed_parts, min_size=1, max_size=6).
 @settings(max_examples=300, deadline=None)
 def test_stream_states_equal_default_rng(seed, n):
     expected = [np.random.default_rng(_derive(seed, i)).bit_generator.state for i in range(n)]
-    assert _stream_states(seed, n) == expected
+    assert list(_stream_states(seed, n)) == expected
 
 
 def trees():
@@ -612,18 +617,6 @@ def test_one_pass_leaf_map_equals_rename_then_each_deletion(tree, renames, delet
     assert _map_leaves(tree, rename_or_drop) == expected
 
 
-@given(
-    variants=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=6), min_size=0, max_size=20),
-    seed=seeds,
-    probability=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-)
-@settings(max_examples=100, deadline=None)
-def test_inject_noise_on_integer_keys_equals_oracle(variants, seed, probability):
-    log = make_log(variants)
-    expected = oracle_inject_noise(log, seed, probability)
-    assert list(inject_noise(log, seed, probability).traces.items()) == list(expected.traces.items())
-
-
 # Recorded from the recursive play-out with one default_rng per trace.  The
 # loop body and the nodes after the loop draw, so a moved loop draw shows.
 GOLDEN_SHA256 = "49e5af8778b5986aaffd43a7abd6fe91aae406255a5359bafcdcb395a20a48b3"
@@ -647,19 +640,11 @@ def test_bad_seed_rejected(seed):
     with pytest.raises(ConfigError, match="seed"):
         SimConfig(seed=seed)
     with pytest.raises(ConfigError, match="seed"):
-        inject_noise(make_log([("a", "b")]), seed, 0.5)
-    with pytest.raises(ConfigError, match="seed"):
         generate_process_tree(seed)
     with pytest.raises(ConfigError, match="seed"):
         mutate_tree(Seq((Leaf("a"), Leaf("b"))), seed)
     with pytest.raises(ConfigError, match="seed"):
         random_baseline(["a"], ["b"], 1, seed)
-
-
-@pytest.mark.parametrize("probability", ["0.5", None])
-def test_non_numeric_noise_probability_rejected(probability):
-    with pytest.raises(ConfigError, match="probability"):
-        inject_noise(make_log([("a", "b")]), 1, probability)
 
 
 @pytest.mark.parametrize("n", [-1, 1.5, "2", None])
