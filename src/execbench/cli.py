@@ -229,9 +229,7 @@ def _cmd_benchmark(args) -> int:
             "own": args.own,
             "benchmark": args.benchmark,
             **vars(config),
-            "performance": None
-            if perf is None
-            else {"mode": perf.mode, "direction": perf.resolved_direction},
+            "performance": None if perf is None else vars(perf),
         },
         "own_alphabet": sorted(own.alphabet),
         "benchmark_alphabet": sorted(bench.alphabet),

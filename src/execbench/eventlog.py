@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from itertools import chain
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -146,8 +146,10 @@ class PerfConfig:
     """Where per-case performance comes from and which direction is better.
 
     ``column`` reads the performance column; ``throughput`` derives
-    last-minus-first timestamp in seconds and defaults to lower-is-better.
-    Values are normalized so that higher is always better downstream.
+    last-minus-first timestamp in seconds.  ``direction`` defaults to
+    ``"lower"`` for throughput and ``"higher"`` otherwise, and is set to
+    that default when the config is built.  Values are normalized so that
+    higher is always better downstream.
     """
 
     mode: str = "column"
@@ -156,14 +158,10 @@ class PerfConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("column", "throughput"):
             raise ConfigError(f"performance mode must be 'column' or 'throughput', got {self.mode!r}")
-        if self.direction not in (None, "higher", "lower"):
+        if self.direction is None:
+            object.__setattr__(self, "direction", "lower" if self.mode == "throughput" else "higher")
+        elif self.direction not in ("higher", "lower"):
             raise ConfigError(f"performance direction must be 'higher' or 'lower', got {self.direction!r}")
-
-    @property
-    def resolved_direction(self) -> str:
-        if self.direction is not None:
-            return self.direction
-        return "lower" if self.mode == "throughput" else "higher"
 
 
 def _parse_timestamp(raw: str, row_number: int) -> datetime:
@@ -343,21 +341,24 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
             writer.writerow(row)
 
 
-def extract_variants(log: EventLog, performance: Mapping[str, float] | None = None) -> VariantIndex:
+def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIndex:
     """Group traces by their activity sequence, in ascending variant order.
 
-    ``performance`` optionally overrides per-trace performance values (e.g.
-    with normalized ones from :func:`trace_performance`).  A variant's mean
-    performance is present only when every one of its traces has a value.
+    With ``perf``, a variant's mean performance is the mean of its cases'
+    :func:`trace_performance` values, so higher is better; without it, the
+    mean is ``None``.  A mean that overflows a float raises
+    :class:`DataError` naming the variant.
     """
+    by_case = {} if perf is None else trace_performance(log, perf)
     values_by_variant: dict[Variant, list[float | None]] = {}
-    for trace in log.traces.values():
-        value = performance.get(trace.case_id) if performance is not None else trace.performance
-        values_by_variant.setdefault(trace.variant, []).append(value)
+    for case_id, trace in log.traces.items():
+        values_by_variant.setdefault(trace.variant, []).append(by_case.get(case_id))
     entries: dict[Variant, VariantEntry] = {}
     for variant, values in sorted(values_by_variant.items()):  # variants are distinct, so no list is compared
-        # fsum is exactly rounded, so the mean does not depend on the order of the cases.
-        mean = math.fsum(values) / len(values) if all(v is not None for v in values) else None
+        try:  # fsum is exactly rounded, so the mean does not depend on the order of the cases.
+            mean = None if perf is None else math.fsum(values) / len(values)
+        except OverflowError:
+            raise DataError(f"variant {variant!r}: mean performance overflows a float") from None
         entries[variant] = VariantEntry(frequency=len(values), mean_performance=mean)
     return VariantIndex(entries)
 
@@ -381,6 +382,6 @@ def trace_performance(log: EventLog, perf: PerfConfig | None = None) -> dict[str
             if not all(isinstance(k, datetime) for k in keys):
                 raise ConfigError("throughput performance requires a timestamp column")
             values[case_id] = (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]
-    if perf.resolved_direction == "lower":
+    if perf.direction == "lower":
         values = {cid: -v for cid, v in values.items()}
     return values

@@ -10,6 +10,7 @@ alignments yield the expected per-case performance impact.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -24,14 +25,7 @@ from .compatibility import (
     enumerate_changes,
 )
 from .errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
-from .eventlog import (
-    EventLog,
-    PerfConfig,
-    Variant,
-    VariantIndex,
-    extract_variants,
-    trace_performance,
-)
+from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, extract_variants
 from .footprint import (
     DEFAULT_EXCLUSIVENESS_THRESHOLD,
     DEFAULT_INTERLEAVING_THRESHOLD,
@@ -46,7 +40,9 @@ SIMILARITY_WARNING_BOUND = 0.5
 class Alignment:
     """One affected own-log variant with its closest benchmark variant.
 
-    The two mean performances are set only when the change is scored with performance."""
+    ``own_performance`` and ``benchmark_performance`` are the two variants'
+    :attr:`VariantEntry.mean_performance`, ``None`` when the scorer's indexes
+    carry no performance."""
 
     original: Variant
     modified: Variant
@@ -122,12 +118,19 @@ class ChangeScorer:
     each pair once, and aligns the queue in one kernel call per
     ``CHUNK_ROWS`` pairs; :meth:`score` is its one-change case.  Whole pools
     are scored, so tie counts are exact and do not depend on scoring order.
+
+    Changes are scored with performance exactly when every entry of both
+    indexes has a mean performance (see :func:`extract_variants`); indexes
+    where some entries have one and some do not raise :class:`DataError`.
     """
 
-    def __init__(self, own: VariantIndex, benchmark: VariantIndex, with_performance: bool = False):
+    def __init__(self, own: VariantIndex, benchmark: VariantIndex):
         self.own = own
         self.benchmark = benchmark
-        self.with_performance = with_performance
+        with_means = {e.mean_performance is not None for i in (own, benchmark) for e in i.entries.values()}
+        if len(with_means) > 1:
+            raise DataError("performance measure required on both logs")
+        self._with_performance = True in with_means
         self._own_variants = list(own.entries)
         self._variants = list(benchmark.entries)
         self._own_tokens, self._own_lengths, _ = own.codes
@@ -226,12 +229,8 @@ class ChangeScorer:
             entry = self.own.entries[original]
             matched = self._variants[int(pool[best[k]])]
             similarity = float(similarities[k])
-            own_perf = bench_perf = None
-            if self.with_performance:
-                own_perf = entry.mean_performance
-                bench_perf = self.benchmark.entries[matched].mean_performance
-                if own_perf is None or bench_perf is None:
-                    raise DataError("performance measure required on both logs")
+            own_perf, bench_perf = entry.mean_performance, self.benchmark.entries[matched].mean_performance
+            if self._with_performance:
                 impact_sum += entry.frequency * (bench_perf - own_perf)
             weight_total += entry.frequency
             feasibility_sum += entry.frequency * similarity
@@ -247,10 +246,13 @@ class ChangeScorer:
                     benchmark_performance=bench_perf,
                 )
             )
+        impact = impact_sum / weight_total if self._with_performance else None
+        if impact is not None and not math.isfinite(impact):
+            raise DataError(f"change {mapping}: performance impact overflows a float")
         return ScoredChange(
             change=change,
             feasibility=feasibility_sum / weight_total,
-            performance_impact=(impact_sum / weight_total) if self.with_performance else None,
+            performance_impact=impact,
             affected_trace_count=weight_total,
             alignments=tuple(alignments),
         )
@@ -286,11 +288,8 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
             stacklevel=2,
         )
 
-    with_performance = config.performance is not None
-    own_values = trace_performance(log_own, config.performance) if with_performance else None
-    bench_values = trace_performance(log_benchmark, config.performance) if with_performance else None
-    own_index = extract_variants(log_own, own_values)
-    bench_index = extract_variants(log_benchmark, bench_values)
+    own_index = extract_variants(log_own, config.performance)
+    bench_index = extract_variants(log_benchmark, config.performance)
 
     own_matrix = build_footprint_matrix(log_own, config.exc_threshold, config.int_threshold, own_index)
     bench_matrix = build_footprint_matrix(log_benchmark, config.exc_threshold, config.int_threshold, bench_index)
@@ -303,9 +302,9 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
         )
     changes = enumerate_changes(graph, config.max_change_size)
 
-    scorer = ChangeScorer(own_index, bench_index, with_performance)
+    scorer = ChangeScorer(own_index, bench_index)
     scored = [s for s in scorer.score_all(changes) if s.feasibility >= config.min_feasibility]
-    if with_performance:
+    if config.performance is not None:
         scored.sort(key=lambda s: (-s.performance_impact, -s.feasibility, s.change.sort_key()))
     else:
         scored.sort(key=lambda s: (-s.feasibility, s.change.sort_key()))

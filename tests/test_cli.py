@@ -194,6 +194,22 @@ def test_benchmark_csv_and_table_formats(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "options, echoed",
+    [
+        ((), None),
+        (("--perf-mode", "throughput"), {"mode": "throughput", "direction": "lower"}),
+        (("--perf-mode", "throughput", "--perf-direction", "higher"), {"mode": "throughput", "direction": "higher"}),
+    ],
+)
+def test_benchmark_report_echoes_the_resolved_performance_config(tmp_path, capsys, options, echoed):
+    own, bench = _worked_example_logs(tmp_path)
+    assert main(["benchmark", own, bench, "--format", "json", *options]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["performance"] == echoed
+    assert ({c["performance_impact"] is None for c in report["changes"]} == {True}) == (echoed is None)
+
+
 def test_synth_out_writes_one_directory_per_pair(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--pairs", "1", "--traces", "30", "--out", str(out)]) == 0
@@ -549,3 +565,39 @@ def test_changes_survive_a_write_and_read(lists, data):
     own_log, bench_log = _log_of(data.draw(lists)), _log_of(data.draw(lists))
     assume(own_log.alphabet & bench_log.alphabet)
     _check_round_trip(own_log, bench_log)
+
+
+def _valued(log: EventLog, seed: int) -> EventLog:
+    """The log with one seeded performance value per case."""
+    values = np.random.default_rng(seed).integers(-50, 50, size=len(log)).tolist()
+    return EventLog({
+        case_id: Trace(case_id, t.variant, t.order_keys, float(v)) for (case_id, t), v in zip(log.traces.items(), values)
+    })
+
+
+def test_perf_mode_none_ignores_a_performance_column():
+    own, bench = _lab_pair()
+    valued = _valued(own, 1), _valued(bench, 2)
+    code, changes = _run_benchmark(*valued, "--perf-mode", "none")
+    assert code == 0 and changes
+    assert {c["performance_impact"] for c in changes} == {None}
+    assert json.dumps(changes) == json.dumps(_run_benchmark(own, bench)[1])
+    code, scored = _run_benchmark(*valued)  # auto reads the column
+    assert code == 0 and None not in {c["performance_impact"] for c in scored}
+
+
+def test_a_mean_performance_that_overflows_is_a_data_error():
+    own = "case_id,activity,performance\nc1,a,1e308\nc1,b,1e308\nc2,a,1e308\nc2,b,1e308\n"
+    bench = "case_id,activity,performance\nd1,a,1\nd1,c,1\n"
+    assert _run_benchmark_csv(own, bench) == (2, "error: variant ('a', 'b'): mean performance overflows a float\n")
+
+
+def test_a_performance_impact_that_overflows_is_a_data_error(tmp_path):
+    own = "case_id,activity,performance\nc1,a,1.7e308\nc1,b,1.7e308\nc3,a,1\nc3,c,1\n"
+    bench = "case_id,activity,performance\nd2,a,-1.7e308\nd2,c,-1.7e308\nd3,a,5\nd3,b,5\n"
+    assert _run_benchmark_csv(own, bench) == (2, "error: change {'b': 'c'}: performance impact overflows a float\n")
+    (tmp_path / "own.csv").write_text(own, encoding="utf-8")
+    (tmp_path / "benchmark.csv").write_text(bench, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path / "own.csv"), str(tmp_path / "benchmark.csv"), "--out", str(out)]) == 2
+    assert not out.exists()  # no report with an infinite impact is written

@@ -154,21 +154,22 @@ def test_extract_variants_counts():
     assert sum(e.frequency for e in idx.entries.values()) == 5
 
 
-def test_mean_performance_requires_all_traces():
-    log = make_log([("a",), ("a",)])
-    values = {"c1": 4.0}  # c2 missing
-    idx = extract_variants(log, values)
-    assert idx.entries[("a",)].mean_performance is None
-    idx = extract_variants(log, {"c1": 4.0, "c2": 6.0})
-    assert idx.entries[("a",)].mean_performance == 5.0
-
-
 def test_mean_performance_does_not_depend_on_case_order():
     # A plain left-to-right sum gives 0.6000000000000001 one way and 0.6 the other.
     forward = make_log([("a",)] * 3, performance=[0.1, 0.2, 0.3])
     backward = make_log([("a",)] * 3, performance=[0.3, 0.2, 0.1])
-    assert extract_variants(forward).entries == extract_variants(backward).entries
-    assert extract_variants(forward).entries[("a",)].mean_performance == 0.6 / 3
+    perf = PerfConfig("column")
+    assert extract_variants(forward, perf).entries == extract_variants(backward, perf).entries
+    assert extract_variants(forward, perf).entries[("a",)].mean_performance == 0.6 / 3
+
+
+def test_mean_performance_comes_only_from_a_perf_config():
+    log = make_log([("a", "b"), ("a", "b"), ("c",)], performance=[4.0, 6.0, 1.0])
+    assert {e.mean_performance for e in extract_variants(log).entries.values()} == {None}
+    higher = extract_variants(log, PerfConfig("column")).entries
+    assert {v: e.mean_performance for v, e in higher.items()} == {("a", "b"): 5.0, ("c",): 1.0}
+    lower = extract_variants(log, PerfConfig("column", "lower")).entries
+    assert {v: e.mean_performance for v, e in lower.items()} == {("a", "b"): -5.0, ("c",): -1.0}
 
 
 def test_variant_index_entries_come_in_ascending_order():
@@ -228,6 +229,13 @@ def test_missing_performance_error_names_the_count_and_the_first_cases():
     with pytest.raises(DataError) as caught:
         trace_performance(log, PerfConfig("column"))
     assert str(caught.value) == "performance value missing for 100 case(s): c000, c001, c002, c003, c004, ..."
+
+
+def test_perf_config_resolves_its_direction_when_built():
+    assert PerfConfig().direction == "higher"
+    assert PerfConfig("throughput").direction == "lower"
+    assert PerfConfig("throughput", "higher").direction == "higher"
+    assert PerfConfig("throughput") == PerfConfig("throughput", "lower")
 
 
 def test_invalid_perf_config_rejected():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
 from execbench.errors import ConfigError
-from execbench.eventlog import EventLog, Trace, extract_variants, write_event_log
+from execbench.eventlog import EventLog, PerfConfig, Trace, extract_variants, write_event_log
 from execbench.experiment import ExperimentConfig, random_baseline
 from execbench.proctree import (
     _EPOCH,
@@ -355,7 +355,7 @@ def test_synthetic_performance_optional():
         tree, SimConfig(n_traces=5, noise_probability=0.0, seed=1, with_performance=True)
     )
     assert all(t.performance == -1.0 for t in with_perf.traces.values())
-    idx = extract_variants(with_perf)
+    idx = extract_variants(with_perf, PerfConfig("column"))
     assert idx.entries[("a", "b")].mean_performance == -1.0
 
 

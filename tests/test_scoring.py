@@ -137,19 +137,23 @@ def test_vacuous_change_raises(own_index, benchmark_index):
         ChangeScorer(own_index, benchmark_index).score(ProcessChange((Match("zz", "b"),)))
 
 
+COLUMN = PerfConfig("column")
+
+
 def _impact(change, own, bench):
-    return ChangeScorer(own, bench, with_performance=True).score(change).performance_impact
+    return ChangeScorer(own, bench).score(change).performance_impact
 
 
-def _perf_indexes(own_freqs=(1, 1)):
+def _perf_indexes(own_freqs=(1, 1), perf=COLUMN):
     own = extract_variants(
         make_log(
             [("a", "d", "e", "g"), ("a", "d", "f", "g")],
             freqs=list(own_freqs),
             performance=[10.0, 8.0],
-        )
+        ),
+        perf,
     )
-    bench = extract_variants(make_log([("b", "d", "e", "g")], performance=[12.0]))
+    bench = extract_variants(make_log([("b", "d", "e", "g")], performance=[12.0]), perf)
     return own, bench
 
 
@@ -161,16 +165,21 @@ def test_performance_impact_goldens():
 
 
 def test_zero_impact_for_identical_performance():
-    own = extract_variants(make_log([("a", "b")], performance=[5.0]))
-    bench = extract_variants(make_log([("x", "b")], performance=[5.0]))
+    own = extract_variants(make_log([("a", "b")], performance=[5.0]), COLUMN)
+    bench = extract_variants(make_log([("x", "b")], performance=[5.0]), COLUMN)
     change = ProcessChange((Match("a", "x"),))
     assert _impact(change, own, bench) == 0.0
 
 
-def test_performance_required_on_both_logs(own_index):
-    bench = extract_variants(make_log([("b", "d", "e", "g")], performance=[12.0]))
-    with pytest.raises(DataError, match="performance measure required"):
-        _impact(DELTA_2, own_index, bench)
+def test_performance_required_on_both_logs(own_index, benchmark_index):
+    """A scorer built from one index with means and one without raises when
+    it is built, whichever side lacks them."""
+    bench = extract_variants(make_log([("b", "d", "e", "g")], performance=[12.0]), COLUMN)
+    with pytest.raises(DataError, match="performance measure required on both logs"):
+        ChangeScorer(own_index, bench)
+    own, _ = _perf_indexes()
+    with pytest.raises(DataError, match="performance measure required on both logs"):
+        ChangeScorer(own, benchmark_index)
 
 
 def test_scored_change_details(own_index, benchmark_index):
@@ -237,13 +246,13 @@ def _random_scoring_case(rng, min_length=1, max_length=8, max_variants=20):
     return own, bench, pairs
 
 
-def _indexes_from(own, bench):
+def _indexes_from(own, bench, perf=COLUMN):
     own_idx = extract_variants(make_log(
         list(own), freqs=[f for f, _ in own.values()], performance=[p for _, p in own.values()]
-    ))
+    ), perf)
     bench_idx = extract_variants(make_log(
         list(bench), freqs=[f for f, _ in bench.values()], performance=[p for _, p in bench.values()]
-    ))
+    ), perf)
     return own_idx, bench_idx
 
 
@@ -261,11 +270,11 @@ def _check_oracle_equivalence(seed, cases, **shape):
         if not affected_variants(own_idx, change):
             continue
         expected_feas, expected_impact, expected_matches = brute_force_scores(own, bench, pairs)
-        scored = ChangeScorer(own_idx, bench_idx, with_performance=True).score(change)
+        scored = ChangeScorer(own_idx, bench_idx).score(change)
         assert scored.feasibility == pytest.approx(expected_feas, abs=1e-9)
         assert scored.performance_impact == pytest.approx(expected_impact, abs=1e-9)
         assert {a.original: (a.matched, a.tie_count) for a in scored.alignments} == expected_matches
-        assert ChangeScorer(own_idx, bench_idx).score(change).feasibility == scored.feasibility
+        assert ChangeScorer(*_indexes_from(own, bench, None)).score(change).feasibility == scored.feasibility
         checked += 1
 
 
@@ -315,7 +324,7 @@ def test_scorer_equals_the_oracles(own, bench, changes):
     """One scorer, shared by all the changes, against the row-mask and
     code-map oracles and the brute-force closest match."""
     own_idx, bench_idx = _indexes_from(own, bench)
-    scorer = ChangeScorer(own_idx, bench_idx, with_performance=True)
+    scorer = ChangeScorer(own_idx, bench_idx)
     for pairs in changes:
         change = ProcessChange(tuple(Match(a, b) for a, b in pairs))
         affected = sorted(affected_variants(own_idx, change))
@@ -363,13 +372,13 @@ def test_scoring_order_does_not_change_results():
     ]
     changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in replacement_sets]
     assert all(affected_variants(own_idx, c) for c in changes)
-    fresh = [ChangeScorer(own_idx, bench_idx, True).score(c) for c in changes]
-    forward = ChangeScorer(own_idx, bench_idx, True)
+    fresh = [ChangeScorer(own_idx, bench_idx).score(c) for c in changes]
+    forward = ChangeScorer(own_idx, bench_idx)
     assert [forward.score(c) for c in changes] == fresh
-    reverse = ChangeScorer(own_idx, bench_idx, True)
+    reverse = ChangeScorer(own_idx, bench_idx)
     assert [reverse.score(c) for c in reversed(changes)] == fresh[::-1]
-    assert ChangeScorer(own_idx, bench_idx, True).score_all(changes) == fresh
-    assert ChangeScorer(own_idx, bench_idx, True).score_all(changes[::-1]) == fresh[::-1]
+    assert ChangeScorer(own_idx, bench_idx).score_all(changes) == fresh
+    assert ChangeScorer(own_idx, bench_idx).score_all(changes[::-1]) == fresh[::-1]
 
 
 # ------------------------------------------------------------ batched scoring
@@ -420,13 +429,13 @@ def test_score_all_equals_a_fresh_scorer_per_change(own, bench, changes):
     scorer equal to a fresh one."""
     own_idx, bench_idx = _indexes_from(own, bench)
     changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in changes]
-    expected = [_outcome(ChangeScorer(own_idx, bench_idx, True), c) for c in changes]
+    expected = [_outcome(ChangeScorer(own_idx, bench_idx), c) for c in changes]
     failures = [e for e in expected if isinstance(e, tuple)]
     scorable = [(c, e) for c, e in zip(changes, expected) if not isinstance(e, tuple)]
     for bound in QUEUE_BOUNDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scoring, "CHUNK_ROWS", bound)
-            scorer = ChangeScorer(own_idx, bench_idx, True)
+            scorer = ChangeScorer(own_idx, bench_idx)
             if failures:
                 with pytest.raises(failures[0][0]) as raised:
                     scorer.score_all(changes)
@@ -518,13 +527,8 @@ def test_frequency_scaling_invariance(own_log, benchmark_index):
 
 
 def test_direction_negation_negates_impact():
-    own, bench = _perf_indexes()
-    base = _impact(DELTA_2, own, bench)
-    own_neg = extract_variants(make_log(
-        [("a", "d", "e", "g"), ("a", "d", "f", "g")], performance=[-10.0, -8.0]
-    ))
-    bench_neg = extract_variants(make_log([("b", "d", "e", "g")], performance=[-12.0]))
-    assert _impact(DELTA_2, own_neg, bench_neg) == pytest.approx(-base, abs=1e-12)
+    base = _impact(DELTA_2, *_perf_indexes())
+    assert _impact(DELTA_2, *_perf_indexes(perf=PerfConfig("column", "lower"))) == pytest.approx(-base, abs=1e-12)
 
 
 def test_benchmark_pipeline_worked_example(own_log, benchmark_log):
@@ -618,9 +622,9 @@ def test_dissimilar_logs_warn(own_log):
 def test_benchmark_groups_each_log_into_variants_once(own_log, benchmark_log, monkeypatch):
     calls = []
 
-    def counting(log, performance=None):
+    def counting(log, perf=None):
         calls.append(log)
-        return extract_variants(log, performance)
+        return extract_variants(log, perf)
 
     monkeypatch.setattr(scoring, "extract_variants", counting)
     monkeypatch.setattr(footprint, "extract_variants", counting)
