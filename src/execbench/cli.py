@@ -15,8 +15,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
@@ -208,6 +210,75 @@ def _benchmark_table(changes: list[ScoredChange]) -> str:
     return "\n".join(lines)
 
 
+def _dump_json(obj) -> str:
+    """Return ``json.dumps(obj, indent=2)``.
+
+    Python's ``json`` encodes in pure Python whenever ``indent`` is set.
+    Here each list or tuple of strings goes to the C string encoder in one
+    join, and one such list met again at the same depth is written from its
+    first text.  Dict keys must be ``str``: where ``json`` would coerce a
+    number, bool or ``None`` key, the string encoder raises ``TypeError``,
+    as both do on a value that is not JSON.
+    """
+    parts: list[str] = []
+    # (id, indent) -> (the list, which keeps its id taken; its text)
+    memo: dict[tuple[int, str], tuple[object, str]] = {}
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is None:
+            parts.append("null")
+        elif value is True:
+            parts.append("true")
+        elif value is False:
+            parts.append("false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, float):
+            parts.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            key = (id(value), indent)
+            seen = memo.get(key)
+            if seen is not None:
+                parts.append(seen[1])
+                return
+            inner = indent + "  "
+            between = ",\n" + inner
+            try:
+                text = f"[\n{inner}{between.join(map(encode_basestring_ascii, value))}\n{indent}]"
+            except TypeError:  # not all strings
+                sep = "[\n" + inner
+                for item in value:
+                    parts.append(sep)
+                    write(item, inner)
+                    sep = between
+                parts.append(f"\n{indent}]")
+            else:
+                memo[key] = (value, text)
+                parts.append(text)
+        elif isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            inner = indent + "  "
+            between = ",\n" + inner
+            sep = "{\n" + inner
+            for name, item in value.items():
+                parts.extend((sep, encode_basestring_ascii(name), ": "))
+                write(item, inner)
+                sep = between
+            parts.append(f"\n{indent}}}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(parts)
+
+
 def _cmd_benchmark(args) -> int:
     config = BenchmarkConfig(
         exc_threshold=args.exc,
@@ -237,7 +308,7 @@ def _cmd_benchmark(args) -> int:
         "alphabet_jaccard": len(shared) / len(union),
         "changes": [_change_payload(c) for c in changes],
     }
-    text = json.dumps(report, indent=2) if args.out or args.format == "json" else None
+    text = _dump_json(report) if args.out or args.format == "json" else None
     csv_text = _render(lambda s: _benchmark_csv(changes, s)) if args.out or args.format == "csv" else None
     if args.out:
         _write_files(args.out, {"report.json": text + "\n", "report.csv": csv_text})

@@ -2,25 +2,28 @@
 
 import contextlib
 import csv
+import enum
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import warnings
+from collections import OrderedDict
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
 import execbench
-from execbench import footprint
+from execbench import cli, footprint
 from execbench.cli import _change_payload, _experiment_config, _resolve_performance, build_parser, main
 from execbench.errors import ExecbenchWarning, TruncationWarning
 from execbench.eventlog import EventLog, Trace, write_event_log
@@ -152,16 +155,71 @@ def test_benchmark_report_keys_are_pinned_in_order(tmp_path, capsys):
 def test_benchmark_encodes_the_json_report_once(tmp_path, monkeypatch, capsys):
     own, bench = _worked_example_logs(tmp_path)
     calls = []
-    encode = json.JSONEncoder.iterencode  # json.dump and json.dumps both call it
+    dump = cli._dump_json
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return encode(*args, **kwargs)
+    def counted(obj):
+        calls.append(obj)
+        return dump(obj)
 
-    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    monkeypatch.setattr(cli, "_dump_json", counted)
     assert main(["benchmark", own, bench, "--format", "json", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
     assert (tmp_path / "out" / "report.json").read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_json_text = st.text() | st.text(st.sampled_from("a\"\\/\x00\x1f\x7f\n\u00e9\u2028\ud800\U0001f600"))
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    _json_text,
+    _json_text.map(_Text),
+    st.sampled_from(_Level),
+)
+_string_lists = st.lists(_json_text | st.sampled_from([None, True]), max_size=4)
+_json_values = st.recursive(
+    _json_leaves | _string_lists | _string_lists.map(tuple),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_text, inner, max_size=4),
+        st.dictionaries(_json_text, inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=20,
+)
+# One object twice at one depth and once at another, as the report shares
+# its variant tuples between alignments.
+_shared_values = st.builds(
+    lambda shared, other: [shared, other, shared, {"deeper": [shared]}], _json_values, _json_values
+)
+
+
+@given(value=_json_values | _shared_values)
+@example(value=([],))
+@example(value=["a", None, "b", True])
+@example(value=(("x", "y"),) * 2 + ([("x", "y")],))
+@settings(max_examples=300, deadline=None)
+def test_dump_json_writes_what_json_dumps_writes(value):
+    """The report writer equals ``json.dumps(value, indent=2)`` on any JSON
+    value whose dict keys are ``str``; ``json`` coerces other keys, the
+    writer refuses them."""
+    assert cli._dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{"a", "b"}, ["a", {"b"}], {1: "a"}, {"a": [{None: 1}]}])
+def test_dump_json_refuses_a_set_and_a_key_that_is_not_str(value):
+    with pytest.raises(TypeError):
+        cli._dump_json(value)
 
 
 @pytest.mark.parametrize("command", ["benchmark", "footprint"])
