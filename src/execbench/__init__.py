@@ -74,6 +74,7 @@ from .proctree import (
 from .scoring import (
     Alignment,
     BenchmarkConfig,
+    BenchmarkResult,
     ChangeScorer,
     ScoredChange,
     benchmark,

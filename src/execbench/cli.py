@@ -176,7 +176,7 @@ def _replacements_label(scored: ScoredChange) -> str:
     return "; ".join(f"{m.own} -> {m.benchmark}" for m in scored.change.replacements)
 
 
-def _benchmark_csv(changes: list[ScoredChange], stream: IO[str]) -> None:
+def _benchmark_csv(changes: Sequence[ScoredChange], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(
         ["rank", "replacements", "feasibility", "performance_impact", "affected_traces", "transitive"]
@@ -194,7 +194,7 @@ def _benchmark_csv(changes: list[ScoredChange], stream: IO[str]) -> None:
         )
 
 
-def _benchmark_table(changes: list[ScoredChange]) -> str:
+def _benchmark_table(changes: Sequence[ScoredChange]) -> str:
     if not changes:
         return "no changes found"
     width = max(len(_replacements_label(c)) for c in changes)
@@ -292,9 +292,8 @@ def _cmd_benchmark(args) -> int:
     bench = read_event_log(args.benchmark, schema)
     perf = _resolve_performance(args, own, bench)
     config = dataclasses.replace(config, performance=perf)
-    changes = benchmark(own, bench, config)
-    shared = own.alphabet & bench.alphabet
-    union = own.alphabet | bench.alphabet
+    result = benchmark(own, bench, config)
+    changes = result.changes
     report = {
         "config": {
             "own": args.own,
@@ -302,10 +301,7 @@ def _cmd_benchmark(args) -> int:
             **vars(config),
             "performance": None if perf is None else vars(perf),
         },
-        "own_alphabet": sorted(own.alphabet),
-        "benchmark_alphabet": sorted(bench.alphabet),
-        "shared_alphabet": sorted(shared),
-        "alphabet_jaccard": len(shared) / len(union),
+        **vars(result),
         "changes": [_change_payload(c) for c in changes],
     }
     text = _dump_json(report) if args.out or args.format == "json" else None

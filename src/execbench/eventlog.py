@@ -140,6 +140,16 @@ class SchemaConfig:
     time_col: str = "timestamp"
     perf_col: str = "performance"
 
+    def __post_init__(self) -> None:
+        # Header cells are stripped, so a name with outer spaces never matches.
+        names = vars(self)
+        for field, name in names.items():
+            if not (isinstance(name, str) and name and name == name.strip()):
+                raise ConfigError(f"{field} must be a non-empty column name without outer spaces, got {name!r}")
+        shared = [field for field, name in names.items() if list(names.values()).count(name) > 1]
+        if shared:
+            raise ConfigError("column names must be distinct, got " + ", ".join(f"{f}={names[f]!r}" for f in shared))
+
 
 @dataclass(frozen=True)
 class PerfConfig:

@@ -88,6 +88,19 @@ class BenchmarkConfig:
             raise ConfigError(f"performance must be a PerfConfig or None, got {self.performance!r}")
 
 
+@dataclass(frozen=True)
+class BenchmarkResult:
+    """What :func:`benchmark` finds: each log's sorted alphabet, the sorted
+    names both share, the Jaccard overlap of the two alphabets, and the
+    ranked changes: the keys of the CLI's ``report.json`` after ``config``."""
+
+    own_alphabet: tuple[str, ...]
+    benchmark_alphabet: tuple[str, ...]
+    shared_alphabet: tuple[str, ...]
+    alphabet_jaccard: float
+    changes: tuple[ScoredChange, ...]
+
+
 def _best_matches(
     distances: np.ndarray, query_lens: np.ndarray, cand_lens: np.ndarray, cand_freqs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,12 +278,13 @@ def _presence(tokens: np.ndarray, n_activities: int) -> np.ndarray:
     return present[:, :-1]
 
 
-def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> list[ScoredChange]:
-    """Run the full pipeline and return the ranked list of scored changes.
+def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> BenchmarkResult:
+    """Run the full pipeline and return the alphabets and the ranked changes.
 
     Footprints, matching, compatible grouping, then scoring; the scored
     changes are filtered by minimum feasibility and sorted by performance
-    impact (when available), feasibility, and canonical change order.
+    impact (0 for every change when scored without performance),
+    feasibility, and canonical change order, and the first ``top`` are kept.
 
     Every change affects some own variant, since a match's own activity
     comes from the own log's alphabet, so no change here is vacuous.
@@ -281,7 +295,8 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
         raise DataError("cannot build a footprint matrix for an empty event log")
     shared = log_own.alphabet & log_benchmark.alphabet
     union = log_own.alphabet | log_benchmark.alphabet
-    if len(shared) / len(union) < SIMILARITY_WARNING_BOUND:
+    jaccard = len(shared) / len(union)
+    if jaccard < SIMILARITY_WARNING_BOUND:
         warnings.warn(
             f"logs share only {len(shared)} of {len(union)} activities; matches may be unreliable",
             LogSimilarityWarning,
@@ -304,10 +319,6 @@ def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfi
 
     scorer = ChangeScorer(own_index, bench_index)
     scored = [s for s in scorer.score_all(changes) if s.feasibility >= config.min_feasibility]
-    if config.performance is not None:
-        scored.sort(key=lambda s: (-s.performance_impact, -s.feasibility, s.change.sort_key()))
-    else:
-        scored.sort(key=lambda s: (-s.feasibility, s.change.sort_key()))
-    if config.top is not None:
-        scored = scored[: config.top]
-    return scored
+    scored.sort(key=lambda s: (-(s.performance_impact or 0.0), -s.feasibility, s.change.sort_key()))
+    alphabets = (tuple(sorted(names)) for names in (log_own.alphabet, log_benchmark.alphabet, shared))
+    return BenchmarkResult(*alphabets, jaccard, tuple(scored[: config.top]))

@@ -48,6 +48,17 @@ def test_benchmark_options_are_checked_before_reading_logs(tmp_path, capsys):
     assert "top" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["benchmark", "footprint"])
+def test_clashing_or_padded_column_options_exit_with_config_error(tmp_path, capsys, command):
+    own, bench = _worked_example_logs(tmp_path)
+    logs = [own, bench] if command == "benchmark" else [own]
+    assert main([command, *logs, "--case-col", "activity", "--activity-col", "activity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "case_col" in err and "activity_col" in err
+    assert main([command, *logs, "--time-col", " timestamp"]) == 2
+    assert "time_col" in capsys.readouterr().err
+
+
 def test_footprint_thresholds_are_checked_before_reading_the_log(tmp_path, capsys):
     assert main(["footprint", str(tmp_path / "missing.csv"), "--exc", "2"]) == 2
     assert "exc_threshold" in capsys.readouterr().err
@@ -572,7 +583,7 @@ def _check_round_trip(own: EventLog, bench: EventLog, *options: str) -> None:
     config = BenchmarkConfig(performance=_resolve_performance(args, own, bench))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExecbenchWarning)
-        direct = [_change_payload(c) for c in benchmark(own, bench, config)]
+        direct = [_change_payload(c) for c in benchmark(own, bench, config).changes]
     assert json.dumps(direct) == json.dumps(changes)
 
 

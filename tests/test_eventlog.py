@@ -133,6 +133,45 @@ def test_custom_schema_names():
     assert log.traces["7"].variant == ("start",)
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"activity_col": "case_id"}, ["case_col", "activity_col"]),
+        ({"case_col": "activity"}, ["case_col", "activity_col"]),
+        ({"time_col": "performance"}, ["time_col", "perf_col"]),
+        ({"case_col": "x", "activity_col": "x", "time_col": "y", "perf_col": "y"},
+         ["case_col", "activity_col", "time_col", "perf_col"]),
+    ],
+)
+def test_schema_column_names_must_be_distinct(fields, named):
+    with pytest.raises(ConfigError, match="distinct") as raised:
+        SchemaConfig(**fields)
+    assert [f for f in ("case_col", "activity_col", "time_col", "perf_col") if f in str(raised.value)] == named
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("time_col", " timestamp"),
+        ("case_col", "case_id\t"),
+        ("activity_col", ""),
+        ("perf_col", " "),
+        ("case_col", None),
+        ("activity_col", 3),
+        ("time_col", b"timestamp"),
+    ],
+)
+def test_schema_column_names_must_be_stripped_nonempty_strings(field, name):
+    with pytest.raises(ConfigError, match=field):
+        SchemaConfig(**{field: name})
+
+
+def test_schema_column_names_may_hold_inner_spaces():
+    schema = SchemaConfig(case_col="case id", activity_col="Activity Name")
+    log = parse("case id,Activity Name\nc1,a b\n", schema)
+    assert log.traces["c1"].variant == ("a b",)
+
+
 def test_extract_variants_worked_example():
     idx = extract_variants(parse(OWN_CSV))
     assert len(idx.entries) == 4

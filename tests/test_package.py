@@ -11,6 +11,7 @@ PUBLIC_NAMES = {
     "Event", "Trace", "EventLog", "Variant", "VariantIndex", "SchemaConfig", "PerfConfig",
     "CooccurrenceStats", "FootprintMatrix", "Relation", "Match", "MatchSet", "CompatGraph",
     "ProcessChange", "Alignment", "ScoredChange", "ChangeScorer", "BenchmarkConfig",
+    "BenchmarkResult",
     # synthetic lab and evaluation
     "ProcessTree", "Leaf", "Seq", "Xor", "And", "Loop", "GenConfig", "MutationConfig", "SimConfig",
     "GroundTruth", "generate_process_tree", "mutate_tree", "simulate_log", "tree_to_json",

@@ -6,10 +6,15 @@ order statistics of each trace, the one-pair relation rule, the all-pairs
 row comparison, the brute-force clique search, and the brute-force scores
 with the naive edit distance.  It shares no code with the package apart
 from the relation codes and the dataclasses that carry its inputs.
+
+``reference_pair`` recomputes every field of ``run_pair``'s record the same
+way from the generated pair, with the package's ``random_baseline`` for the
+baseline matches.
 """
 
 import math
 import warnings
+from dataclasses import replace
 from datetime import datetime, timedelta
 from itertools import accumulate
 from types import SimpleNamespace
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import naive_levenshtein
 from execbench.errors import ExecbenchWarning
 from execbench.eventlog import EventLog, PerfConfig, Trace
+from execbench.experiment import ExperimentConfig, PairRecord, generate_pair, random_baseline, run_pair
 from execbench.footprint import _RELATIONS
 from execbench.scoring import BenchmarkConfig, benchmark
 from test_compatibility import _brute_force_cliques
@@ -94,6 +100,17 @@ def reference_benchmark(own_log: EventLog, bench_log: EventLog, config: Benchmar
     else:
         ranked.sort(key=lambda c: (-c["performance_impact"], -c["feasibility"]))
     return ranked if config.top is None else ranked[: config.top]
+
+
+def reference_alphabets(own_log: EventLog, bench_log: EventLog) -> dict:
+    """The alphabet fields of ``benchmark()``'s result, from the traces' variants."""
+    own, bench = ({a for t in log.traces.values() for a in t.variant} for log in (own_log, bench_log))
+    return {
+        "own_alphabet": tuple(sorted(own)),
+        "benchmark_alphabet": tuple(sorted(bench)),
+        "shared_alphabet": tuple(sorted(own & bench)),
+        "alphabet_jaccard": len(own & bench) / len(own | bench),
+    }
 
 
 def _fields(scored) -> dict:
@@ -195,5 +212,118 @@ def test_benchmark_equals_the_reference(logs, perf, exc, inter, min_feasibility,
     config = BenchmarkConfig(exc, inter, max_change_size, min_feasibility, top, perf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExecbenchWarning)
-        got = [_fields(s) for s in benchmark(own_log, bench_log, config)]
-    assert got == reference_benchmark(own_log, bench_log, config)
+        result = benchmark(own_log, bench_log, config)
+    assert [_fields(s) for s in result.changes] == reference_benchmark(own_log, bench_log, config)
+    alphabets = {name: value for name, value in vars(result).items() if name != "changes"}
+    assert alphabets == reference_alphabets(own_log, bench_log)
+
+
+def _reference_changes(matches, max_size: int) -> list[tuple]:
+    """Every set of at most ``max_size`` matches with distinct own activities,
+    by brute force, in canonical order: by size, then by the sorted matches."""
+    adjacency = [{j for j, other in enumerate(matches) if other.own != m.own} for m in matches]
+    return sorted(_brute_force_cliques(matches, adjacency, max_size), key=lambda c: (len(c), c))
+
+
+def _reference_match_sets(config: ExperimentConfig, index: int, pair) -> tuple[list, list]:
+    """The pair's predicted matches, from the reference footprints, and the
+    random baseline of as many matches, drawn with the pair's seed."""
+    thresholds = config.exc_threshold, config.int_threshold
+    own_log, bench_log = pair.own_log, pair.benchmark_log
+    predicted = _all_pairs_matches(_reference_footprint(own_log, *thresholds), _reference_footprint(bench_log, *thresholds))
+    master = config.master_seed if isinstance(config.master_seed, tuple) else (config.master_seed,)
+    seed = master + (index, 5)
+    baseline = random_baseline(own_log.alphabet, bench_log.alphabet, len(predicted), seed).matches
+    return predicted, sorted(baseline)
+
+
+def _plain_median(values: list[float]) -> float:
+    ordered = sorted(values)
+    return (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2
+
+
+def reference_pair(config: ExperimentConfig, index: int) -> PairRecord:
+    """Every field of ``run_pair(config, index)``, recomputed from the
+    generated pair by the stage oracles: the reference matches, a
+    brute-force clique count for the change limit, and the brute-force
+    feasibility of each change; means sum in canonical change order."""
+    pair = generate_pair(config, index)
+    predicted, baseline = _reference_match_sets(config, index, pair)
+    truth = set(pair.truth.replacements)
+    hits = len({(m.own, m.benchmark) for m in predicted} & truth)
+    record = PairRecord(
+        index,
+        precision=hits / len(predicted) if predicted else 1.0,
+        recall=hits / len(truth) if truth else 1.0,
+        n_predicted=len(predicted),
+        n_truth=len(truth),
+    )
+    if not predicted:
+        return replace(record, feasibility_skipped="no-matches")
+    changes = [_reference_changes(matches, config.max_change_size) for matches in (predicted, baseline)]
+    if max(map(len, changes)) > config.max_changes_per_pair:
+        return replace(record, feasibility_skipped="change-limit")
+    own, bench = _reference_variants(pair.own_log, None), _reference_variants(pair.benchmark_log, None)
+    technique, sampled = (
+        [brute_force_scores(own, bench, [(m.own, m.benchmark) for m in change])[0] for change in side]
+        for side in changes
+    )
+    return replace(
+        record,
+        technique_feasibility=sum(technique) / len(technique),
+        technique_feasibility_median=_plain_median(technique),
+        baseline_feasibility=sum(sampled) / len(sampled),
+        baseline_feasibility_median=_plain_median(sampled),
+        n_changes_technique=len(technique),
+        n_changes_baseline=len(sampled),
+    )
+
+
+@st.composite
+def small_experiments(draw):
+    """A small lab config and a pair index.  The limit on changes is drawn
+    next to the larger change count of the pair's two match sets, so that
+    both sides of the limit are tried."""
+    low = draw(st.integers(3, 7))
+    config = ExperimentConfig(
+        n_pairs=1,
+        n_traces=draw(st.integers(5, 30)),
+        noise_probability=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        leaves_range=(low, low + draw(st.integers(0, 2))),
+        replacements_range=(draw(st.integers(0, 1)), 2),
+        insertions_range=(0, draw(st.integers(0, 1))),
+        deletions_range=(0, draw(st.integers(0, 1))),
+        exc_threshold=draw(st.just(ExperimentConfig.exc_threshold) | _fractions),
+        int_threshold=draw(st.just(ExperimentConfig.int_threshold) | _fractions),
+        max_change_size=draw(st.integers(1, 3)),
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+    index = draw(st.integers(0, 3))
+    pair = generate_pair(config, index)
+    assume(pair.own_log.alphabet & pair.benchmark_log.alphabet)  # else run_pair raises DataError
+    count = max(len(_reference_changes(m, config.max_change_size)) for m in _reference_match_sets(config, index, pair))
+    # Past about 20 changes the brute-force scores get slow, so larger pairs go over the limit.
+    limit = min(count, 20) + draw(st.integers(-1, 1))
+    return replace(config, max_changes_per_pair=max(0, limit)), index
+
+
+def _pair_example(index: int, **fields):
+    """An explicit example: pair ``index`` of a lab of five noiseless traces
+    per log on three leaves, with both thresholds at 0.9 and master seed 0,
+    and the given fields."""
+    defaults = dict(
+        n_pairs=1, n_traces=5, noise_probability=0.0, leaves_range=(3, 3), replacements_range=(0, 2),
+        insertions_range=(0, 0), deletions_range=(0, 0), exc_threshold=0.9, int_threshold=0.9, master_seed=0,
+    )
+    return example(experiment=(ExperimentConfig(**{**defaults, **fields}), index))
+
+
+# Each of these is the smallest input found to fail on one defect put into run_pair.
+@_pair_example(1, replacements_range=(1, 2), max_change_size=2, max_changes_per_pair=9)  # technique/baseline split
+@_pair_example(0, max_change_size=1, max_changes_per_pair=4)  # >= for > in the change limit; median_low; pair seed
+@_pair_example(2, leaves_range=(3, 4), max_change_size=1, max_changes_per_pair=0)  # empty prediction's precision 0
+@given(experiment=small_experiments())
+@settings(max_examples=150, deadline=None)
+def test_run_pair_equals_the_reference(experiment):
+    config, index = experiment
+    assert run_pair(config, index) == reference_pair(config, index)

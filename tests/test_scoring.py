@@ -470,7 +470,7 @@ def test_benchmark_aligns_in_one_kernel_call(monkeypatch):
     calls = _spy_on_the_kernel(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExecbenchWarning)
-        scored = benchmark(pair.own_log, pair.benchmark_log)
+        scored = benchmark(pair.own_log, pair.benchmark_log).changes
     assert len(scored) > 1
     assert len(calls) == 1
 
@@ -532,7 +532,7 @@ def test_direction_negation_negates_impact():
 
 
 def test_benchmark_pipeline_worked_example(own_log, benchmark_log):
-    scored = benchmark(own_log, benchmark_log)
+    scored = benchmark(own_log, benchmark_log).changes
     assert len(scored) == 11
     by_change = {tuple((m.own, m.benchmark) for m in s.change.replacements): s for s in scored}
     assert by_change[(("a", "b"), ("f", "e"))].feasibility == 1.0
@@ -545,7 +545,7 @@ def test_benchmark_pipeline_worked_example(own_log, benchmark_log):
 def test_benchmark_identical_logs(own_log):
     # four own activities have a match, one more than the default change size
     with pytest.warns(TruncationWarning):
-        scored = benchmark(own_log, own_log)
+        scored = benchmark(own_log, own_log).changes
     assert scored
     assert all(s.feasibility == 1.0 for s in scored)
 
@@ -553,7 +553,7 @@ def test_benchmark_identical_logs(own_log):
 def test_benchmark_identical_logs_with_performance():
     # constant performance: every alignment is an exact match with zero delta
     log = make_log([("a", "b"), ("c", "b")], performance=[5.0, 5.0])
-    scored = benchmark(log, log, BenchmarkConfig(performance=PerfConfig("column")))
+    scored = benchmark(log, log, BenchmarkConfig(performance=PerfConfig("column"))).changes
     assert scored
     assert all(s.performance_impact == 0.0 for s in scored)
     assert all(s.feasibility == 1.0 for s in scored)
@@ -569,13 +569,13 @@ def test_benchmark_warns_when_more_own_activities_match_than_the_change_size(own
 
 def test_alignments_carry_no_performance_when_scored_without_it():
     log = make_log([("a", "b"), ("c", "b")], performance=[5.0, 7.0])
-    scored = benchmark(log, log)
+    scored = benchmark(log, log).changes
     assert scored
     assert {(a.own_performance, a.benchmark_performance) for s in scored for a in s.alignments} == {(None, None)}
 
 
 def test_min_feasibility_one_keeps_only_exact_changes(own_log, benchmark_log):
-    scored = benchmark(own_log, benchmark_log, BenchmarkConfig(min_feasibility=1.0))
+    scored = benchmark(own_log, benchmark_log, BenchmarkConfig(min_feasibility=1.0)).changes
     assert scored
     assert all(s.feasibility == 1.0 for s in scored)
 
@@ -605,11 +605,11 @@ def test_invalid_benchmark_config_rejected(field, value):
 
 
 def test_top_zero_empties_report(own_log, benchmark_log):
-    assert benchmark(own_log, benchmark_log, BenchmarkConfig(top=0)) == []
+    assert benchmark(own_log, benchmark_log, BenchmarkConfig(top=0)).changes == ()
 
 
 def test_top_limits_report(own_log, benchmark_log):
-    assert len(benchmark(own_log, benchmark_log, BenchmarkConfig(top=3))) == 3
+    assert len(benchmark(own_log, benchmark_log, BenchmarkConfig(top=3)).changes) == 3
 
 
 def test_dissimilar_logs_warn(own_log):
@@ -628,7 +628,7 @@ def test_benchmark_groups_each_log_into_variants_once(own_log, benchmark_log, mo
 
     monkeypatch.setattr(scoring, "extract_variants", counting)
     monkeypatch.setattr(footprint, "extract_variants", counting)
-    assert benchmark(own_log, benchmark_log)
+    assert benchmark(own_log, benchmark_log).changes
     assert calls == [own_log, benchmark_log]
 
 
@@ -657,7 +657,7 @@ def test_every_ranked_change_has_an_alignment(own, bench, with_performance, data
     config = BenchmarkConfig(performance=PerfConfig("column") if with_performance else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExecbenchWarning)
-        scored = benchmark(own_log, bench_log, config)
+        scored = benchmark(own_log, bench_log, config).changes
     for s in scored:
         assert s.alignments
         assert s.affected_trace_count == sum(a.frequency for a in s.alignments)
