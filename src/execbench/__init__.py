@@ -36,7 +36,6 @@ from .eventlog import (
     extract_variants,
     parse_event_log,
     read_event_log,
-    trace_performance,
     write_event_log,
 )
 from .experiment import (

@@ -64,11 +64,11 @@ def _myers_chunk(peq, offsets, query_lens, cand_columns, cand_ids, cand_lens):
     """Distances for one chunk of rows sorted by candidate length, longest first.
 
     ``offsets[r]`` is row r's query base column in ``peq``, and
-    ``cand_columns[j, cand_ids[r]]`` its candidate's token j.  Every query
-    is non-empty.  Pv and Mv hold the vertical +1 and -1 deltas of each row's current DP
-    column.  A row stops changing once its candidate is consumed, so at the
-    end its distance is the top-row value, its candidate length, plus the
-    sum of the deltas over its query's bits.
+    ``cand_columns[j, cand_ids[r]]`` its candidate's token j.  Pv and Mv
+    hold the vertical +1 and -1 deltas of each row's current DP column.  A
+    row stops changing once its candidate is consumed, so at the end its
+    distance is the top-row value, its candidate length, plus the sum of the
+    deltas over its query's bits: none for an empty query.
     """
     n_words, rows = peq.shape[0], len(offsets)
     pv = np.full((n_words, rows), _ALL, dtype=np.uint64)
@@ -125,13 +125,10 @@ def levenshtein_many(queries: np.ndarray, cands: np.ndarray, qi: np.ndarray, ci:
     ci = np.asarray(ci, dtype=np.intp)
     query_lens = (queries >= 0).sum(axis=1)
     m, n = query_lens[qi], (cands >= 0).sum(axis=1)[ci]
-    out = n.astype(np.int32)
-    rows = np.flatnonzero(m > 0)
-    if not len(rows):
-        return out
-    rows = rows[np.argsort(-n[rows], kind="stable")]
+    out = np.empty(len(qi), dtype=np.int32)
+    rows = np.argsort(-n, kind="stable")
     n_symbols = int(max(queries.max(initial=-1), cands.max(initial=-1))) + 2
-    peq = _peq_tables(queries, n_symbols, -(-int(query_lens.max()) // _WORD_BITS))
+    peq = _peq_tables(queries, n_symbols, -(-int(query_lens.max(initial=0)) // _WORD_BITS))
     cand_columns = np.ascontiguousarray(cands.T)
     for start in range(0, len(rows), CHUNK_ROWS):
         chunk = rows[start : start + CHUNK_ROWS]

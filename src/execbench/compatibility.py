@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, product
 
-from .errors import check_int
+from .errors import DataError, check_int
 from .matching import Match, MatchSet
 
 DEFAULT_MAX_CHANGE_SIZE = 3
@@ -31,6 +31,10 @@ class ProcessChange:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "replacements", tuple(sorted(self.replacements)))
+        # Sorted, the replacements of one own activity are adjacent.
+        for m, n in zip(self.replacements, self.replacements[1:]):
+            if m.own == n.own:
+                raise DataError(f"a process change replaces own activity {m.own!r} more than once")
 
     @property
     def own_activities(self) -> frozenset[str]:

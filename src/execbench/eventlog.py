@@ -354,15 +354,37 @@ def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None 
 def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIndex:
     """Group traces by their activity sequence, in ascending variant order.
 
-    With ``perf``, a variant's mean performance is the mean of its cases'
-    :func:`trace_performance` values, so higher is better; without it, the
-    mean is ``None``.  A mean that overflows a float raises
-    :class:`DataError` naming the variant.
+    With ``perf``, each case's value is its performance column value, or
+    under ``throughput`` the seconds from its first to its last event,
+    negated per case when ``perf.direction`` is ``"lower"`` so that higher
+    is better; a variant's mean performance is the ``math.fsum`` mean of its
+    cases' values.  Without ``perf`` every mean is ``None``.  Cases without
+    a column value raise :class:`DataError` (their count and first ids)
+    before any mean, throughput without timestamps :class:`ConfigError`, and
+    a mean that overflows a float :class:`DataError` naming the variant.
     """
-    by_case = {} if perf is None else trace_performance(log, perf)
+    lower = perf is not None and perf.direction == "lower"
     values_by_variant: dict[Variant, list[float | None]] = {}
+    missing: list[str] = []
     for case_id, trace in log.traces.items():
-        values_by_variant.setdefault(trace.variant, []).append(by_case.get(case_id))
+        if perf is None:
+            value = None
+        elif perf.mode == "throughput":
+            keys = trace.order_keys
+            if not all(isinstance(k, datetime) for k in keys):
+                raise ConfigError("throughput performance requires a timestamp column")
+            value = (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]
+        elif trace.performance is None:
+            missing.append(case_id)
+            continue
+        else:
+            value = trace.performance
+        # Negate the case, not the mean: the fsum of -0.0s is +0.0.
+        values_by_variant.setdefault(trace.variant, []).append(-value if lower else value)
+    if missing:
+        missing.sort()
+        shown = ", ".join(missing[:_MISSING_SHOWN]) + (", ..." if len(missing) > _MISSING_SHOWN else "")
+        raise DataError(f"performance value missing for {len(missing)} case(s): {shown}")
     entries: dict[Variant, VariantEntry] = {}
     for variant, values in sorted(values_by_variant.items()):  # variants are distinct, so no list is compared
         try:  # fsum is exactly rounded, so the mean does not depend on the order of the cases.
@@ -374,24 +396,3 @@ def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIn
 
 
 _MISSING_SHOWN = 5  # case ids named in the missing-performance error
-
-
-def trace_performance(log: EventLog, perf: PerfConfig | None = None) -> dict[str, float]:
-    """Per-case performance, normalized so that higher is better."""
-    perf = perf or PerfConfig()
-    values: dict[str, float] = {}
-    if perf.mode == "column":
-        missing = sorted(cid for cid, t in log.traces.items() if t.performance is None)
-        if missing:
-            shown = ", ".join(missing[:_MISSING_SHOWN]) + (", ..." if len(missing) > _MISSING_SHOWN else "")
-            raise DataError(f"performance value missing for {len(missing)} case(s): {shown}")
-        values = {cid: float(t.performance) for cid, t in log.traces.items()}  # type: ignore[arg-type]
-    else:
-        for case_id, trace in log.traces.items():
-            keys = trace.order_keys
-            if not all(isinstance(k, datetime) for k in keys):
-                raise ConfigError("throughput performance requires a timestamp column")
-            values[case_id] = (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]
-    if perf.direction == "lower":
-        values = {cid: -v for cid, v in values.items()}
-    return values

@@ -81,7 +81,10 @@ class ExperimentConfig:
             ("insertions_range", 0),
             ("deletions_range", 0),
         ):
-            low, high = getattr(self, name)
+            try:
+                low, high = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a (min, max) pair, got {getattr(self, name)!r}") from None
             check_int(name, low)
             check_int(name, high)
             if not least <= low <= high:
@@ -90,6 +93,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"max_tree_depth {self.max_tree_depth} cannot hold {self.leaves_range[1]} leaves; it must be at least 2"
             )
+        try:
+            dict(self.operator_weights)
+        except (TypeError, ValueError):
+            raise ConfigError(f"operator_weights must be (operator, weight) pairs, got {self.operator_weights!r}") from None
         # Every other field is checked by the config it is passed on to.
         self.gen_config(self.leaves_range[1])
         self.sim_config(0)

@@ -13,6 +13,7 @@ import itertools
 import math
 import numbers
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Callable, Iterator, Sequence, Union
@@ -134,6 +135,8 @@ class GenConfig:
         check_int("max_depth", self.max_depth, 1)
         if self.target_leaves >= 2 and self.max_depth < 2:
             raise ConfigError(f"max_depth {self.max_depth} cannot hold {self.target_leaves} leaves")
+        if not isinstance(self.operator_weights, Mapping):
+            raise ConfigError(f"operator_weights must map operators to weights, got {self.operator_weights!r}")
         for operator, weight in self.operator_weights.items():
             if operator not in _OPERATORS:
                 raise ConfigError(f"operator_weights: unknown operator {operator!r}, expected seq, xor, and or loop")
@@ -502,9 +505,10 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     """Independent play-outs with synthetic strictly increasing timestamps.
 
     Stream contract: trace i (case ``c{i+1}``) draws its play-out from
-    ``default_rng(seed + (i,))`` and, when noise is configured, its noise
-    from ``default_rng(seed + (n_traces, i))``: first the uniform that
-    decides whether it is perturbed, then the kind, then the position.  So
+    ``default_rng(seed + (i,))`` and its noise from
+    ``default_rng(seed + (n_traces, i))``: first the uniform that decides
+    whether it is perturbed, then the kind, then the position.  Every trace
+    draws that uniform, and none is perturbed at probability 0.  So
     simulation is reproducible and any trace can be replayed alone.  Trace
     i's events are one second apart from minute i.  The streams are not
     built by ``default_rng``: one vectorized pass computes every stream's
@@ -516,18 +520,16 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     bit_generator = rng.bit_generator
     play = _compile(tree, rng, sim.max_loop_iterations)
     spaced = _spacer()
-    noisy = sim.noise_probability > 0
-    noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces) if noisy else itertools.repeat(None)
+    noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces)
     traces: dict[str, Trace] = {}
     for i, (state, noise_state) in enumerate(zip(_stream_states(sim.seed, sim.n_traces), noise_states)):
         bit_generator.state = state
         sequence: list[str] = []
         play(sequence)
         performance = float(-(len(sequence) - 1)) if sim.with_performance else None
-        if noisy:
-            bit_generator.state = noise_state
-            if rng.random() < sim.noise_probability:
-                _perturb(sequence, rng)
+        bit_generator.state = noise_state
+        if rng.random() < sim.noise_probability:
+            _perturb(sequence, rng)
         case_id = f"c{i + 1}"
         keys = spaced(_EPOCH + timedelta(minutes=i), len(sequence))
         traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)

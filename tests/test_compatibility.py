@@ -13,7 +13,7 @@ from execbench.compatibility import (
     count_changes,
     enumerate_changes,
 )
-from execbench.errors import ConfigError
+from execbench.errors import ConfigError, DataError
 from execbench.matching import Match, MatchSet
 
 
@@ -97,6 +97,20 @@ def test_max_size_validated():
 def test_transitive_tag():
     assert ProcessChange((Match("a", "c"), Match("c", "b"))).is_transitive
     assert not ProcessChange((Match("a", "b"), Match("f", "e"))).is_transitive
+
+
+@pytest.mark.parametrize(
+    "replacements",
+    [
+        (Match("a", "x"), Match("a", "y")),
+        (Match("a", "y"), Match("b", "z"), Match("a", "x")),
+        (Match("a", "x"), Match("a", "x")),
+    ],
+)
+def test_change_refuses_two_replacements_of_one_own_activity(replacements):
+    # mapping() would keep only one of them, while the pool held both targets' variants.
+    with pytest.raises(DataError, match="own activity 'a' more than once"):
+        ProcessChange(replacements)
 
 
 def test_canonical_order_by_size_then_pairs():

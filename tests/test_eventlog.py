@@ -3,17 +3,18 @@
 import csv
 import gc
 import io
+import itertools
 import math
 import operator
 import os
 import re
 import tempfile
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV, make_log
@@ -28,7 +29,6 @@ from execbench.eventlog import (
     extract_variants,
     parse_event_log,
     read_event_log,
-    trace_performance,
     write_event_log,
 )
 
@@ -234,10 +234,14 @@ def test_one_event_variants_give_width_one():
     assert freqs.tolist() == [4, 1]
 
 
+def means(log, perf):
+    return {v: e.mean_performance for v, e in extract_variants(log, perf).entries.items()}
+
+
 def test_performance_column_identity_and_negation():
     log = parse("case_id,activity,performance\nc1,a,10\n")
-    assert trace_performance(log, PerfConfig("column", "higher")) == {"c1": 10.0}
-    assert trace_performance(log, PerfConfig("column", "lower")) == {"c1": -10.0}
+    assert means(log, PerfConfig("column", "higher")) == {("a",): 10.0}
+    assert means(log, PerfConfig("column", "lower")) == {("a",): -10.0}
 
 
 def test_throughput_defaults_to_lower_is_better():
@@ -247,27 +251,70 @@ def test_throughput_defaults_to_lower_is_better():
         "c1,b,2024-01-01T09:30:00\n"
     )
     log = parse(csv)
-    assert trace_performance(log, PerfConfig("throughput")) == {"c1": -1800.0}
-    assert trace_performance(log, PerfConfig("throughput", "higher")) == {"c1": 1800.0}
+    assert means(log, PerfConfig("throughput")) == {("a", "b"): -1800.0}
+    assert means(log, PerfConfig("throughput", "higher")) == {("a", "b"): 1800.0}
 
 
 def test_throughput_without_timestamps_is_config_error():
     log = parse("case_id,activity\nc1,a\n")
     with pytest.raises(ConfigError):
-        trace_performance(log, PerfConfig("throughput"))
+        extract_variants(log, PerfConfig("throughput"))
 
 
 def test_missing_performance_values_list_cases():
     log = parse("case_id,activity,performance\nc1,a,1\nc2,a,\n")
     with pytest.raises(DataError, match="c2"):
-        trace_performance(log, PerfConfig("column"))
+        extract_variants(log, PerfConfig("column"))
 
 
 def test_missing_performance_error_names_the_count_and_the_first_cases():
     log = parse("case_id,activity\n" + "".join(f"c{i:03d},a\n" for i in range(99, -1, -1)))
     with pytest.raises(DataError) as caught:
-        trace_performance(log, PerfConfig("column"))
+        extract_variants(log, PerfConfig("column"))
     assert str(caught.value) == "performance value missing for 100 case(s): c000, c001, c002, c003, c004, ..."
+
+
+def oracle_means(log, perf):
+    """The per-case rule, kept plain: each case's column value or
+    first-to-last seconds, negated per case for "lower", then fsum means."""
+    by_variant = {}
+    for trace in log.traces.values():
+        if perf.mode == "column":
+            value = trace.performance
+        else:
+            value = (trace.order_keys[-1] - trace.order_keys[0]).total_seconds()
+        by_variant.setdefault(trace.variant, []).append(-value if perf.direction == "lower" else value)
+    return {v: math.fsum(values) / len(values) for v, values in by_variant.items()}
+
+
+@given(
+    cases=st.lists(
+        st.tuples(
+            st.sampled_from([("a",), ("a", "b"), ("b", "a", "c")]),
+            st.lists(st.integers(0, 3), min_size=2, max_size=2),  # seconds between events, 0 allowed
+            st.floats(-1e6, 1e6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    mode=st.sampled_from(["column", "throughput"]),
+    direction=st.sampled_from(["higher", "lower"]),
+)
+@example(cases=[(("a",), [0, 0], 5.0)], mode="throughput", direction="lower")  # the mean is 0.0, not -0.0
+@settings(max_examples=300, deadline=None)
+def test_variant_means_equal_the_per_case_oracle(cases, mode, direction):
+    start = datetime(2024, 1, 1)
+    traces = {}
+    for i, (variant, gaps, value) in enumerate(cases):
+        seconds = [0, *itertools.accumulate(gaps)][: len(variant)]
+        keys = tuple(start + timedelta(seconds=s) for s in seconds)
+        traces[f"c{i}"] = Trace(f"c{i}", variant, keys, value)
+    log = EventLog(traces)
+    perf = PerfConfig(mode, direction)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert [(v, repr(m)) for v, m in means(log, perf).items()] == [
+        (v, repr(m)) for v, m in sorted(oracle_means(log, perf).items())
+    ]
 
 
 def test_perf_config_resolves_its_direction_when_built():
@@ -412,8 +459,8 @@ def test_frequencies_sum_to_case_count(variants, freqs):
 @settings(max_examples=50, deadline=None)
 def test_direction_flag_negates_exactly(variants):
     log = make_log(variants, performance=[float(len(v)) for v in variants])
-    higher = trace_performance(log, PerfConfig("column", "higher"))
-    lower = trace_performance(log, PerfConfig("column", "lower"))
+    higher = means(log, PerfConfig("column", "higher"))
+    lower = means(log, PerfConfig("column", "lower"))
     assert {k: -v for k, v in higher.items()} == lower
 
 

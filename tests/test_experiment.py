@@ -130,6 +130,12 @@ def test_pairs_run_in_index_order():
         ("exc_threshold", None),
         ("operator_weights", (("seq", "1"),)),
         ("n_pairs", True),
+        ("operator_weights", (("seq",),)),
+        ("operator_weights", "seq"),
+        ("operator_weights", None),
+        ("leaves_range", (1, 2, 3)),
+        ("leaves_range", 5),
+        ("replacements_range", None),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):

@@ -4,7 +4,7 @@ import execbench
 
 PUBLIC_NAMES = {
     # pipeline
-    "read_event_log", "parse_event_log", "write_event_log", "extract_variants", "trace_performance",
+    "read_event_log", "parse_event_log", "write_event_log", "extract_variants",
     "ordering_counts", "build_footprint_matrix", "match_activities", "build_compatibility_graph",
     "count_changes", "enumerate_changes", "benchmark",
     # data and configs

@@ -671,6 +671,8 @@ def test_bad_baseline_size_rejected(n):
         (SimConfig, "noise_probability", None),
         (GenConfig, "operator_weights", {"seq": "1"}),
         (SimConfig, "n_traces", False),
+        (GenConfig, "operator_weights", [("seq", 1.0)]),
+        (GenConfig, "operator_weights", None),
     ],
 )
 def test_invalid_lab_config_rejected_when_built(config, field, value):
