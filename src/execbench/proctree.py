@@ -5,6 +5,15 @@ loop operators over uniquely named leaves.  They serve as the data factory
 for the evaluation harness: a random tree yields the own log, a mutated
 copy (with replacements recorded as ground truth) yields the benchmark
 log.  Play-out includes the noise step: a trace may get one perturbation.
+
+Random draws follow numpy's ``default_rng``: tree generation and mutation
+use it directly, and play-out uses one seeded stream per trace for its
+events and one for its noise (the contract is on :func:`simulate_log`).
+Play-out computes those streams' PCG64 states in one vectorized pass and
+makes numpy's ``random()`` and ``integers(k)`` draws on Python ints
+(``_Stream``), which skips a numpy call per draw and a state dict per
+trace.  The tests check the states, each draw and whole logs against the
+installed numpy's ``default_rng``.
 """
 
 from __future__ import annotations
@@ -308,8 +317,16 @@ class SimConfig:
     probability 1/2; ``seed`` is a non-negative int or a tuple of them.
     With ``noise_probability`` a trace gets one perturbation: an adjacent
     swap, a deletion, or a duplication in place (the only one a single
-    event allows).  ``with_performance`` gives each trace the synthetic
-    performance ``-(events - 1)``, counted before the perturbation."""
+    event allows).  ``with_performance``, a bool (numpy's counts), gives
+    each trace the synthetic performance ``-(events - 1)``, counted before
+    the perturbation.
+
+    ``seed`` fixes every draw: trace i plays out from
+    ``default_rng(seed + (i,))`` and draws its noise from
+    ``default_rng(seed + (n_traces, i))``, so a seed fixes the log and any
+    trace can be replayed alone.  The draws are made on Python ints, not by
+    a numpy generator, and the tests check them against the installed
+    numpy's ``default_rng``."""
 
     n_traces: int = 1000
     noise_probability: float = 0.05
@@ -322,6 +339,8 @@ class SimConfig:
         check_int("max_loop_iterations", self.max_loop_iterations, 1)
         check_fraction("noise_probability", self.noise_probability)
         _seed_words(self.seed)  # raises ConfigError on a bad seed
+        if not isinstance(self.with_performance, (bool, np.bool_)):
+            raise ConfigError(f"with_performance must be a bool, got {self.with_performance!r}")
 
 
 _EPOCH = datetime(2024, 1, 1)
@@ -331,8 +350,9 @@ def _derive(seed: SeedLike, *extra: int) -> tuple[int, ...]:
     return (seed if isinstance(seed, tuple) else (seed,)) + extra
 
 
-# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants.
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -376,13 +396,14 @@ def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     return hash_step
 
 
-def _stream_states(seed: SeedLike, n: int) -> Iterator[dict]:
-    """``default_rng(_derive(seed, i)).bit_generator.state`` for each i < n.
+def _stream_states(seed: SeedLike, n: int) -> Iterator[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``default_rng(_derive(seed, i))`` for
+    each i < n, as in its ``bit_generator.state["state"]``.
 
     Runs numpy's SeedSequence hashing over all n entropy rows at once as
     uint32 column arithmetic; the rows differ only in their last word, i.
-    The PCG64 seeding step then runs per row on Python ints, as each state
-    is taken, so the states are never all held at once.
+    The PCG64 seeding step then runs per row on Python ints, as each pair
+    is taken, so the pairs are never all held at once.
     """
     if n > 1 << 32:
         raise ConfigError(f"at most 2**32 streams per seed, got {n}")
@@ -410,18 +431,65 @@ def _stream_states(seed: SeedLike, n: int) -> Iterator[dict]:
     halves = [output_hash(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     words = [(halves[2 * k] | (halves[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
 
-    def pcg64_state(high_state: int, low_state: int, high_seq: int, low_seq: int) -> dict:
+    def pcg64_seed(high_state: int, low_state: int, high_seq: int, low_seq: int) -> tuple[int, int]:
         inc = ((((high_seq << 64) | low_seq) << 1) | 1) & _MASK128
-        state = ((inc + ((high_state << 64) | low_state)) * _PCG64_MULT + inc) & _MASK128
-        return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        return ((inc + ((high_state << 64) | low_state)) * _PCG64_MULT + inc) & _MASK128, inc
 
-    return map(pcg64_state, *words)
+    return map(pcg64_seed, *words)
 
 
-def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[list[str]], None]:
+class _Stream:
+    """The draws of ``numpy.random.Generator(PCG64)`` that the lab uses, on
+    Python ints, from a PCG64 ``(state, inc)`` pair.
+
+    Each step is ``state = state * mult + inc`` modulo 2**128, and its
+    64-bit output is the XSL-RR permutation of the new state (O'Neill 2014).
+    ``random()`` takes the top 53 bits of one output.  32-bit draws take an
+    output's low half and keep its high half for the next 32-bit draw;
+    ``random()`` neither reads nor clears that kept half.  ``integers(k)``
+    for 1 <= k <= 2**32 is Lemire's (2019) bounded draw on 32-bit draws, and
+    draws nothing when k is 1.  A stream draws once :meth:`seed` has set
+    its pair.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def seed(self, state: int, inc: int) -> None:
+        self.state, self.inc, self.half = state, inc, None
+
+    def next64(self) -> int:
+        state = self.state = (self.state * _PCG64_MULT + self.inc) & _MASK128
+        high = state >> 64
+        word, rotation = (high ^ state) & _MASK64, high >> 58
+        return ((word >> rotation) | (word << (64 - rotation))) & _MASK64
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+    def next_uint32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & _MASK32
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self.next_uint32() * k
+        if m & _MASK32 < k:
+            threshold = ((1 << 32) - k) % k
+            while m & _MASK32 < threshold:
+                m = self.next_uint32() * k
+        return m >> 32
+
+
+def _compile(node: Node, stream: _Stream, max_loop: int) -> Callable[[list[str]], None]:
     """A play-out of ``node`` that appends its events to a list.
 
-    Draws from ``rng`` in depth-first order: ``Xor`` draws its branch,
+    Draws from ``stream`` in depth-first order: ``Xor`` draws its branch,
     ``And`` plays its children in order and then draws their interleaving,
     and ``Loop`` draws ``random() < 0.5`` before each further run, up to
     ``max_loop`` runs.
@@ -432,7 +500,7 @@ def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[l
     if isinstance(node, Seq) and all(isinstance(c, Leaf) for c in node.children):
         names = tuple(c.name for c in node.children)
         return lambda out: out.extend(names)
-    parts = tuple(_compile(c, rng, max_loop) for c in node.children)
+    parts = tuple(_compile(c, stream, max_loop) for c in node.children)
     if isinstance(node, Seq):
 
         def sequence(out: list[str]) -> None:
@@ -440,7 +508,7 @@ def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[l
                 part(out)
 
         return sequence
-    integers = rng.integers
+    integers = stream.integers
     if isinstance(node, Xor):
         k = len(parts)
         return lambda out: parts[integers(k)](out)
@@ -456,7 +524,7 @@ def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[l
 
         return parallel
     body, redo = parts
-    random = rng.random
+    random = stream.random
 
     def loop(out: list[str]) -> None:
         body(out)
@@ -469,15 +537,15 @@ def _compile(node: Node, rng: np.random.Generator, max_loop: int) -> Callable[[l
     return loop
 
 
-def _random_merge(parts: list[list[str]], integers: Callable, out: list[str]) -> None:
+def _random_merge(parts: list[list[str]], integers: Callable[[int], int], out: list[str]) -> None:
     """Append a uniformly random interleaving of ``parts`` to ``out``: each
-    step draws the next source with probability proportional to its
-    remaining length.  The per-step bounds are known in advance (the total
-    shrinks by one each step), so all draws come from one ``integers`` call,
-    which yields the same values as one call per step."""
+    step draws ``integers(total)`` over the events left and takes the next
+    event of the source that value falls in, so a source is drawn with
+    probability proportional to its remaining length."""
     positions = [0] * len(parts)
     remaining = [len(p) for p in parts]
-    for r in integers(np.arange(sum(remaining), 0, -1)).tolist():
+    for total in range(sum(remaining), 0, -1):
+        r = integers(total)
         for i, count in enumerate(remaining):
             if r < count:
                 out.append(parts[i][positions[i]])
@@ -485,20 +553,6 @@ def _random_merge(parts: list[list[str]], integers: Callable, out: list[str]) ->
                 remaining[i] -= 1
                 break
             r -= count
-
-
-def _spacer() -> Callable[[datetime, int], tuple[datetime, ...]]:
-    """``spaced(start, n)``: n timestamps one second apart from ``start``,
-    added from one tuple of offsets that grows as needed."""
-    offsets: tuple[timedelta, ...] = ()
-
-    def spaced(start: datetime, n: int) -> tuple[datetime, ...]:
-        nonlocal offsets
-        if n > len(offsets):
-            offsets = tuple(timedelta(seconds=j) for j in range(max(n, 2 * len(offsets))))
-        return tuple(start + d for d in offsets[:n])
-
-    return spaced
 
 
 def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
@@ -510,43 +564,48 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     whether it is perturbed, then the kind, then the position.  Every trace
     draws that uniform, and none is perturbed at probability 0.  So
     simulation is reproducible and any trace can be replayed alone.  Trace
-    i's events are one second apart from minute i.  The streams are not
-    built by ``default_rng``: one vectorized pass computes every stream's
-    starting state, and one generator is re-seeded per stream.  A test
-    checks those states, and the logs, against ``default_rng`` and a
-    recursive play-out.
+    i's events are one second apart from minute i.
+
+    No numpy generator is built.  One vectorized pass computes every
+    stream's starting PCG64 state, and one play stream and one noise stream
+    are re-seeded per trace; they make numpy's draws on Python ints.  The
+    tests check the states, the draws and the logs against the installed
+    numpy's ``default_rng`` and a recursive play-out.
     """
-    rng = np.random.Generator(np.random.PCG64())
-    bit_generator = rng.bit_generator
-    play = _compile(tree, rng, sim.max_loop_iterations)
-    spaced = _spacer()
+    play_stream, noise_stream = _Stream(), _Stream()
+    play = _compile(tree, play_stream, sim.max_loop_iterations)
     noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces)
+    offsets: tuple[timedelta, ...] = ()
+    start, minute = _EPOCH, timedelta(minutes=1)
     traces: dict[str, Trace] = {}
-    for i, (state, noise_state) in enumerate(zip(_stream_states(sim.seed, sim.n_traces), noise_states)):
-        bit_generator.state = state
+    for i, (play_state, noise_state) in enumerate(zip(_stream_states(sim.seed, sim.n_traces), noise_states)):
+        play_stream.seed(*play_state)
         sequence: list[str] = []
         play(sequence)
         performance = float(-(len(sequence) - 1)) if sim.with_performance else None
-        bit_generator.state = noise_state
-        if rng.random() < sim.noise_probability:
-            _perturb(sequence, rng)
+        noise_stream.seed(*noise_state)
+        if noise_stream.random() < sim.noise_probability:
+            _perturb(sequence, noise_stream)
+        if len(sequence) > len(offsets):
+            offsets = tuple(timedelta(seconds=j) for j in range(max(len(sequence), 2 * len(offsets))))
         case_id = f"c{i + 1}"
-        keys = spaced(_EPOCH + timedelta(minutes=i), len(sequence))
+        keys = tuple(map(start.__add__, offsets[: len(sequence)]))
         traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
+        start += minute
     return EventLog(traces)
 
 
-def _perturb(names: list[str], rng: np.random.Generator) -> None:
+def _perturb(names: list[str], stream: _Stream) -> None:
     """Swap two adjacent events of ``names``, delete one, or duplicate one in
-    place.  ``rng`` draws the kind uniformly among those that apply (a single
-    event can only be duplicated), then the position."""
+    place.  ``stream`` draws the kind uniformly among those that apply (a
+    single event can only be duplicated), then the position."""
     kinds = ["duplicate"] + (["swap", "delete"] if len(names) >= 2 else [])
-    kind = kinds[int(rng.integers(len(kinds)))]
+    kind = kinds[stream.integers(len(kinds))]
     if kind == "swap":
-        j = int(rng.integers(len(names) - 1))
+        j = stream.integers(len(names) - 1)
         names[j], names[j + 1] = names[j + 1], names[j]
     elif kind == "delete":
-        del names[int(rng.integers(len(names)))]
+        del names[stream.integers(len(names))]
     else:
-        j = int(rng.integers(len(names)))
+        j = stream.integers(len(names))
         names.insert(j + 1, names[j])

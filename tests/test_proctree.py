@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
@@ -20,6 +20,7 @@ from execbench.proctree import (
     _derive,
     _map_leaves,
     _stream_states,
+    _Stream,
     And,
     GenConfig,
     Leaf,
@@ -357,6 +358,8 @@ def test_synthetic_performance_optional():
     assert all(t.performance == -1.0 for t in with_perf.traces.values())
     idx = extract_variants(with_perf, PerfConfig("column"))
     assert idx.entries[("a", "b")].mean_performance == -1.0
+    numpy_flag = SimConfig(n_traces=5, noise_probability=0.0, seed=1, with_performance=np.bool_(True))
+    assert simulate_log(tree, numpy_flag) == with_perf
 
 
 # Oracles: exact play-out language membership, the leaf rename and the
@@ -559,8 +562,58 @@ seeds = seed_parts | st.tuples() | st.lists(seed_parts, min_size=1, max_size=6).
 @given(seed=seeds, n=st.integers(0, 5))
 @settings(max_examples=300, deadline=None)
 def test_stream_states_equal_default_rng(seed, n):
-    expected = [np.random.default_rng(_derive(seed, i)).bit_generator.state for i in range(n)]
-    assert list(_stream_states(seed, n)) == expected
+    expected = [np.random.default_rng(_derive(seed, i)).bit_generator.state["state"] for i in range(n)]
+    assert [{"state": state, "inc": inc} for state, inc in _stream_states(seed, n)] == expected
+
+
+class CountingStream(_Stream):
+    """A stream that counts its 32-bit draws, rejected ones included."""
+
+    draws32 = 0
+
+    def next_uint32(self):
+        self.draws32 += 1
+        return super().next_uint32()
+
+
+def play_both(seed, i, ops):
+    """Make the draws ``ops`` (None for ``random()``, k for ``integers(k)``)
+    from ``default_rng(_derive(seed, i))`` and from the stream of the same
+    state; check every draw and the final generator state equal, and
+    return the stream."""
+    rng = np.random.default_rng(_derive(seed, i))
+    stream = CountingStream()
+    stream.seed(*list(_stream_states(seed, i + 1))[i])
+    for k in ops:
+        if k is None:
+            assert stream.random() == rng.random()
+        else:
+            drawn = stream.integers(k)
+            assert type(drawn) is int and drawn == rng.integers(k)
+    state = rng.bit_generator.state
+    assert {"state": stream.state, "inc": stream.inc} == state["state"]
+    # numpy keeps a used half-word in "uinteger"; only "has_uint32" says it is spent.
+    assert stream.half == (state["uinteger"] if state["has_uint32"] else None)
+    return stream
+
+
+BOUNDS = [1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+@given(seed=seeds, i=st.integers(0, 4), ops=st.lists(st.none() | st.sampled_from(BOUNDS), max_size=40))
+@example(seed=0, i=0, ops=[3, None, 3])  # random() between the two halves of one word
+@example(seed=(7, 1), i=2, ops=[2**31 + 1] * 8 + [None, 1, 2**32])
+@settings(max_examples=300, deadline=None)
+def test_stream_draws_equal_default_rng(seed, i, ops):
+    play_both(seed, i, ops)
+
+
+@pytest.mark.parametrize("k", [2**31 + 1, 3 * 2**30])
+def test_stream_rejection_loop_is_reached(k):
+    # About a half (2**31 + 1) and a quarter (3 * 2**30) of the 32-bit draws
+    # fall below the rejection threshold, so 32 draws redraw some.
+    stream = play_both(5, 0, [k] * 32)
+    assert stream.draws32 > 32
 
 
 def trees():
@@ -673,6 +726,9 @@ def test_bad_baseline_size_rejected(n):
         (SimConfig, "n_traces", False),
         (GenConfig, "operator_weights", [("seq", 1.0)]),
         (GenConfig, "operator_weights", None),
+        (SimConfig, "with_performance", "no"),
+        (SimConfig, "with_performance", 1),
+        (SimConfig, "with_performance", None),
     ],
 )
 def test_invalid_lab_config_rejected_when_built(config, field, value):
