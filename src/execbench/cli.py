@@ -343,9 +343,9 @@ def _cmd_footprint(args) -> int:
     return 0
 
 
-def _experiment_config(args, n_pairs: int) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
-        n_pairs=n_pairs,
+        n_pairs=args.pairs,
         n_traces=args.traces,
         noise_probability=args.noise,
         leaves_range=(args.leaves_min, args.leaves_max),
@@ -361,7 +361,7 @@ def _experiment_config(args, n_pairs: int) -> ExperimentConfig:
 
 
 def _cmd_synth(args) -> int:
-    config = _experiment_config(args, args.pairs)
+    config = _experiment_config(args)
     for index in range(args.pairs):
         pair = generate_pair(config, index)
         truth = {
@@ -384,7 +384,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _experiment_config(args, args.pairs)
+    config = _experiment_config(args)
     report = run_experiment(config)
     summary = report.summary_table()
     if args.out:

@@ -310,15 +310,15 @@ def read_event_log(path: str, schema: SchemaConfig | None = None) -> EventLog:
             ) from None
 
 
-def write_event_log(log: EventLog, stream: IO[str], schema: SchemaConfig | None = None) -> None:
-    """Serialize a log back to CSV; the timestamp column is emitted when all
-    order keys are timestamps, the performance column when any trace has one.
+def write_event_log(log: EventLog, stream: IO[str]) -> None:
+    """Serialize a log to CSV under the default column names; the timestamp column is
+    emitted when all order keys are timestamps, the performance column when any trace has one.
 
     Raises :class:`DataError` when a case id or activity holds a carriage
     return, which CSV output with ``\\n`` line ends leaves unquoted and a
     reader would split, or surrounding whitespace, which the reader trims.
     """
-    schema = schema or SchemaConfig()
+    schema = SchemaConfig()
     for trace in log.traces.values():
         case_id = trace.case_id
         for activity in trace.variant:

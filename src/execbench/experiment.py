@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -101,6 +101,17 @@ class ExperimentConfig:
         self.gen_config(self.leaves_range[1])
         self.sim_config(0)
         BenchmarkConfig(self.exc_threshold, self.int_threshold, self.max_change_size)
+        # The check mutate_tree makes, on the largest draws and the smallest tree.
+        leaves, replaced, deleted = self.leaves_range[0], self.replacements_range[1], self.deletions_range[1]
+        if replaced + deleted > leaves or deleted >= leaves:
+            raise ConfigError(
+                f"replacements_range and deletions_range must fit leaves_range: a tree of {leaves} "
+                f"leaves cannot replace {replaced} and delete {deleted}"
+            )
+        # Plain numbers, so that the run and its echo in the report do not
+        # depend on the numpy scalars the config was built from.
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
 
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
@@ -122,6 +133,18 @@ class ExperimentConfig:
         raw = asdict(self)
         raw["operator_weights"] = dict(self.operator_weights)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
+
+
+def _plain(value):
+    """``value`` with each numpy scalar, also inside tuples, lists and dicts, made a
+    Python scalar; a dict becomes the tuple of its items."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        value = tuple(value.items())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_plain, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -238,7 +261,7 @@ def random_baseline(
         )
         n = len(pool)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=n, replace=False) if n else []
+    chosen = rng.choice(len(pool), size=n, replace=False)
     matches = tuple(sorted(Match(*pool[int(i)]) for i in chosen))
     return MatchSet(matches)
 

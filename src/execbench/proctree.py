@@ -538,21 +538,16 @@ def _compile(node: Node, stream: _Stream, max_loop: int) -> Callable[[list[str]]
 
 
 def _random_merge(parts: list[list[str]], integers: Callable[[int], int], out: list[str]) -> None:
-    """Append a uniformly random interleaving of ``parts`` to ``out``: each
-    step draws ``integers(total)`` over the events left and takes the next
-    event of the source that value falls in, so a source is drawn with
-    probability proportional to its remaining length."""
-    positions = [0] * len(parts)
-    remaining = [len(p) for p in parts]
-    for total in range(sum(remaining), 0, -1):
-        r = integers(total)
-        for i, count in enumerate(remaining):
-            if r < count:
-                out.append(parts[i][positions[i]])
-                positions[i] += 1
-                remaining[i] -= 1
-                break
-            r -= count
+    """Append a uniformly random interleaving of ``parts`` to ``out``.
+
+    ``owners`` holds one source index per event left, grouped by source in
+    order.  Each step pops the entry at ``integers(total)`` and takes the
+    next event of that source, so a source is drawn with probability
+    proportional to its remaining length."""
+    sources = [iter(p) for p in parts]
+    owners = [i for i, p in enumerate(parts) for _ in p]
+    for total in range(len(owners), 0, -1):
+        out.append(next(sources[owners.pop(integers(total))]))
 
 
 def simulate_log(tree: Node, sim: SimConfig) -> EventLog:

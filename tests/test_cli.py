@@ -32,7 +32,7 @@ from execbench.scoring import BenchmarkConfig, benchmark
 
 
 def test_eval_defaults_are_the_package_defaults():
-    assert _experiment_config(build_parser().parse_args(["eval"]), 100) == ExperimentConfig()
+    assert _experiment_config(build_parser().parse_args(["eval"])) == ExperimentConfig()
 
 
 def test_invalid_eval_options_exit_with_config_error(capsys):
@@ -40,6 +40,14 @@ def test_invalid_eval_options_exit_with_config_error(capsys):
     assert "leaves_range" in capsys.readouterr().err
     assert main(["eval", "--pairs", "2", "--traces", "30", "--seed", "-1"]) == 2
     assert "master_seed" in capsys.readouterr().err
+
+
+def test_eval_refuses_mutation_ranges_that_its_smallest_tree_cannot_take(capsys):
+    options = ["--leaves-min", "2", "--leaves-max", "2", "--replacements-min", "3", "--replacements-max", "3"]
+    assert main(["eval", "--pairs", "2", "--traces", "20", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "replacements_range" in captured.err and "leaves_range" in captured.err
 
 
 def test_benchmark_options_are_checked_before_reading_logs(tmp_path, capsys):
@@ -261,6 +269,12 @@ def test_benchmark_csv_and_table_formats(tmp_path, capsys):
         "a -> b; f -> e       1.0000             -       3\n"
         "a -> c; f -> e       1.0000             -       3\n"
     )
+
+
+def test_benchmark_table_says_when_no_change_is_left(tmp_path, capsys):
+    own, bench = _worked_example_logs(tmp_path)
+    assert main(["benchmark", own, bench, "--format", "table", "--top", "0"]) == 0
+    assert capsys.readouterr().out == "no changes found\n"
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,16 @@ import pytest
 
 from execbench import experiment
 from execbench.compatibility import build_compatibility_graph, count_changes, enumerate_changes
-from execbench.errors import ConfigError
-from execbench.experiment import ExperimentConfig, generate_pair, precision_recall, run_experiment, run_pair
+from execbench.errors import ConfigError, SamplingWarning
+from execbench.experiment import (
+    ExperimentConfig,
+    PairRecord,
+    generate_pair,
+    precision_recall,
+    random_baseline,
+    run_experiment,
+    run_pair,
+)
 from execbench.matching import Match, MatchSet
 from execbench.proctree import GroundTruth, generate_process_tree, leaves
 
@@ -136,6 +144,9 @@ def test_pairs_run_in_index_order():
         ("leaves_range", (1, 2, 3)),
         ("leaves_range", 5),
         ("replacements_range", None),
+        ("leaves_range", (4, 6)),
+        ("replacements_range", (1, 17)),
+        ("deletions_range", (0, 16)),
     ],
 )
 def test_invalid_experiment_config_rejected(field, value):
@@ -143,10 +154,72 @@ def test_invalid_experiment_config_rejected(field, value):
         ExperimentConfig(**{field: value})
 
 
+ONE_LEAF = dict(leaves_range=(1, 1), replacements_range=(0, 1), deletions_range=(0, 0))
+NUMPY_VALUED = dict(
+    n_pairs=np.int64(2), n_traces=np.int64(40), noise_probability=np.float32(0.1), max_change_size=np.int32(2),
+    leaves_range=(np.int8(3), 4), replacements_range=(np.int64(1), 2), deletions_range=(0, np.int16(1)),
+    master_seed=np.uint32(7), operator_weights={"seq": np.float32(0.75), "xor": np.float64(0.25)},
+)
+
+
 def test_boundary_experiment_config_accepted():
-    ExperimentConfig(n_pairs=0, leaves_range=(1, 1), noise_probability=1.0, max_changes_per_pair=0, max_children=2)
-    ExperimentConfig(leaves_range=(1, 1), max_tree_depth=1, operator_weights=(("seq", 0.0), ("loop", 1.0)))
-    ExperimentConfig(n_traces=np.int64(40), max_change_size=np.int32(2), leaves_range=(np.int8(3), 4), master_seed=np.uint32(7))
+    ExperimentConfig(n_pairs=0, noise_probability=1.0, max_changes_per_pair=0, max_children=2, **ONE_LEAF)
+    ExperimentConfig(max_tree_depth=1, operator_weights=(("seq", 0.0), ("loop", 1.0)), **ONE_LEAF)
+    ExperimentConfig(**NUMPY_VALUED)
+
+
+def test_a_numpy_valued_config_writes_the_report_of_its_plain_values():
+    plain = dict(
+        n_pairs=2, n_traces=40, noise_probability=float(np.float32(0.1)), max_change_size=2,
+        leaves_range=(3, 4), replacements_range=(1, 2), deletions_range=(0, 1), master_seed=7,
+        operator_weights=(("seq", 0.75), ("xor", 0.25)),
+    )
+    report = run_experiment(ExperimentConfig(**NUMPY_VALUED))
+    assert report.to_json() == run_experiment(ExperimentConfig(**plain)).to_json()
+    assert report.aggregates()["pairs_evaluated"] == 2
+
+
+@pytest.mark.parametrize(
+    "ranges, fits",
+    [
+        (dict(leaves_range=(2, 3), replacements_range=(2, 3), deletions_range=(1, 1)), False),
+        (dict(leaves_range=(3, 3), replacements_range=(0, 0), deletions_range=(0, 3)), False),
+        (dict(leaves_range=(3, 9), replacements_range=(0, 2), deletions_range=(0, 1)), True),
+        (dict(leaves_range=(3, 9), replacements_range=(0, 0), deletions_range=(0, 2)), True),
+    ],
+    ids=["replace-and-delete", "delete-every-leaf", "touch-every-leaf", "delete-all-but-one"],
+)
+def test_mutation_ranges_must_fit_the_smallest_tree(ranges, fits):
+    # mutate_tree refuses the largest draws on a tree of the fewest leaves.
+    if fits:
+        ExperimentConfig(**ranges)
+    else:
+        with pytest.raises(ConfigError, match="replacements_range and deletions_range must fit leaves_range"):
+            ExperimentConfig(**ranges)
+
+
+def test_a_pair_that_raises_is_recorded_and_the_next_pairs_still_run(monkeypatch):
+    def fail_on_one(config, index):
+        if index == 1:
+            raise ValueError("pair 1 broke")
+        return run_pair(config, index)
+
+    monkeypatch.setattr(experiment, "run_pair", fail_on_one)
+    report = run_experiment(replace(SMALL_LAB, n_pairs=3))
+    assert report.pairs[1] == PairRecord(1, error="ValueError: pair 1 broke")
+    assert [p.index for p in report.pairs] == [0, 1, 2]
+    assert [p.error is None for p in report.pairs] == [True, False, True]
+    assert report.pairs[2] == run_pair(SMALL_LAB, 2)
+    assert report.aggregates()["pairs_failed"] == 1
+    assert report.aggregates()["pairs_evaluated"] == 2
+
+
+def test_random_baseline_caps_an_oversized_request_and_draws_nothing_for_zero():
+    every = MatchSet(tuple(Match(a, b) for a in "ab" for b in "cd"))
+    with pytest.warns(SamplingWarning, match="requested 5 baseline matches but only 4 pairs exist"):
+        assert random_baseline("ab", "cd", 5, 0) == every
+    assert random_baseline("ab", "cd", 0, 0) == MatchSet(())
+    assert random_baseline("a", "a", 0, 0) == MatchSet(())  # an empty pool
 
 
 def test_tuple_master_seed_prefixes_every_pair_seed():

@@ -325,15 +325,27 @@ def test_json_round_trip():
         ({"leaf": ""}, "a leaf name must be a non-empty string without surrounding whitespace, got ''"),
         ({"op": "xor", "children": [{"leaf": "a"}, {"leaf": " b"}]}, "surrounding whitespace, got ' b'"),
         ({"leaf": 7}, "a leaf name must be a non-empty string without surrounding whitespace, got 7"),
+        ({"op": "par", "children": [{"leaf": "a"}]}, "unknown tree operator 'par'"),
+        ({"op": "loop", "children": [{"leaf": "a"}]}, "loop nodes need exactly a body and a redo child"),
+        ({"op": "loop", "children": [{"leaf": "a"}, {"leaf": "b"}, {"leaf": "c"}]}, "loop nodes need exactly"),
     ],
     ids=[
         "no-children", "empty-children", "list", "empty-object", "child-not-an-object",
         "repeated-leaf", "null-leaf", "empty-leaf", "padded-leaf", "number-leaf",
+        "unknown-operator", "loop-of-one", "loop-of-three",
     ],
 )
 def test_malformed_tree_json_rejected(data, problem):
     with pytest.raises(ConfigError, match=re.escape(problem)):
         tree_from_json(data)
+
+
+def test_all_zero_operator_weights_fall_back_to_uniform():
+    config = GenConfig(target_leaves=12, operator_weights={"seq": 0.0})
+    trees = [generate_process_tree(seed, config) for seed in range(20)]
+    assert all(len(leaves(tree)) == 12 for tree in trees)
+    # Zero weight on seq does not leave seq alone: the fallback draws every operator.
+    assert any(not isinstance(tree, Seq) for tree in trees)
 
 
 def test_json_schema_shape():
