@@ -23,7 +23,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ExecbenchError
+from .errors import ConfigError, ExecbenchError
 from .eventlog import (
     EventLog,
     PerfConfig,
@@ -155,6 +155,9 @@ def _resolve_performance(args, own: EventLog, bench: EventLog) -> PerfConfig | N
         have_column = all(t.performance is not None for log in (own, bench) for t in log.traces.values())
         mode = "column" if have_column else "none"
     if mode == "none":
+        if args.perf_direction is not None:
+            why = "none" if args.perf_mode == "none" else "auto and not every case of both logs has a performance value"
+            raise ConfigError(f"--perf-direction needs a performance source, but --perf-mode is {why}")
         return None
     return PerfConfig(mode=mode, direction=args.perf_direction)
 

@@ -314,14 +314,17 @@ def write_event_log(log: EventLog, stream: IO[str]) -> None:
     """Serialize a log to CSV under the default column names; the timestamp column is
     emitted when all order keys are timestamps, the performance column when any trace has one.
 
-    Raises :class:`DataError` when a case id or activity holds a carriage
-    return, which CSV output with ``\\n`` line ends leaves unquoted and a
-    reader would split, or surrounding whitespace, which the reader trims.
+    Raises :class:`DataError` when a case id or activity is empty, which the
+    reader refuses, holds a carriage return, which CSV output with ``\\n``
+    line ends leaves unquoted and a reader would split, or has surrounding
+    whitespace, which the reader trims.
     """
     schema = SchemaConfig()
     for trace in log.traces.values():
         case_id = trace.case_id
         for activity in trace.variant:
+            if not case_id or not activity:
+                raise DataError(f"case {case_id!r}: an empty case id or activity cannot be written")
             if "\r" in case_id or "\r" in activity:
                 raise DataError(
                     f"case {case_id!r}: a carriage return in a case id or activity cannot be written"

@@ -36,17 +36,17 @@ from .proctree import (
 )
 from .scoring import BenchmarkConfig, ChangeScorer
 
+# The lab's tree shape: sequence-dominant models with at most 3 branches
+# mirror standardized enterprise processes, long step chains with occasional
+# choices, concurrency and rework.  Flat bushy models make mutation sites
+# behaviorally interchangeable and say little about matching quality.
+_LAB_OPERATOR_WEIGHTS = {"seq": 0.75, "xor": 0.15, "and": 0.07, "loop": 0.03}
+_LAB_MAX_CHILDREN = 3
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs of the synthetic evaluation, echoed into every report.
-
-    The generator shape (sequence-dominant models of 18 to 30 activities,
-    at most 3 branches) mirrors standardized enterprise processes: long
-    step chains with occasional choices, concurrency and rework.  Flat
-    bushy models make mutation sites behaviorally interchangeable and
-    say little about matching quality.
-    """
+    """Knobs of the synthetic evaluation, echoed into every report."""
 
     n_pairs: int = 100
     n_traces: int = 500
@@ -55,13 +55,6 @@ class ExperimentConfig:
     replacements_range: tuple[int, int] = (1, 3)
     insertions_range: tuple[int, int] = (0, 2)
     deletions_range: tuple[int, int] = (0, 2)
-    operator_weights: tuple[tuple[str, float], ...] = (
-        ("seq", 0.75),
-        ("xor", 0.15),
-        ("and", 0.07),
-        ("loop", 0.03),
-    )
-    max_children: int = 3
     max_tree_depth: int = 5
     exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD
@@ -93,10 +86,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"max_tree_depth {self.max_tree_depth} cannot hold {self.leaves_range[1]} leaves; it must be at least 2"
             )
-        try:
-            dict(self.operator_weights)
-        except (TypeError, ValueError):
-            raise ConfigError(f"operator_weights must be (operator, weight) pairs, got {self.operator_weights!r}") from None
         # Every other field is checked by the config it is passed on to.
         self.gen_config(self.leaves_range[1])
         self.sim_config(0)
@@ -116,9 +105,9 @@ class ExperimentConfig:
     def gen_config(self, target_leaves: int) -> GenConfig:
         return GenConfig(
             target_leaves=target_leaves,
-            operator_weights=dict(self.operator_weights),
+            operator_weights=dict(_LAB_OPERATOR_WEIGHTS),
             max_depth=self.max_tree_depth,
-            max_children=self.max_children,
+            max_children=_LAB_MAX_CHILDREN,
         )
 
     def sim_config(self, seed: SeedLike) -> SimConfig:
@@ -129,19 +118,11 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def to_mapping(self) -> dict:
-        raw = asdict(self)
-        raw["operator_weights"] = dict(self.operator_weights)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
-
 
 def _plain(value):
-    """``value`` with each numpy scalar, also inside tuples, lists and dicts, made a
-    Python scalar; a dict becomes the tuple of its items."""
+    """``value`` with each numpy scalar, also inside tuples and lists, made a Python scalar."""
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, dict):
-        value = tuple(value.items())
     if isinstance(value, (tuple, list)):
         return tuple(map(_plain, value))
     return value
@@ -343,4 +324,4 @@ def run_experiment(config: ExperimentConfig | None = None) -> ExperimentReport:
             records.append(run_pair(config, index))
         except Exception as exc:  # noqa: BLE001 - per-pair isolation is the contract
             records.append(PairRecord(index=index, error=f"{type(exc).__name__}: {exc}"))
-    return ExperimentReport(config=config.to_mapping(), pairs=tuple(records))
+    return ExperimentReport(config=asdict(config), pairs=tuple(records))

@@ -35,6 +35,16 @@ def test_eval_defaults_are_the_package_defaults():
     assert _experiment_config(build_parser().parse_args(["eval"])) == ExperimentConfig()
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["nonsense"], ["benchmark"], ["benchmark", "a.csv", "b.csv", "--format", "xml"]]
+)
+def test_a_usage_error_exits_with_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_invalid_eval_options_exit_with_config_error(capsys):
     assert main(["eval", "--pairs", "2", "--traces", "30", "--leaves-min", "30", "--leaves-max", "18"]) == 2
     assert "leaves_range" in capsys.readouterr().err
@@ -291,6 +301,19 @@ def test_benchmark_report_echoes_the_resolved_performance_config(tmp_path, capsy
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["performance"] == echoed
     assert ({c["performance_impact"] is None for c in report["changes"]} == {True}) == (echoed is None)
+
+
+@pytest.mark.parametrize(
+    "options, mode",
+    [(("--perf-mode", "none", "--perf-direction", "lower"), "none"), (("--perf-direction", "higher"), "auto")],
+)
+def test_a_direction_without_a_performance_source_exits_with_config_error(tmp_path, capsys, options, mode):
+    # The worked example has no performance column, so auto resolves to none.
+    own, bench = _worked_example_logs(tmp_path)
+    assert main(["benchmark", own, bench, "--format", "json", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --perf-direction") and f"--perf-mode is {mode}" in captured.err
 
 
 def test_synth_out_writes_one_directory_per_pair(tmp_path, capsys):

@@ -352,6 +352,14 @@ def test_name_with_surrounding_whitespace_is_not_written(case_id, activity):
         write_event_log(log, io.StringIO())
 
 
+@pytest.mark.parametrize("case_id, variant", [("", ("a",)), ("c1", ("a", ""))])
+def test_empty_name_is_not_written(case_id, variant):
+    # The reader refuses an empty case identifier or activity name.
+    log = EventLog({case_id: Trace(case_id, variant, tuple(range(len(variant))), None)})
+    with pytest.raises(DataError, match=f"case {case_id!r}: an empty case id or activity"):
+        write_event_log(log, io.StringIO())
+
+
 def test_events_are_built_from_the_columns():
     trace = parse("case_id,activity\nc1,a\nc1,b\n").traces["c1"]
     assert trace.order_keys == (2, 3)

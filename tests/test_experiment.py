@@ -1,6 +1,7 @@
 """Synthetic evaluation harness: change counts and report determinism."""
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,29 +119,19 @@ def test_pairs_run_in_index_order():
         ("max_change_size", 0),
         ("max_changes_per_pair", -1),
         ("max_loop_iterations", 0),
-        ("max_children", 1),
         ("max_tree_depth", 1),
-        ("operator_weights", (("seq", 1.0), ("xor", -0.5))),
-        ("operator_weights", (("seq", float("nan")),)),
-        ("operator_weights", (("loop", float("inf")),)),
-        ("operator_weights", (("sequence", 1.0),)),
         ("n_traces", 2.5),
         ("n_pairs", 2.0),
         ("leaves_range", (1.5, 4)),
         ("replacements_range", (1, "2")),
         ("max_change_size", 2.5),
         ("max_tree_depth", 4.5),
-        ("max_children", None),
         ("master_seed", -1),
         ("master_seed", 1.5),
         ("master_seed", (1, -2)),
         ("noise_probability", "0.1"),
         ("exc_threshold", None),
-        ("operator_weights", (("seq", "1"),)),
         ("n_pairs", True),
-        ("operator_weights", (("seq",),)),
-        ("operator_weights", "seq"),
-        ("operator_weights", None),
         ("leaves_range", (1, 2, 3)),
         ("leaves_range", 5),
         ("replacements_range", None),
@@ -158,13 +149,13 @@ ONE_LEAF = dict(leaves_range=(1, 1), replacements_range=(0, 1), deletions_range=
 NUMPY_VALUED = dict(
     n_pairs=np.int64(2), n_traces=np.int64(40), noise_probability=np.float32(0.1), max_change_size=np.int32(2),
     leaves_range=(np.int8(3), 4), replacements_range=(np.int64(1), 2), deletions_range=(0, np.int16(1)),
-    master_seed=np.uint32(7), operator_weights={"seq": np.float32(0.75), "xor": np.float64(0.25)},
+    master_seed=np.uint32(7),
 )
 
 
 def test_boundary_experiment_config_accepted():
-    ExperimentConfig(n_pairs=0, noise_probability=1.0, max_changes_per_pair=0, max_children=2, **ONE_LEAF)
-    ExperimentConfig(max_tree_depth=1, operator_weights=(("seq", 0.0), ("loop", 1.0)), **ONE_LEAF)
+    ExperimentConfig(n_pairs=0, noise_probability=1.0, max_changes_per_pair=0, **ONE_LEAF)
+    ExperimentConfig(max_tree_depth=1, **ONE_LEAF)
     ExperimentConfig(**NUMPY_VALUED)
 
 
@@ -172,11 +163,15 @@ def test_a_numpy_valued_config_writes_the_report_of_its_plain_values():
     plain = dict(
         n_pairs=2, n_traces=40, noise_probability=float(np.float32(0.1)), max_change_size=2,
         leaves_range=(3, 4), replacements_range=(1, 2), deletions_range=(0, 1), master_seed=7,
-        operator_weights=(("seq", 0.75), ("xor", 0.25)),
     )
     report = run_experiment(ExperimentConfig(**NUMPY_VALUED))
     assert report.to_json() == run_experiment(ExperimentConfig(**plain)).to_json()
     assert report.aggregates()["pairs_evaluated"] == 2
+
+
+def test_the_report_echoes_every_config_field():
+    report = run_experiment(ExperimentConfig(n_pairs=0))
+    assert set(json.loads(report.to_json())["config"]) == {f.name for f in fields(ExperimentConfig)}
 
 
 @pytest.mark.parametrize(
