@@ -157,7 +157,8 @@ def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
     weights = freqs.astype(np.int64)
     # first[x] < last[y] implies both occur: an absent one has first = width, last = -1.
     before = np.einsum("v,vxy->xy", weights, first[:, :, None] < last[:, None, :])
-    cooccur = (present * weights[:, None]).T @ present.astype(np.int64)
+    # A contiguous left operand halves numpy's integer product, which has no BLAS path.
+    cooccur = np.ascontiguousarray((present * weights[:, None]).T) @ present.astype(np.int64)
     traces_with = np.diagonal(cooccur).copy()
     np.fill_diagonal(cooccur, np.diagonal(before))
     return traces_with, cooccur, before

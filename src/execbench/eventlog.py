@@ -113,6 +113,10 @@ class VariantIndex:
     entries: dict[Variant, VariantEntry]
 
     @cached_property
+    def variants(self) -> tuple[Variant, ...]:
+        return tuple(self.entries)
+
+    @cached_property
     def activities(self) -> tuple[str, ...]:
         return tuple(sorted(set(chain.from_iterable(self.entries))))
 

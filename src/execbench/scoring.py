@@ -13,24 +13,17 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from ._kernels import CHUNK_ROWS, levenshtein_many
-from .compatibility import (
-    DEFAULT_MAX_CHANGE_SIZE,
-    ProcessChange,
-    build_compatibility_graph,
-    enumerate_changes,
-)
+from .compatibility import DEFAULT_MAX_CHANGE_SIZE, ProcessChange, build_compatibility_graph, enumerate_changes
 from .errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
 from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, extract_variants
-from .footprint import (
-    DEFAULT_EXCLUSIVENESS_THRESHOLD,
-    DEFAULT_INTERLEAVING_THRESHOLD,
-    build_footprint_matrix,
-)
+from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import match_activities
 
 SIMILARITY_WARNING_BOUND = 0.5
@@ -60,13 +53,35 @@ class ScoredChange:
     alignments.  ``performance_impact``, when scored with performance, is the
     frequency-weighted mean benchmark-minus-own performance difference:
     positive means the benchmark performs better under the higher-is-better
-    normalization."""
+    normalization.  ``alignments`` is built on first read from the two
+    variant indexes and, per affected own row, its matched benchmark row,
+    similarity and tie count; equality compares it too.
+    """
 
     change: ProcessChange
     feasibility: float
     performance_impact: float | None
     affected_trace_count: int
-    alignments: tuple[Alignment, ...]
+    _matches: tuple = field(repr=False, compare=False)  # (own, benchmark, rows, matched, similarities, ties)
+
+    @cached_property
+    def alignments(self) -> tuple[Alignment, ...]:
+        own, benchmark, *columns = self._matches
+        mapping = self.change.mapping()
+        alignments = []
+        for row, match, similarity, ties in zip(*(column.tolist() for column in columns)):
+            original, matched = own.variants[row], benchmark.variants[match]
+            entry = own.entries[original]
+            modified = tuple(mapping.get(a, a) for a in original)
+            bench_perf = benchmark.entries[matched].mean_performance
+            alignments.append(
+                Alignment(original, modified, matched, similarity, entry.frequency, ties, entry.mean_performance, bench_perf)
+            )
+        return tuple(alignments)
+
+    def __eq__(self, other: object) -> bool:
+        compared = attrgetter("change", "feasibility", "performance_impact", "affected_trace_count", "alignments")
+        return compared(self) == compared(other) if other.__class__ is self.__class__ else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -124,11 +139,11 @@ class ChangeScorer:
     once, pick a change's affected own rows and its pool of benchmark rows.
     The modified variants are one gather through a code map from own to
     benchmark codes; a name the benchmark log lacks goes to the spare code
-    ``len(benchmark.activities)``, which no candidate holds.  One cache,
-    keyed by the bytes of a modified code row, holds its int32 distances to
-    all benchmark variants, -1 where not yet computed.  :meth:`score_all`
-    queues the missing (modified row, candidate) pairs of all its changes,
-    each pair once, and aligns the queue in one kernel call per
+    ``len(benchmark.activities)``, which no candidate holds.  Each distinct
+    modified code row has a slot, found by its bytes, in one 2-D int32 cache
+    of distances to all benchmark variants, -1 where not yet computed.
+    :meth:`score_all` queues the missing (slot, candidate) pairs of all its
+    changes, each once, and aligns the queue in one kernel call per
     ``CHUNK_ROWS`` pairs; :meth:`score` is its one-change case.  Whole pools
     are scored, so tie counts are exact and do not depend on scoring order.
 
@@ -144,75 +159,86 @@ class ChangeScorer:
         if len(with_means) > 1:
             raise DataError("performance measure required on both logs")
         self._with_performance = True in with_means
-        self._own_variants = list(own.entries)
-        self._variants = list(benchmark.entries)
-        self._own_tokens, self._own_lengths, _ = own.codes
+        means = (np.array([e.mean_performance for e in i.entries.values()], dtype=float) for i in (own, benchmark))
+        self._own_means, self._means = means  # a None mean reads as NaN; used only when scored with performance
+        self._own_tokens, self._own_lengths, self._own_freqs = own.codes
         self._tokens, self._lengths, self._freqs = benchmark.codes
         self._spare = len(benchmark.activities)
         own_to_benchmark = [benchmark.code_of.get(a, self._spare) for a in own.activities]
         self._code_map = np.array(own_to_benchmark + [-1], dtype=np.int32)  # the last cell keeps padding at -1
         self._own_present = _presence(self._own_tokens, len(own.activities))
         self._present = _presence(self._tokens, self._spare)
-        self._distances: dict[bytes, np.ndarray] = {}
+        self._slots: dict[bytes, int] = {}
+        self._queries = np.empty((0, self._own_tokens.shape[1]), dtype=np.int32)
+        self._distances = np.empty((0, len(self._tokens)), dtype=np.int32)
 
     def _affected(self, change: ProcessChange) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The change's affected own rows, its pool of benchmark rows, and the modified code rows."""
+        """The change's affected own rows, its pool of benchmark rows, and the modified rows' slots."""
         own_codes, codes = self.own.code_of, self.benchmark.code_of
         replaced = {own_codes[a]: b for a, b in change.mapping().items() if a in own_codes}
         rows = np.flatnonzero(self._own_present[:, list(replaced)].any(axis=1))
         if not len(rows):
-            raise VacuousChangeError(
-                "no affected variants: none of the replaced activities occurs in the own log"
-            )
+            raise VacuousChangeError("no affected variants: none of the replaced activities occurs in the own log")
         targets = [codes[name] for name in change.benchmark_activities if name in codes]
         pool = np.flatnonzero(self._present[:, targets].any(axis=1))
         if not len(pool):
             raise DataError("no benchmark variant executes any replacement activity")
         code_map = self._code_map.copy()
         code_map[list(replaced)] = [codes.get(b, self._spare) for b in replaced.values()]
-        return rows, pool, code_map[self._own_tokens[rows]]
+        return rows, pool, self._slots_of(code_map[self._own_tokens[rows]])
+
+    def _slots_of(self, modified: np.ndarray) -> np.ndarray:
+        """Each modified code row's slot; a row not seen before gets the next one, and the cache grows."""
+        data, width = modified.tobytes(), modified.shape[1] * modified.itemsize
+        slots = np.array([self._slots.setdefault(data[i : i + width], len(self._slots)) for i in range(0, len(data), width)])
+        if (extra := len(self._slots)) > len(self._distances):  # adding the slot count at least doubles the cache
+            self._queries = np.concatenate([self._queries, np.empty((extra, self._queries.shape[1]), dtype=np.int32)])
+            self._distances = np.concatenate([self._distances, np.full((extra, len(self._tokens)), -1, dtype=np.int32)])
+        self._queries[slots] = modified
+        return slots
 
     def _align(self, affected: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-        """Cache the distance of every (modified row, pool column) pair of the affected sets.
+        """Cache the distance of every (slot, pool column) pair of the affected sets.
 
         A pair the cache lacks is queued once and marked -2.  The queue is
         aligned in one kernel call before a row's pairs would take it past
         ``CHUNK_ROWS``, so that each call fills one kernel chunk, and at the
         end.  If a change raises first, its queued cells go back to -1.
         """
-        queue: list[tuple[bytes, np.ndarray, np.ndarray]] = []
+        queue: list[tuple[np.ndarray, np.ndarray]] = []
         try:
             queued = 0
-            for _, pool, modified in affected:
-                for query in modified:
-                    key = query.tobytes()
-                    cached = self._distances.get(key)
-                    if cached is None:
-                        cached = self._distances[key] = np.full(len(self._variants), -1, dtype=np.int32)
-                    columns = pool[cached[pool] == -1]
-                    if len(columns):
-                        if queued + len(columns) > CHUNK_ROWS:
-                            self._flush(queue)
-                            queued = 0
-                        cached[columns] = -2
-                        queue.append((key, query, columns))
-                        queued += len(columns)
+            for _, pool, slots in affected:
+                slots = np.array(list(dict.fromkeys(slots.tolist())))
+                missing = self._distances[slots[:, None], pool] == -1
+                row, column = np.nonzero(missing)
+                pair_slots, pair_columns = slots[row], pool[column]
+                self._distances[pair_slots, pair_columns] = -2
+                ends = np.cumsum(np.count_nonzero(missing, axis=1))  # where each row's pairs end
+                start = 0
+                while start < len(row):
+                    next_end = ends[np.searchsorted(ends, start, side="right")]
+                    if queued and queued + next_end - start > CHUNK_ROWS:
+                        self._flush(queue)
+                        queued = 0
+                    fits = np.searchsorted(ends, start + CHUNK_ROWS - queued, side="right")
+                    end = max(next_end, ends[max(fits - 1, 0)])  # the rows that fit, or one row alone
+                    queue.append((pair_slots[start:end], pair_columns[start:end]))
+                    queued += end - start
+                    start = end
             self._flush(queue)
         finally:
-            for key, _, columns in queue:
-                self._distances[key][columns] = -1
+            for slots, columns in queue:
+                self._distances[slots, columns] = -1
 
-    def _flush(self, queue: list[tuple[bytes, np.ndarray, np.ndarray]]) -> None:
+    def _flush(self, queue: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Align every queued pair in one kernel call, cache the distances and empty the queue."""
         if not queue:
             return
-        keys, queries, pools = zip(*queue)
-        counts = [len(columns) for columns in pools]
-        distances = levenshtein_many(
-            np.stack(queries), self._tokens, np.repeat(np.arange(len(queue)), counts), np.concatenate(pools)
-        )
-        for key, columns, part in zip(keys, pools, np.split(distances, np.cumsum(counts)[:-1])):
-            self._distances[key][columns] = part
+        slots, columns = (np.concatenate(part) for part in zip(*queue))
+        first = np.diff(slots, prepend=-1) != 0  # a row's pairs are adjacent: one query per run
+        queries = self._queries[slots[first]]
+        self._distances[slots, columns] = levenshtein_many(queries, self._tokens, np.cumsum(first) - 1, columns)
         queue.clear()
 
     def score_all(self, changes: Sequence[ProcessChange]) -> list[ScoredChange]:
@@ -227,48 +253,22 @@ class ChangeScorer:
 
     def score(self, change: ProcessChange) -> ScoredChange:
         """Score one change: the one-change case of :meth:`score_all`."""
-        rows, pool, modified = affected = self._affected(change)
+        rows, pool, slots = affected = self._affected(change)
         self._align([affected])
-        distances = np.stack([self._distances[query.tobytes()][pool] for query in modified])
-        query_lens = self._own_lengths[rows]
-        best, similarities, ties = _best_matches(distances, query_lens, self._lengths[pool], self._freqs[pool])
-        mapping = change.mapping()
-        alignments = []
-        weight_total = 0
-        feasibility_sum = 0.0
-        impact_sum = 0.0
-        for k, row in enumerate(rows.tolist()):
-            original = self._own_variants[row]
-            entry = self.own.entries[original]
-            matched = self._variants[int(pool[best[k]])]
-            similarity = float(similarities[k])
-            own_perf, bench_perf = entry.mean_performance, self.benchmark.entries[matched].mean_performance
-            if self._with_performance:
-                impact_sum += entry.frequency * (bench_perf - own_perf)
-            weight_total += entry.frequency
-            feasibility_sum += entry.frequency * similarity
-            alignments.append(
-                Alignment(
-                    original=original,
-                    modified=tuple(mapping.get(a, a) for a in original),
-                    matched=matched,
-                    similarity=similarity,
-                    frequency=entry.frequency,
-                    tie_count=int(ties[k]),
-                    own_performance=own_perf,
-                    benchmark_performance=bench_perf,
-                )
-            )
-        impact = impact_sum / weight_total if self._with_performance else None
-        if impact is not None and not math.isfinite(impact):
-            raise DataError(f"change {mapping}: performance impact overflows a float")
-        return ScoredChange(
-            change=change,
-            feasibility=feasibility_sum / weight_total,
-            performance_impact=impact,
-            affected_trace_count=weight_total,
-            alignments=tuple(alignments),
-        )
+        distances = self._distances[slots[:, None], pool]
+        best, similarities, ties = _best_matches(distances, self._own_lengths[rows], self._lengths[pool], self._freqs[pool])
+        matched, frequencies = pool[best], self._own_freqs[rows]
+        weight_total, impact = int(np.cumsum(frequencies)[-1]), None
+        if self._with_performance:
+            with np.errstate(over="ignore", invalid="ignore"):
+                impact_sum = np.cumsum(frequencies * (self._means[matched] - self._own_means[rows]))[-1]
+            impact = float(impact_sum) / weight_total
+            if not math.isfinite(impact):
+                raise DataError(f"change {change.mapping()}: performance impact overflows a float")
+        # np.cumsum(...)[-1] adds left to right, as a Python loop does; np.sum adds pairwise.
+        feasibility = float(np.cumsum(frequencies * similarities)[-1]) / weight_total
+        matches = (self.own, self.benchmark, rows, matched, similarities, ties)
+        return ScoredChange(change, feasibility, impact, weight_total, matches)
 
 
 def _presence(tokens: np.ndarray, n_activities: int) -> np.ndarray:

@@ -25,3 +25,33 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     assert set(execbench.__all__) == PUBLIC_NAMES
+
+
+def test_the_pipeline_never_imports_numpy_ma():
+    """``np.unique``'s first call imports ``numpy.ma``, which takes 11-17 ms
+    and 1.6 MB; neither ``benchmark`` nor a lab pair may pull it in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys, warnings
+from execbench import BenchmarkConfig, PerfConfig, benchmark
+from execbench.experiment import ExperimentConfig, run_pair
+from execbench.eventlog import EventLog, Trace
+
+def log(variants):
+    return EventLog({f"c{i}": Trace(f"c{i}", v, tuple(range(len(v))), float(i)) for i, v in enumerate(variants)})
+
+warnings.simplefilter("ignore")
+own = log([("a", "b"), ("c", "b"), ("a", "b")])
+changes = benchmark(own, own, BenchmarkConfig(performance=PerfConfig("column"))).changes
+assert changes and all(s.alignments for s in changes)
+run_pair(ExperimentConfig(n_pairs=1, n_traces=40), 0)
+assert "numpy.ma" not in sys.modules, sorted(name for name in sys.modules if name.startswith("numpy.ma"))
+"""
+    src = str(Path(execbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

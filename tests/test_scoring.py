@@ -662,3 +662,108 @@ def test_every_ranked_change_has_an_alignment(own, bench, with_performance, data
         assert s.alignments
         assert s.affected_trace_count == sum(a.frequency for a in s.alignments)
         assert (s.performance_impact is not None) == with_performance
+
+
+# ------------------------------------------------------------ lazy alignments
+
+
+def _many_alignments_case(seed):
+    """60 own variants holding ``a``, with mixed frequencies and performance,
+    against 20 benchmark variants holding ``b``."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def variants(n, first):
+        out = {}
+        while len(out) < n:
+            tail = tuple(f"t{int(i)}" for i in rng.integers(0, 4, size=int(rng.integers(1, 7))))
+            out[(first, *tail)] = (int(rng.integers(1, 40)), float(rng.normal(0.0, 1e3)))
+        return out
+
+    return _indexes_from(variants(60, "a"), variants(20, "b"))
+
+
+def test_sums_equal_the_left_to_right_python_sums():
+    """Feasibility and impact are exactly the left-to-right sums over the
+    alignments; ``np.sum``, which adds pairwise, differs on some case."""
+    import numpy as np
+
+    np_sum_differs = False
+    for seed in range(5):
+        scored = ChangeScorer(*_many_alignments_case(seed)).score(DELTA_2)
+        assert len(scored.alignments) >= 50
+        weight, similarity_sum, impact_sum = 0, 0.0, 0.0
+        for a in scored.alignments:
+            weight += a.frequency
+            similarity_sum += a.frequency * a.similarity
+            impact_sum += a.frequency * (a.benchmark_performance - a.own_performance)
+        assert scored.affected_trace_count == weight
+        assert scored.feasibility == similarity_sum / weight
+        assert scored.performance_impact == impact_sum / weight
+        products = [a.frequency * (a.benchmark_performance - a.own_performance) for a in scored.alignments]
+        np_sum_differs |= float(np.sum(products)) / weight != scored.performance_impact
+    assert np_sum_differs
+
+
+def test_equality_compares_the_matched_variant_and_the_tie_count():
+    """Results that agree on every number but differ in one alignment's
+    matched variant or tie count are unequal; equal content from other
+    index objects is equal and hashes alike."""
+    own = extract_variants(make_log([("a", "x")]))
+    one = extract_variants(make_log([("b", "y")]))
+    other = extract_variants(make_log([("b", "z")]))
+    tied = extract_variants(make_log([("b", "y"), ("b", "z")], freqs=[2, 1]))
+    scored = {name: ChangeScorer(own, index).score(DELTA_2) for name, index in [("one", one), ("other", other), ("tied", tied)]}
+    numbers = {(s.feasibility, s.performance_impact, s.affected_trace_count) for s in scored.values()}
+    assert numbers == {(0.5, None, 1)}
+    assert [a.matched for a in scored["one"].alignments] == [("b", "y")]
+    assert [a.matched for a in scored["other"].alignments] == [("b", "z")]
+    assert [(a.matched, a.tie_count) for a in scored["tied"].alignments] == [(("b", "y"), 2)]
+    assert scored["one"] != scored["other"]
+    assert scored["one"] != scored["tied"]
+    again = ChangeScorer(extract_variants(make_log([("a", "x")])), extract_variants(make_log([("b", "y")]))).score(DELTA_2)
+    assert again == scored["one"] and hash(again) == hash(scored["one"])
+
+
+def test_results_keep_no_reference_to_their_scorer():
+    import gc
+    import weakref
+
+    own_idx, bench_idx = _many_alignments_case(0)
+    changes = [DELTA_2, ProcessChange((Match("t0", "b"),))]
+    scorer = ChangeScorer(own_idx, bench_idx)
+    results = scorer.score_all(changes)
+    alive = weakref.ref(scorer)
+    del scorer
+    gc.collect()
+    assert alive() is None
+    fresh = ChangeScorer(own_idx, bench_idx).score_all(changes)
+    assert [s.alignments for s in results] == [s.alignments for s in fresh]
+
+
+@given(
+    own=_variant_table("abcdef"),
+    bench=_variant_table("cdefgh"),
+    changes=st.lists(replacement_lists, min_size=1, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_alignments_first_read_after_score_all_equal_the_oracle(own, bench, changes):
+    """``score_all`` builds no alignment; read afterwards, each change's
+    alignments equal the brute-force closest matches."""
+    own_idx, bench_idx = _indexes_from(own, bench)
+    scorable = []
+    for pairs in changes:
+        change = ProcessChange(tuple(Match(a, b) for a, b in pairs))
+        if affected_variants(own_idx, change) and any(change.benchmark_activities.intersection(w) for w in bench):
+            scorable.append((change, pairs))
+    assume(scorable)
+    results = ChangeScorer(own_idx, bench_idx).score_all([change for change, _ in scorable])
+    assert not any("alignments" in vars(s) for s in results)
+    for (change, pairs), scored in zip(scorable, results):
+        feasibility, impact, matches = brute_force_scores(own, bench, pairs)
+        assert [(a.original, a.modified, a.matched, a.tie_count) for a in scored.alignments] == [
+            (v, apply_change(v, change), *matches[v]) for v in sorted(affected_variants(own_idx, change))
+        ]
+        assert scored.feasibility == pytest.approx(feasibility, abs=1e-9)
+        assert scored.performance_impact == pytest.approx(impact, abs=1e-9)
