@@ -14,10 +14,14 @@ builds :class:`Event` records on demand.
 
 Within one log, equal activity names share one string object and equal
 variants one tuple, so the memory names and variants take grows with the
-distinct ones, not with rows and traces.  The cyclic garbage collector is
-paused while a log is parsed and restored afterwards, also when the parse
-raises; the parse makes no reference cycles, so its collections would only
-rescan the per-case lists already built.
+distinct ones, not with rows and traces.  The row loop keys the name memo on
+the raw activity cell and keeps, per run of one case's rows, the last
+performance cell it accepted: a repeated cell is looked up, not stripped or
+parsed again.  A cell that strips to empty enters neither memo: an empty
+activity raises on every row, and a blank performance cell never matches.
+The cyclic garbage collector is paused while a log is parsed and restored
+afterwards, also when the parse raises; the parse makes no reference cycles,
+so its collections would only rescan the per-case lists already built.
 
 A :class:`VariantIndex` holds a log's distinct variants in ascending order
 and their one encoding, read by the order statistics and the scorer:
@@ -33,7 +37,6 @@ import csv
 import gc
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from datetime import datetime
@@ -67,8 +70,10 @@ class Trace:
     performance: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variant", tuple(self.variant))
-        object.__setattr__(self, "order_keys", tuple(self.order_keys))
+        if type(self.variant) is not tuple:
+            object.__setattr__(self, "variant", tuple(self.variant))
+        if type(self.order_keys) is not tuple:
+            object.__setattr__(self, "order_keys", tuple(self.order_keys))
         if not self.variant:
             raise DataError(f"case {self.case_id!r} has no events")
         if len(self.variant) != len(self.order_keys):
@@ -234,56 +239,60 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
 
     columns_by_case: dict[str, tuple[list[str], list[datetime | int]]] = {}
     perf_by_case: dict[str, float] = {}
+    # Raw activity cell -> its stripped name's one shared string; a cell that
+    # strips to empty is never stored, so each row holding one raises.
     names: dict[str, str] = {}
+    fromisoformat = datetime.fromisoformat
     # The raw case cell of the previous row: a row that repeats it continues
-    # the same case, whose columns are already at hand.
-    raw_case = None
+    # the same run of the case, whose column appends are already bound.
+    # raw_perf is the run's last accepted performance cell, whose value the
+    # case holds; a blank cell is never accepted, so it never matches.
+    raw_case = raw_perf = None
     for row_number, row in enumerate(reader, start=2):
         if len(row) != width:
             if not row:
                 continue
             raise DataError(f"row {row_number}: expected {width} fields, got {len(row)}")
         if row[case_idx] != raw_case:
-            raw_case = row[case_idx]
+            raw_case, raw_perf = row[case_idx], None
             case_id = raw_case.strip()
             if not case_id:
                 raise DataError(f"row {row_number}: empty case identifier")
             columns = columns_by_case.get(case_id)
             if columns is None:
                 columns = columns_by_case[case_id] = ([], [])
-            activities, keys = columns
-        activity = row[act_idx].strip()
-        if not activity:
-            raise DataError(f"row {row_number}: empty activity name")
-        activities.append(names.setdefault(activity, activity))
+            add_activity, add_key = columns[0].append, columns[1].append
+        activity = names.get(row[act_idx])
+        if activity is None:
+            activity = row[act_idx].strip()
+            if not activity:
+                raise DataError(f"row {row_number}: empty activity name")
+            activity = names[row[act_idx]] = names.setdefault(activity, activity)
+        add_activity(activity)
         if time_idx is None:
-            keys.append(row_number)
+            add_key(row_number)
         else:
             try:  # the common case: a bare ISO 8601 timestamp
-                keys.append(datetime.fromisoformat(row[time_idx]))
+                add_key(fromisoformat(row[time_idx]))
             except ValueError:
-                keys.append(_parse_timestamp(row[time_idx], row_number))
-        if perf_idx is not None and row[perf_idx].strip():
+                add_key(_parse_timestamp(row[time_idx], row_number))
+        if perf_idx is not None and row[perf_idx] != raw_perf and row[perf_idx].strip():
             try:
                 value = float(row[perf_idx])
             except ValueError:
-                raise DataError(
-                    f"row {row_number}: unparseable performance value {row[perf_idx]!r}"
-                ) from None
+                raise DataError(f"row {row_number}: unparseable performance value {row[perf_idx]!r}") from None
             if not math.isfinite(value):
                 raise DataError(f"row {row_number}: non-finite performance value {row[perf_idx]!r}")
             known = perf_by_case.get(case_id)
             if known is not None and known != value:
-                raise DataError(
-                    f"case {case_id!r}: conflicting performance values {known} and {value}"
-                )
-            perf_by_case[case_id] = value
+                raise DataError(f"case {case_id!r}: conflicting performance values {known} and {value}")
+            perf_by_case[case_id], raw_perf = value, row[perf_idx]
 
     variants: dict[Variant, Variant] = {}
     traces: dict[str, Trace] = {}
     for case_id, (activities, keys) in columns_by_case.items():
         try:
-            if not all(map(operator.le, keys, keys[1:])):
+            if keys != sorted(keys):
                 # A stable sort of positions: equal keys keep their row order.
                 order = sorted(range(len(keys)), key=keys.__getitem__)
                 activities = [activities[i] for i in order]

@@ -366,6 +366,18 @@ def test_events_are_built_from_the_columns():
     assert trace.events == (Event("c1", "a", 2), Event("c1", "b", 3))
 
 
+class _TupleSubclass(tuple):
+    pass
+
+
+@pytest.mark.parametrize("container", [list, _TupleSubclass])
+def test_trace_stores_plain_tuples(container):
+    variant, keys = container(["a", "b"]), container([4, 5])
+    trace = Trace("c1", variant, keys)
+    assert type(trace.variant) is tuple and type(trace.order_keys) is tuple
+    assert trace.variant == tuple(variant) and trace.order_keys == tuple(keys)
+
+
 def test_trace_columns_of_different_lengths_are_rejected():
     with pytest.raises(DataError, match="c1.*2 activities but 1 order keys"):
         Trace("c1", ("a", "b"), (0,))
@@ -632,7 +644,7 @@ def run_logs(draw):
     turn bad within a run."""
     with_time, with_perf = draw(st.booleans()), draw(st.booleans())
     lines = [",".join(["case_id", "activity"] + ["timestamp"] * with_time + ["performance"] * with_perf)]
-    perf_cells = st.sampled_from(["", "1", "1.0", " 1", "2", "nan", "x"])
+    perf_cells = st.sampled_from(["", "1", "1.0", " 1", "1.0 ", "2", "2.0", "nan", "x"])
     for _ in range(draw(st.integers(0, 5))):
         case, perf = draw(st.sampled_from(["c1", " c1", "c2", "c3 ", " "])), draw(perf_cells)
         for _ in range(draw(st.integers(1, 4))):
@@ -650,6 +662,54 @@ def run_logs(draw):
 @settings(max_examples=600, deadline=None)
 def test_parser_equals_the_former_row_loop(text):
     assert _outcome(parse, text) == _outcome(oracle_row_loop, text)
+
+
+PERF_HEADER = "case_id,activity,performance\n"
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # One run: a cell repeats, is re-spelt, repeats again, then conflicts.
+        ("c1,a,2\nc1,b,2\nc1,c,2.0\nc1,d, 2\nc1,e, 2\nc1,f,3\n",
+         "case 'c1': conflicting performance values 2.0 and 3.0"),
+        ("c1,a,2\nc1,b,2\nc1,c,2.0\nc1,d, 2\nc1,e, 2\n", [2.0]),
+        # The case comes back after another case, under another spelling.
+        ("c1,a,2\nc1,b,2\nc2,a,5\nc1,c,2.0\nc1,d,2.0\n", [2.0, 5.0]),
+        ("c1,a,2\nc1,b,2\nc2,a,5\nc1,c,2.5\n", "case 'c1': conflicting performance values 2.0 and 2.5"),
+        # The next case's run starts with no memo, also for the same cell.
+        ("c1,a,2\nc2,a,2\nc2,b,2\n", [2.0, 2.0]),
+        # A blank row inside a run, then a changed cell.
+        ("c1,a,2\n\nc1,b,2\nc1,c,4\n", "case 'c1': conflicting performance values 2.0 and 4.0"),
+        # A blank cell inside a run matches no memo, and the next cell is checked.
+        ("c1,a,2\nc1,b,\nc1,c,\nc1,d,x\n", "row 5: unparseable performance value 'x'"),
+        ("c1,a,\nc1,b,\nc1,c,7\n", [7.0]),
+        # An all-space activity cell raises at its first row.
+        ("c1,a,1\nc1,  ,1\nc2,  ,1\n", "row 3: empty activity name"),
+    ],
+)
+def test_the_row_memos_equal_the_former_row_loop(rows, expected):
+    outcome = _outcome(parse, PERF_HEADER + rows)
+    assert outcome == _outcome(oracle_row_loop, PERF_HEADER + rows)
+    if isinstance(expected, str):
+        assert outcome == (DataError, expected)
+    else:
+        assert [performance for *_, performance in outcome] == expected
+
+
+def test_the_last_accepted_spelling_of_a_performance_value_is_kept():
+    # 0 and -0.0 are equal, so neither conflicts; the last one parsed is stored.
+    for cells, sign in ((["0", "-0.0"], -1.0), (["0", "-0.0", "0"], 1.0), (["-0.0", "-0.0", "0", "0"], 1.0)):
+        text = PERF_HEADER + "".join(f"c1,a,{cell}\n" for cell in cells)
+        for parser in (parse, oracle_row_loop):
+            assert math.copysign(1.0, parser(text).traces["c1"].performance) == sign, (cells, parser)
+
+
+def test_spellings_of_one_activity_share_one_name():
+    log = parse("case_id,activity\nc1,review\nc1, review\nc2,review \nc2,review\nc1,review \n")
+    names = [name for trace in log.traces.values() for name in trace.variant]
+    assert names == ["review"] * 5
+    assert all(name is names[0] for name in names)
 
 
 def test_equal_names_and_variants_in_one_log_are_shared():
