@@ -4,9 +4,9 @@
 ``r`` pairs query ``qi[r]`` with candidate ``ci[r]``; queries and
 candidates are -1-padded int32 matrices, and a row's length is its count of
 codes that are not padding.  So one call can align a whole batch:
-``ChangeScorer`` queues the missing (modified variant, candidate) pairs of
-all the changes it scores and sends them in one call per ``CHUNK_ROWS``
-pairs.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM 46(3))
+``ChangeScorer`` buffers the missing (modified variant, candidate) pairs
+of all the changes it scores and sends each full ``CHUNK_ROWS`` of them in
+one call.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM 46(3))
 vectorized across rows: each query's DP column is a bit vector of 64-bit
 words, and queries longer than 64 tokens add and shift across words with
 carries (Hyyrö 2003).  Rows are sorted by candidate length, longest first,

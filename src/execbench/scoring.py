@@ -142,10 +142,11 @@ class ChangeScorer:
     ``len(benchmark.activities)``, which no candidate holds.  Each distinct
     modified code row has a slot, found by its bytes, in one 2-D int32 cache
     of distances to all benchmark variants, -1 where not yet computed.
-    :meth:`score_all` queues the missing (slot, candidate) pairs of all its
-    changes, each once, and aligns the queue in one kernel call per
-    ``CHUNK_ROWS`` pairs; :meth:`score` is its one-change case.  Whole pools
-    are scored, so tie counts are exact and do not depend on scoring order.
+    :meth:`score_all` appends the missing (slot, candidate) pairs of all its
+    changes, each once, to one buffer and aligns it in kernel calls of
+    exactly ``CHUNK_ROWS`` pairs, the last call taking what is left;
+    :meth:`score` is its one-change case.  Whole pools are scored, so tie
+    counts are exact and do not depend on scoring order.
 
     Changes are scored with performance exactly when every entry of both
     indexes has a mean performance (see :func:`extract_variants`); indexes
@@ -200,46 +201,32 @@ class ChangeScorer:
     def _align(self, affected: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Cache the distance of every (slot, pool column) pair of the affected sets.
 
-        A pair the cache lacks is queued once and marked -2.  The queue is
-        aligned in one kernel call before a row's pairs would take it past
-        ``CHUNK_ROWS``, so that each call fills one kernel chunk, and at the
-        end.  If a change raises first, its queued cells go back to -1.
+        A missing pair is claimed once (-2, so no later change claims it) and
+        buffered.  Each full ``CHUNK_ROWS`` of the buffer is one kernel call, the
+        rest one more; on an error, claimed pairs not yet aligned go back to -1.
         """
-        queue: list[tuple[np.ndarray, np.ndarray]] = []
+        slots = columns = np.empty(0, dtype=np.intp)
         try:
-            queued = 0
-            for _, pool, slots in affected:
-                slots = np.array(list(dict.fromkeys(slots.tolist())))
-                missing = self._distances[slots[:, None], pool] == -1
-                row, column = np.nonzero(missing)
-                pair_slots, pair_columns = slots[row], pool[column]
-                self._distances[pair_slots, pair_columns] = -2
-                ends = np.cumsum(np.count_nonzero(missing, axis=1))  # where each row's pairs end
-                start = 0
-                while start < len(row):
-                    next_end = ends[np.searchsorted(ends, start, side="right")]
-                    if queued and queued + next_end - start > CHUNK_ROWS:
-                        self._flush(queue)
-                        queued = 0
-                    fits = np.searchsorted(ends, start + CHUNK_ROWS - queued, side="right")
-                    end = max(next_end, ends[max(fits - 1, 0)])  # the rows that fit, or one row alone
-                    queue.append((pair_slots[start:end], pair_columns[start:end]))
-                    queued += end - start
-                    start = end
-            self._flush(queue)
-        finally:
-            for slots, columns in queue:
-                self._distances[slots, columns] = -1
+            for _, pool, modified in affected:
+                modified = np.array(list(dict.fromkeys(modified.tolist())))
+                missing = self._distances[modified[:, None], pool] == -1
+                new_columns = pool[np.nonzero(missing)[1]]  # row-major, as the repeat below; no row array is kept
+                slots, columns = np.concatenate([slots, modified.repeat(missing.sum(1))]), np.concatenate([columns, new_columns])
+                self._distances[slots[len(slots) - len(new_columns) :], new_columns] = -2
+                while len(slots) >= CHUNK_ROWS:
+                    self._flush(slots[:CHUNK_ROWS], columns[:CHUNK_ROWS])
+                    slots, columns = slots[CHUNK_ROWS:], columns[CHUNK_ROWS:]
+            self._flush(slots, columns)
+        except BaseException:
+            self._distances[slots, columns] = -1
+            raise
 
-    def _flush(self, queue: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Align every queued pair in one kernel call, cache the distances and empty the queue."""
-        if not queue:
-            return
-        slots, columns = (np.concatenate(part) for part in zip(*queue))
-        first = np.diff(slots, prepend=-1) != 0  # a row's pairs are adjacent: one query per run
-        queries = self._queries[slots[first]]
-        self._distances[slots, columns] = levenshtein_many(queries, self._tokens, np.cumsum(first) - 1, columns)
-        queue.clear()
+    def _flush(self, slots: np.ndarray, columns: np.ndarray) -> None:
+        """Align the (slot, column) pairs in one kernel call and cache the distances."""
+        if len(slots):
+            first = np.diff(slots, prepend=-1) != 0  # a slot's pairs are adjacent: one query per run
+            queries = self._queries[slots[first]]
+            self._distances[slots, columns] = levenshtein_many(queries, self._tokens, np.cumsum(first) - 1, columns)
 
     def score_all(self, changes: Sequence[ProcessChange]) -> list[ScoredChange]:
         """Score the changes in order; equal to :meth:`score` on each.

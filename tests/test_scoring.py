@@ -393,7 +393,7 @@ def _outcome(scorer, change):
 
 
 DEFAULT_BOUND = scoring.CHUNK_ROWS
-QUEUE_BOUNDS = (1, 5, DEFAULT_BOUND)  # 1 and 5 flush inside a change's pool
+QUEUE_BOUNDS = (1, 5, DEFAULT_BOUND)  # 1 and 5 cut a kernel call inside a change's pool
 
 
 @given(
@@ -411,20 +411,20 @@ QUEUE_BOUNDS = (1, 5, DEFAULT_BOUND)  # 1 and 5 flush inside a change's pool
     bench={("c", "d"): (1, 0.0), ("d", "e"): (2, 4.0), ("c", "g"): (1, 1.0)},
     changes=[[("a", "c")], [("b", "d")], [("a", "d"), ("b", "c")], [("f", "c")]],
 )
-@example(  # the second change has no pool, after the first has queued its pairs
+@example(  # the second change has no pool, after the first has claimed its pairs
     own={("a", "b"): (1, 1.0), ("c", "d"): (2, 2.0)},
     bench={("c", "d"): (1, 0.0), ("e", "f"): (1, 1.0)},
     changes=[[("a", "c")], [("b", "z")], [("c", "e")]],
 )
-@example(  # the second change is vacuous, after the first has queued its pairs
+@example(  # the second change is vacuous, after the first has claimed its pairs
     own={("a", "b"): (1, 1.0), ("c", "d"): (2, 2.0)},
     bench={("c", "d"): (1, 0.0), ("e", "f"): (1, 1.0)},
     changes=[[("a", "c")], [("f", "c")], [("c", "e")]],
 )
 @settings(max_examples=100, deadline=None)
 def test_score_all_equals_a_fresh_scorer_per_change(own, bench, changes):
-    """``score_all`` equals scoring each change with its own scorer, with the
-    queue flushed at any pair.  A list with a change that cannot be scored
+    """``score_all`` equals scoring each change with its own scorer, with a
+    kernel call cut at any pair.  A list with a change that cannot be scored
     raises what ``score`` raises for the first such change, and leaves the
     scorer equal to a fresh one."""
     own_idx, bench_idx = _indexes_from(own, bench)
@@ -484,34 +484,64 @@ def test_run_pair_scores_technique_and_baseline_in_one_kernel_call(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("bound", QUEUE_BOUNDS)
-def test_a_scorer_aligns_each_pair_once(monkeypatch, bound):
-    """Across ``score_all`` and ``score`` calls with overlapping pools, no
-    pair goes to the kernel twice, and a call holds at most ``CHUNK_ROWS``
-    pairs unless they are one modified row's: at a bound of 1, each call
-    aligns one modified row, and at the default, one batch of a few changes
-    is one call."""
+def _overlapping_pools():
+    """Own and benchmark indexes with five changes whose pools overlap."""
     own_idx, bench_idx = _indexes_from(
         {("a", "b", "c"): (2, 1.0), ("b", "d"): (1, 2.0), ("a", "d", "d"): (1, 0.0), ("c",): (3, 1.0)},
         {("b", "c"): (1, 0.0), ("c", "d", "e"): (1, 3.0), ("e", "b"): (2, 1.0), ("d",): (1, 0.0)},
     )
     replacement_sets = [[("a", "c")], [("a", "e")], [("a", "c"), ("b", "e")], [("d", "c")], [("b", "e")]]
-    changes = [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in replacement_sets]
+    return own_idx, bench_idx, [ProcessChange(tuple(Match(a, b) for a, b in pairs)) for pairs in replacement_sets]
+
+
+@pytest.mark.parametrize("bound", QUEUE_BOUNDS)
+def test_a_scorer_aligns_each_pair_once(monkeypatch, bound):
+    """Across ``score_all`` and ``score`` calls with overlapping pools, no
+    pair goes to the kernel twice.  Within one ``score_all``, every kernel
+    call but the last holds exactly ``CHUNK_ROWS`` pairs and the last at
+    most that; at the default, one batch of a few changes is one call."""
+    own_idx, bench_idx, changes = _overlapping_pools()
     calls = _spy_on_the_kernel(monkeypatch)
     monkeypatch.setattr(scoring, "CHUNK_ROWS", bound)
     scorer = ChangeScorer(own_idx, bench_idx)
     first = scorer.score_all(changes[:3])
-    assert [scorer.score(c) for c in changes[:3]] == first
     batched = len(calls)
+    assert [scorer.score(c) for c in changes[:3]] == first
     scorer.score_all(changes[2:])
     scorer.score(changes[3])
     aligned = [pair for call in calls for pair in call]
     assert len(set(aligned)) == len(aligned)
-    assert all(len(call) <= bound or len({query for query, _ in call}) == 1 for call in calls)
-    if bound == 1:
-        assert all(len({query for query, _ in call}) == 1 for call in calls)
+    for batch in (calls[:batched], calls[batched:]):
+        assert [len(call) for call in batch[:-1]] == [bound] * (len(batch) - 1)
+        assert all(0 < len(call) <= bound for call in batch)
     if bound == DEFAULT_BOUND:
         assert batched == 1
+
+
+def test_a_kernel_error_leaves_no_pair_claimed(monkeypatch):
+    """When the kernel raises part-way through ``score_all``, the error
+    propagates, no cache cell stays claimed, and the scorer then scores as
+    a fresh one does."""
+    own_idx, bench_idx, changes = _overlapping_pools()
+    calls = []
+    kernel = scoring.levenshtein_many
+
+    def failing(queries, cands, qi, ci):
+        calls.append(len(qi))
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return kernel(queries, cands, qi, ci)
+
+    monkeypatch.setattr(scoring, "CHUNK_ROWS", 5)
+    monkeypatch.setattr(scoring, "levenshtein_many", failing)
+    scorer = ChangeScorer(own_idx, bench_idx)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        scorer.score_all(changes)
+    assert len(calls) == 2
+    assert not (scorer._distances == -2).any()
+    assert (scorer._distances >= 0).sum() == calls[0]
+    monkeypatch.setattr(scoring, "levenshtein_many", kernel)
+    assert scorer.score_all(changes) == ChangeScorer(own_idx, bench_idx).score_all(changes)
 
 
 def test_frequency_scaling_invariance(own_log, benchmark_index):
