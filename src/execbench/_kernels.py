@@ -14,10 +14,13 @@ so candidate column ``j`` only updates a prefix of the rows, and are
 processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
 
 ``order_stats`` counts per-activity and per-pair occurrences over a batch
-of V encoded variants of A symbols.  Beside int64 V × A arrays (first and
-last positions, weighted presence), it allocates one bool V × A × A array,
-``first[x] < last[y]``, which ``einsum`` sums in buffered chunks: no int64
-copy of it is made.
+of V encoded variants of A symbols.  It keeps first and last positions as
+V × A arrays of the narrowest signed type that holds -1 through the batch
+width (int8 up to width 127, int16 up to 32,767), and compares them in
+blocks of variants, so that no bool ``first[x] < last[y]`` block holds more
+than ``BLOCK_CELLS`` cells.  ``einsum`` sums each block with int32 weights
+into an int32 accumulator while the total trace count fits in int32, and
+in int64 otherwise.
 
 ``perfbench/`` at the repository root times both kernels inside the whole
 pipeline (see ``perfbench/NOTES.md``).
@@ -32,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 CHUNK_ROWS = 1 << 13
+BLOCK_CELLS = 1 << 22
 _WORD_BITS = 64
 _ONE = np.uint64(1)
 _TOP = np.uint64(_WORD_BITS - 1)
@@ -144,19 +148,34 @@ def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
     some x occurrence precedes some y occurrence, and ``cooccur[x, y]``
     counts traces containing both.  The diagonal of ``cooccur`` counts
     traces where the symbol occurs at least twice, i.e. co-occurs with
-    itself as two distinct events.
+    itself as two distinct events.  All three are int64.
+
+    First and last positions are stored in the narrowest signed type that
+    holds -1 through the batch width.  ``before`` is summed over blocks of
+    variants whose bool comparison holds at most ``BLOCK_CELLS`` cells (at
+    least one variant per block), in int32 when ``freqs`` sums to at most
+    2**31 - 1, since no count exceeds that sum, and in int64 otherwise.
     """
     n_variants, width = tokens.shape
-    first = np.full((n_variants, n_symbols), width, dtype=np.int64)
-    last = np.full((n_variants, n_symbols), -1, dtype=np.int64)
+    position = np.min_scalar_type(-width - 1)
+    first = np.full((n_variants, n_symbols), width, dtype=position)
+    last = np.full((n_variants, n_symbols), -1, dtype=position)
     rows, positions = np.nonzero(tokens >= 0)
     symbols = tokens[rows, positions]
+    positions = positions.astype(position)  # ufunc.at takes a slow path when it must cast
     np.minimum.at(first, (rows, symbols), positions)
     np.maximum.at(last, (rows, symbols), positions)
     present = last >= 0
     weights = freqs.astype(np.int64)
-    # first[x] < last[y] implies both occur: an absent one has first = width, last = -1.
-    before = np.einsum("v,vxy->xy", weights, first[:, :, None] < last[:, None, :])
+    count = np.int32 if int(freqs.sum()) <= np.iinfo(np.int32).max else np.int64
+    block_weights = freqs.astype(count)
+    before = np.zeros((n_symbols, n_symbols), dtype=count)
+    step = max(1, BLOCK_CELLS // max(1, n_symbols * n_symbols))
+    for start in range(0, n_variants, step):
+        block = slice(start, start + step)
+        # first[x] < last[y] implies both occur: an absent one has first = width, last = -1.
+        before += np.einsum("v,vxy->xy", block_weights[block], first[block, :, None] < last[block, None, :])
+    before = before.astype(np.int64, copy=False)
     # A contiguous left operand halves numpy's integer product, which has no BLAS path.
     cooccur = np.ascontiguousarray((present * weights[:, None]).T) @ present.astype(np.int64)
     traces_with = np.diagonal(cooccur).copy()

@@ -72,7 +72,7 @@ class ScoredChange:
         for row, match, similarity, ties in zip(*(column.tolist() for column in columns)):
             original, matched = own.variants[row], benchmark.variants[match]
             entry = own.entries[original]
-            modified = tuple(mapping.get(a, a) for a in original)
+            modified = tuple(map(mapping.get, original, original))
             bench_perf = benchmark.entries[matched].mean_performance
             alignments.append(
                 Alignment(original, modified, matched, similarity, entry.frequency, ties, entry.mean_performance, bench_perf)

@@ -1,12 +1,16 @@
 """The batched bit-parallel edit distance and the order counts must agree
 with plain oracles, on short and long (multi-word) sequences alike."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
+from execbench import _kernels
 from execbench._kernels import CHUNK_ROWS, levenshtein_many, order_stats
 
 
@@ -116,20 +120,36 @@ def _assert_same_counts(got, expected):
         assert np.array_equal(g, e)
 
 
-@given(
-    weighted=st.lists(
-        st.tuples(st.lists(st.integers(0, 4), min_size=1, max_size=7), st.integers(1, 2**40)),
-        min_size=1,
-        max_size=6,
-    )
+# Variants over 5 symbols with their frequencies; small frequencies sum in int32, large ones in int64.
+weighted_variants = st.lists(
+    st.tuples(st.lists(st.integers(0, 4), min_size=1, max_size=7), st.one_of(st.integers(1, 9), st.integers(1, 2**40))),
+    min_size=1,
+    max_size=6,
 )
-@settings(max_examples=150, deadline=None)
-def test_order_stats_matches_naive_count(weighted):
+
+
+def _check_order_stats(weighted):
     seqs = [seq for seq, _ in weighted]
     freqs = np.array([f for _, f in weighted], dtype=np.int64)
     pool = _pad(seqs)
     got = order_stats(pool, freqs, n_symbols=5)
     _assert_same_counts(got, _naive_order_stats(seqs, freqs, 5))
+
+
+@given(weighted=weighted_variants)
+@settings(max_examples=150, deadline=None)
+def test_order_stats_matches_naive_count(weighted):
+    _check_order_stats(weighted)
+
+
+# 1 cell puts each variant in its own block; 60 cells hold two variants of
+# 5 × 5 cells, so an odd batch ends with a shorter block.
+@pytest.mark.parametrize("cells", [1, 60])
+@given(weighted=weighted_variants)
+@settings(max_examples=100, deadline=None)
+def test_order_stats_in_blocks_matches_naive_count(cells, weighted):
+    with mock.patch.object(_kernels, "BLOCK_CELLS", cells):
+        _check_order_stats(weighted)
 
 
 def test_wide_order_stats_match_naive_count():
@@ -147,6 +167,47 @@ def test_empty_order_stats_batch():
     empty = np.empty(0, dtype=np.int64)
     got = order_stats(np.empty((0, 0), dtype=np.int32), empty, n_symbols=0)
     assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,)), (np.int64, (0, 0)), (np.int64, (0, 0))]
+
+
+@pytest.mark.parametrize("width", [127, 128, 32_767, 32_768])
+def test_order_stats_at_position_type_bounds(width):
+    """Positions are stored in the narrowest type that holds -1 through the
+    width, the first position of an absent symbol.  Symbol 2 occurs nowhere,
+    so a type one too narrow would count it or fail to hold it."""
+    seqs = [[0] * (width - 1) + [1], [1] + [0] * (width - 1)]
+    got = order_stats(_pad(seqs), np.array([3, 5], dtype=np.int64), n_symbols=3)
+    traces_with = [8, 8, 0]
+    cooccur = [[8, 8, 0], [8, 0, 0], [0, 0, 0]]
+    before = [[8, 3, 0], [5, 0, 0], [0, 0, 0]]
+    _assert_same_counts(got, [np.array(a, dtype=np.int64) for a in (traces_with, cooccur, before)])
+
+
+@pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+def test_order_stats_at_int32_total(total):
+    """``before`` sums in int32 only while the total frequency fits; here
+    ``before[0, 1]`` reaches the total."""
+    seqs = [[0, 1, 0], [0, 1]]
+    got = order_stats(_pad(seqs), np.array([total - 1, 1], dtype=np.int64), n_symbols=2)
+    traces_with = [total, total]
+    cooccur = [[total - 1, total], [total, 0]]
+    before = [[total - 1, total], [total - 1, 0]]
+    _assert_same_counts(got, [np.array(a, dtype=np.int64) for a in (traces_with, cooccur, before)])
+
+
+def test_order_stats_memory_stays_within_the_block_budget():
+    """400 variants over 200 symbols make 16 M comparisons; the bool blocks
+    hold at most ``BLOCK_CELLS`` of them, beside a few V × S int64 arrays."""
+    rng = np.random.default_rng(3)
+    n_variants, n_symbols = 400, 200
+    seqs = [list(rng.integers(0, n_symbols, size=n)) for n in rng.integers(1, 80, size=n_variants)]
+    pool, freqs = _pad(seqs), rng.integers(1, 1000, size=n_variants)
+    tracemalloc.start()
+    try:
+        order_stats(pool, freqs, n_symbols=n_symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _kernels.BLOCK_CELLS + 4 * n_variants * n_symbols * 8
 
 
 def test_order_stats_diagonal_counts_repeats():
