@@ -5,13 +5,14 @@
 candidates are -1-padded int32 matrices, and a row's length is its count of
 codes that are not padding.  So one call can align a whole batch:
 ``ChangeScorer`` buffers the missing (modified variant, candidate) pairs
-of all the changes it scores and sends each full ``CHUNK_ROWS`` of them in
-one call.  It runs Myers' bit-vector recurrence (Myers 1999, J. ACM 46(3))
-vectorized across rows: each query's DP column is a bit vector of 64-bit
-words, and queries longer than 64 tokens add and shift across words with
-carries (Hyyrö 2003).  Rows are sorted by candidate length, longest first,
-so candidate column ``j`` only updates a prefix of the rows, and are
-processed in chunks of at most ``CHUNK_ROWS`` so memory stays bounded.
+of all the changes it scores and cuts them into calls of at most its
+``CHUNK_ROWS`` pairs, which bounds each call's memory.  The kernel aligns
+whatever batch it is given in one pass.  It runs Myers' bit-vector
+recurrence (Myers 1999, J. ACM 46(3)) vectorized across rows: each query's
+DP column is a bit vector of 64-bit words, and queries longer than 64
+tokens add and shift across words with carries (Hyyrö 2003).  Rows are
+sorted by candidate length, longest first, so candidate column ``j`` only
+updates a prefix of the rows.
 
 ``order_stats`` counts per-activity and per-pair occurrences over a batch
 of V encoded variants of A symbols.  It keeps first and last positions as
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-CHUNK_ROWS = 1 << 13
 BLOCK_CELLS = 1 << 22
 _WORD_BITS = 64
 _ONE = np.uint64(1)
@@ -64,22 +64,38 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
-def _myers_chunk(peq, offsets, query_lens, cand_columns, cand_ids, cand_lens):
-    """Distances for one chunk of rows sorted by candidate length, longest first.
+def levenshtein_many(queries: np.ndarray, cands: np.ndarray, qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """Edit distance between ``queries[qi[r]]`` and ``cands[ci[r]]`` for every r.
 
-    ``offsets[r]`` is row r's query base column in ``peq``, and
-    ``cand_columns[j, cand_ids[r]]`` its candidate's token j.  Pv and Mv
+    ``queries`` (Q, wq) and ``cands`` (C, wc) are int32 codes padded at the
+    end with -1, so a row's length is its count of codes >= 0; extra padding
+    columns change no distance.  Rows may repeat and come in any order.
+    Returns one int32 distance per row; an empty query's distance is its
+    candidate's length.
+
+    The whole batch is aligned in one pass, so the caller bounds its size:
+    the gathered match masks and the DP state grow with its rows.  Pv and Mv
     hold the vertical +1 and -1 deltas of each row's current DP column.  A
     row stops changing once its candidate is consumed, so at the end its
     distance is the top-row value, its candidate length, plus the sum of the
     deltas over its query's bits: none for an empty query.
     """
-    n_words, rows = peq.shape[0], len(offsets)
-    pv = np.full((n_words, rows), _ALL, dtype=np.uint64)
-    mv = np.zeros((n_words, rows), dtype=np.uint64)
-    active = np.searchsorted(-cand_lens, -np.arange(cand_lens[0]), side="left")
+    qi = np.asarray(qi, dtype=np.intp)
+    ci = np.asarray(ci, dtype=np.intp)
+    query_lens = (queries >= 0).sum(axis=1)
+    cand_lens = (cands >= 0).sum(axis=1)[ci]
+    rows = np.argsort(-cand_lens, kind="stable")
+    qi, ci, cand_lens = qi[rows], ci[rows], cand_lens[rows]
+    n_symbols = int(max(queries.max(initial=-1), cands.max(initial=-1))) + 2
+    n_words = -(-int(query_lens.max(initial=0)) // _WORD_BITS)
+    peq = _peq_tables(queries, n_symbols, n_words)
+    cand_columns = np.ascontiguousarray(cands.T)
+    offsets = qi * n_symbols + 1
+    pv = np.full((n_words, len(rows)), _ALL, dtype=np.uint64)
+    mv = np.zeros((n_words, len(rows)), dtype=np.uint64)
+    active = np.searchsorted(-cand_lens, -np.arange(cand_lens.max(initial=0)), side="left")
     for j, n in enumerate(active):
-        eqs = peq.take(cand_columns[j].take(cand_ids[:n]) + offsets[:n], axis=1)
+        eqs = peq.take(cand_columns[j].take(ci[:n]) + offsets[:n], axis=1)
         carry = mh_in = None
         ph_in = _ONE  # the top DP row grows by one per column
         for w in range(n_words):
@@ -110,33 +126,11 @@ def _myers_chunk(peq, offsets, query_lens, cand_columns, cand_ids, cand_lens):
                 ph_in, mh_in = ph_out, mh_out
             pv[w, :n] = mh | ~(xv | ph)
             mv[w, :n] = ph & xv
-    bits = np.clip(query_lens - _WORD_BITS * np.arange(n_words)[:, None], 0, _WORD_BITS)
+    bits = np.clip(query_lens[qi] - _WORD_BITS * np.arange(n_words)[:, None], 0, _WORD_BITS)
     mask = np.where(bits == _WORD_BITS, _ALL, (_ONE << (bits % _WORD_BITS).astype(np.uint64)) - _ONE)
     deltas = _popcount(pv & mask).sum(axis=0) - _popcount(mv & mask).sum(axis=0)
-    return cand_lens + deltas.astype(np.int64)
-
-
-def levenshtein_many(queries: np.ndarray, cands: np.ndarray, qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
-    """Edit distance between ``queries[qi[r]]`` and ``cands[ci[r]]`` for every r.
-
-    ``queries`` (Q, wq) and ``cands`` (C, wc) are int32 codes padded at the
-    end with -1, so a row's length is its count of codes >= 0; extra padding
-    columns change no distance.  Rows may repeat and come in any order.
-    Returns one int32 distance per row; an empty query's distance is its
-    candidate's length.
-    """
-    qi = np.asarray(qi, dtype=np.intp)
-    ci = np.asarray(ci, dtype=np.intp)
-    query_lens = (queries >= 0).sum(axis=1)
-    m, n = query_lens[qi], (cands >= 0).sum(axis=1)[ci]
-    out = np.empty(len(qi), dtype=np.int32)
-    rows = np.argsort(-n, kind="stable")
-    n_symbols = int(max(queries.max(initial=-1), cands.max(initial=-1))) + 2
-    peq = _peq_tables(queries, n_symbols, -(-int(query_lens.max(initial=0)) // _WORD_BITS))
-    cand_columns = np.ascontiguousarray(cands.T)
-    for start in range(0, len(rows), CHUNK_ROWS):
-        chunk = rows[start : start + CHUNK_ROWS]
-        out[chunk] = _myers_chunk(peq, qi[chunk] * n_symbols + 1, m[chunk], cand_columns, ci[chunk], n[chunk])
+    out = np.empty(len(rows), dtype=np.int32)
+    out[rows] = cand_lens + deltas.astype(np.int64)
     return out
 
 

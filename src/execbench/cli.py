@@ -32,7 +32,7 @@ from .eventlog import (
     write_event_log,
 )
 from .experiment import ExperimentConfig, generate_pair, run_experiment
-from .footprint import ordering_counts
+from .footprint import _write_matrix_csv, ordering_counts
 from .proctree import tree_to_json
 from .scoring import BenchmarkConfig, ScoredChange, benchmark
 
@@ -321,10 +321,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -> None:
-    cells = np.where(np.isnan(scores), "", np.char.mod("%.6f", scores))
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["", *activities])
-    writer.writerows([a, *row] for a, row in zip(activities, cells.tolist()))
+    _write_matrix_csv(activities, np.where(np.isnan(scores), "", np.char.mod("%.6f", scores)), stream)
 
 
 def _cmd_footprint(args) -> int:

@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -128,10 +128,14 @@ class FootprintMatrix:
             raise ConfigError(f"footprint activities must strictly ascend, got {self.activities!r}")
 
     def to_csv(self, stream: IO[str]) -> None:
-        symbols = np.array([relation.value for relation in _RELATIONS])[self.cells]
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["", *self.activities])
-        writer.writerows([a, *row] for a, row in zip(self.activities, symbols.tolist()))
+        _write_matrix_csv(self.activities, np.array([relation.value for relation in _RELATIONS])[self.cells], stream)
+
+
+def _write_matrix_csv(activities: Sequence[str], cells: np.ndarray, stream: IO[str]) -> None:
+    """Write string ``cells`` as a CSV with the activities along the header row and down the first column."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["", *activities])
+    writer.writerows([a, *row] for a, row in zip(activities, cells.tolist()))
 
 
 def build_footprint_matrix(

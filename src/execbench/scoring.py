@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._kernels import CHUNK_ROWS, levenshtein_many
+from ._kernels import levenshtein_many
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE, ProcessChange, build_compatibility_graph, enumerate_changes
 from .errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
 from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, extract_variants
@@ -27,6 +27,7 @@ from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THR
 from .matching import match_activities
 
 SIMILARITY_WARNING_BOUND = 0.5
+CHUNK_ROWS = 1 << 13  # pairs per kernel call: bounds each call's match tables and DP state
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ class ChangeScorer:
     of distances to all benchmark variants, -1 where not yet computed.
     :meth:`score_all` appends the missing (slot, candidate) pairs of all its
     changes, each once, to one buffer and aligns it in kernel calls of
-    exactly ``CHUNK_ROWS`` pairs, the last call taking what is left;
+    exactly ``CHUNK_ROWS`` pairs, the last call taking what is left; the
+    kernel aligns each call in one pass, so this cut alone bounds its memory.
     :meth:`score` is its one-change case.  Whole pools are scored, so tie
     counts are exact and do not depend on scoring order.
 

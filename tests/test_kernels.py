@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
 from execbench import _kernels
-from execbench._kernels import CHUNK_ROWS, levenshtein_many, order_stats
+from execbench._kernels import levenshtein_many, order_stats
+from execbench.scoring import CHUNK_ROWS
 
 
 def _pad(seqs, extra=0):
@@ -79,7 +80,9 @@ def test_batched_rows_match_naive_dp(batch, extra):
     assert got == [expected[row] for row in rows]
 
 
-def test_batch_larger_than_one_chunk():
+def test_batch_larger_than_scorer_bound_is_one_pass():
+    """The scorer cuts its calls at ``CHUNK_ROWS`` pairs; the kernel itself
+    aligns a larger batch in one pass and equals the naive DP on every row."""
     rng = np.random.default_rng(7)
     queries = [list(rng.integers(0, 4, size=n)) for n in (3, 40, 70)]
     cands = [list(rng.integers(0, 4, size=int(rng.integers(0, 90)))) for _ in range(50)]
@@ -92,6 +95,11 @@ def test_batch_larger_than_one_chunk():
 
 def test_empty_query_distance_is_pool_length():
     assert _distances([[]], [[1, 2, 3], [4]], [0, 0], [0, 1]) == [3, 1]
+
+
+def test_empty_batch_returns_no_distances():
+    got = levenshtein_many(_pad([[1, 2]]), _pad([[3], [1, 2, 4]]), [], [])
+    assert got.dtype == np.int32 and got.shape == (0,)
 
 
 def _naive_order_stats(seqs, freqs, n_symbols):
