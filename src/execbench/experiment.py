@@ -19,13 +19,16 @@ import numpy as np
 
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE, build_compatibility_graph, count_changes, enumerate_changes
 from .errors import ConfigError, SamplingWarning, check_int
-from .eventlog import extract_variants
+# Not called here: it stays bound because perfbench/tracing.py wraps it
+# under this name and reports a name it cannot find as absent.
+from .eventlog import extract_variants  # noqa: F401
 from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import Match, MatchSet, match_activities
 from .proctree import (
     GenConfig,
     GroundTruth,
     MutationConfig,
+    Node,
     SeedLike,
     SimConfig,
     _derive,
@@ -33,6 +36,7 @@ from .proctree import (
     generate_process_tree,
     mutate_tree,
     simulate_log,
+    simulate_variants,
 )
 from .scoring import BenchmarkConfig, ChangeScorer
 
@@ -258,12 +262,13 @@ class PairData:
     benchmark_log: object
 
 
-def generate_pair(config: ExperimentConfig, index: int) -> PairData:
-    """Tree, mutated tree and the two simulated logs for one pair index.
+def _draw_models(config: ExperimentConfig, index: int) -> tuple[tuple[int, ...], Node, Node, GroundTruth]:
+    """The pair seed, the tree, its mutated copy and the mutation ground truth of one pair index.
 
     All randomness derives from (master_seed, pair index), the master seed's
     parts followed by the index, so any single pair can be regenerated
-    without replaying the others.
+    without replaying the others.  The pair seed followed by 3 seeds the
+    own play-out, by 4 the benchmark play-out and by 5 the baseline.
     """
     seed = _derive(config.master_seed, index)
     knobs = np.random.default_rng(seed + (0,))
@@ -275,27 +280,40 @@ def generate_pair(config: ExperimentConfig, index: int) -> PairData:
     )
     tree = generate_process_tree(seed + (1,), config.gen_config(target_leaves))
     mutated, truth = mutate_tree(tree, seed + (2,), mutation)
+    return seed, tree, mutated, truth
+
+
+def generate_pair(config: ExperimentConfig, index: int) -> PairData:
+    """Tree, mutated tree and the two simulated logs for one pair index.
+
+    The logs are what ``execbench synth`` writes.  :func:`run_pair` scores
+    the same play-outs from their variants and builds neither log.
+    """
+    seed, tree, mutated, truth = _draw_models(config, index)
     own_log = simulate_log(tree, config.sim_config(seed + (3,)))
     bench_log = simulate_log(mutated, config.sim_config(seed + (4,)))
     return PairData(tree, mutated, truth, own_log, bench_log)
 
 
 def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
-    """Generate, mutate, simulate and evaluate one log pair."""
-    seed = _derive(config.master_seed, index)
-    pair = generate_pair(config, index)
-    truth, own_log, bench_log = pair.truth, pair.own_log, pair.benchmark_log
+    """Generate, mutate, simulate and evaluate one log pair.
 
-    own_index, bench_index = extract_variants(own_log), extract_variants(bench_log)
-    own_matrix = build_footprint_matrix(own_log, config.exc_threshold, config.int_threshold, own_index)
-    bench_matrix = build_footprint_matrix(bench_log, config.exc_threshold, config.int_threshold, bench_index)
+    The pair is :func:`generate_pair`'s, but each log is played out
+    straight into its variant index (:func:`simulate_variants`), because
+    the evaluation reads a log only through its variants and their counts.
+    """
+    seed, tree, mutated, truth = _draw_models(config, index)
+    own_index = simulate_variants(tree, config.sim_config(seed + (3,)))
+    bench_index = simulate_variants(mutated, config.sim_config(seed + (4,)))
+    own_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, own_index)
+    bench_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, bench_index)
     predicted = match_activities(own_matrix, bench_matrix)
     precision, recall = precision_recall(predicted, truth)
 
     record = PairRecord(index, precision, recall, len(predicted.matches), len(truth.replacements))
     if not predicted.matches:
         return replace(record, feasibility_skipped="no-matches")
-    sampled = random_baseline(own_log.alphabet, bench_log.alphabet, len(predicted.matches), seed + (5,))
+    sampled = random_baseline(own_index.activities, bench_index.activities, len(predicted.matches), seed + (5,))
     graphs = [build_compatibility_graph(predicted), build_compatibility_graph(sampled)]
     if any(count_changes(g, config.max_change_size) > config.max_changes_per_pair for g in graphs):
         return replace(record, feasibility_skipped="change-limit")

@@ -99,13 +99,17 @@ class CooccurrenceStats:
         return FootprintMatrix(self.activities, codes.astype(np.int8))
 
 
-def ordering_counts(log: EventLog, variants: VariantIndex | None = None) -> CooccurrenceStats:
+def ordering_counts(log: EventLog | None, variants: VariantIndex | None = None) -> CooccurrenceStats:
     """Tally the ordering patterns of all activity pairs, per trace.
 
     Counts are accumulated over distinct variants weighted by frequency,
-    which is equivalent to enumerating traces directly.
+    which is equivalent to enumerating traces directly.  ``log`` is read
+    only when ``variants`` is not given, and may then be None.
     """
-    variants = variants or extract_variants(log)
+    if variants is None:
+        if log is None:
+            raise ConfigError("ordering counts need a log or its variant index")
+        variants = extract_variants(log)
     tokens, _, frequencies = variants.codes
     traces_with, cooccur, before = order_stats(tokens, frequencies, n_symbols=len(variants.activities))
     return CooccurrenceStats(variants.activities, traces_with, cooccur, before)
@@ -139,13 +143,14 @@ def _write_matrix_csv(activities: Sequence[str], cells: np.ndarray, stream: IO[s
 
 
 def build_footprint_matrix(
-    log: EventLog,
+    log: EventLog | None,
     exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
     variants: VariantIndex | None = None,
 ) -> FootprintMatrix:
     """Classify every ordered pair of one log, including the diagonal.
 
-    ``variants`` is the log's variant index when the caller already has one.
+    ``variants`` is the log's variant index when the caller already has
+    one; the log is then not read and may be None.
     """
     return ordering_counts(log, variants).footprint(exc_threshold, int_threshold)

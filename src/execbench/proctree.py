@@ -6,14 +6,20 @@ for the evaluation harness: a random tree yields the own log, a mutated
 copy (with replacements recorded as ground truth) yields the benchmark
 log.  Play-out includes the noise step: a trace may get one perturbation.
 
+One play-out loop serves two outputs.  :func:`simulate_log` turns each
+trace into a timestamped case of an :class:`EventLog`, as ``execbench
+synth`` writes it.  :func:`simulate_variants` counts the same traces into a
+:class:`VariantIndex` and builds no case, which is all the evaluation
+reads, so it equals ``extract_variants(simulate_log(tree, sim))``.
+
 Random draws follow numpy's ``default_rng``: tree generation and mutation
 use it directly, and play-out uses one seeded stream per trace for its
-events and one for its noise (the contract is on :func:`simulate_log`).
-Play-out computes those streams' PCG64 states in one vectorized pass and
-makes numpy's ``random()`` and ``integers(k)`` draws on Python ints
-(``_Stream``), which skips a numpy call per draw and a state dict per
-trace.  The tests check the states, each draw and whole logs against the
-installed numpy's ``default_rng``.
+events and one for its noise (the contract is on :func:`simulate_log`;
+both outputs keep it).  Play-out computes those streams' PCG64 states in
+one vectorized pass and makes numpy's ``random()`` and ``integers(k)``
+draws on Python ints (``_Stream``), which skips a numpy call per draw and a
+state dict per trace.  The tests check the states, each draw and whole logs
+against the installed numpy's ``default_rng``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, check_fraction, check_int
-from .eventlog import EventLog, Trace
+from .eventlog import EventLog, Trace, VariantIndex
 
 SeedLike = Union[int, tuple[int, ...]]
 
@@ -40,19 +46,31 @@ class Leaf:
     name: str
 
 
+def _refuse_no_children(node: "Seq | Xor | And") -> None:
+    """A :class:`ConfigError` unless ``node`` has a child, so that no play-out is empty."""
+    if not node.children:
+        raise ConfigError(f"{_OP_NAMES[type(node)]} node needs at least one child, got {node.children!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Seq:
     children: tuple["Node", ...]
+
+    __post_init__ = _refuse_no_children
 
 
 @dataclass(frozen=True, slots=True)
 class Xor:
     children: tuple["Node", ...]
 
+    __post_init__ = _refuse_no_children
+
 
 @dataclass(frozen=True, slots=True)
 class And:
     children: tuple["Node", ...]
+
+    __post_init__ = _refuse_no_children
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +330,10 @@ def _insert_into_gap(node: Node, name: str, rng: np.random.Generator) -> Node:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """How :func:`simulate_log` plays out a tree: ``n_traces`` cases; loops
-    run at most ``max_loop_iterations`` times, each further run with
-    probability 1/2; ``seed`` is a non-negative int or a tuple of them.
+    """How :func:`simulate_log` and :func:`simulate_variants` play out a
+    tree: ``n_traces`` cases; loops run at most ``max_loop_iterations``
+    times, each further run with probability 1/2; ``seed`` is a
+    non-negative int or a tuple of them.
     With ``noise_probability`` a trace gets one perturbation: an adjacent
     swap, a deletion, or a duplication in place (the only one a single
     event allows).  ``with_performance``, a bool (numpy's counts), gives
@@ -550,6 +569,28 @@ def _random_merge(parts: list[list[str]], integers: Callable[[int], int], out: l
         out.append(next(sources[owners.pop(integers(total))]))
 
 
+def _play_out(tree: Node, sim: SimConfig) -> Iterator[tuple[list[str], int]]:
+    """Each trace's events, noise applied, and its clean length, in case order.
+
+    No numpy generator is built.  One vectorized pass computes every
+    stream's starting PCG64 state, and one play stream and one noise stream
+    are re-seeded per trace; they make numpy's draws on Python ints.  The
+    yielded list is the caller's to keep.
+    """
+    play_stream, noise_stream = _Stream(), _Stream()
+    play = _compile(tree, play_stream, sim.max_loop_iterations)
+    noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces)
+    for play_state, noise_state in zip(_stream_states(sim.seed, sim.n_traces), noise_states):
+        play_stream.seed(*play_state)
+        sequence: list[str] = []
+        play(sequence)
+        clean_length = len(sequence)
+        noise_stream.seed(*noise_state)
+        if noise_stream.random() < sim.noise_probability:
+            _perturb(sequence, noise_stream)
+        yield sequence, clean_length
+
+
 def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     """Independent play-outs with synthetic strictly increasing timestamps.
 
@@ -559,28 +600,15 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
     whether it is perturbed, then the kind, then the position.  Every trace
     draws that uniform, and none is perturbed at probability 0.  So
     simulation is reproducible and any trace can be replayed alone.  Trace
-    i's events are one second apart from minute i.
-
-    No numpy generator is built.  One vectorized pass computes every
-    stream's starting PCG64 state, and one play stream and one noise stream
-    are re-seeded per trace; they make numpy's draws on Python ints.  The
-    tests check the states, the draws and the logs against the installed
-    numpy's ``default_rng`` and a recursive play-out.
+    i's events are one second apart from minute i.  The tests check the
+    states, the draws and the logs against the installed numpy's
+    ``default_rng`` and a recursive play-out.
     """
-    play_stream, noise_stream = _Stream(), _Stream()
-    play = _compile(tree, play_stream, sim.max_loop_iterations)
-    noise_states = _stream_states(_derive(sim.seed, sim.n_traces), sim.n_traces)
     offsets: tuple[timedelta, ...] = ()
     start, minute = _EPOCH, timedelta(minutes=1)
     traces: dict[str, Trace] = {}
-    for i, (play_state, noise_state) in enumerate(zip(_stream_states(sim.seed, sim.n_traces), noise_states)):
-        play_stream.seed(*play_state)
-        sequence: list[str] = []
-        play(sequence)
-        performance = float(-(len(sequence) - 1)) if sim.with_performance else None
-        noise_stream.seed(*noise_state)
-        if noise_stream.random() < sim.noise_probability:
-            _perturb(sequence, noise_stream)
+    for i, (sequence, clean_length) in enumerate(_play_out(tree, sim)):
+        performance = float(-(clean_length - 1)) if sim.with_performance else None
         if len(sequence) > len(offsets):
             offsets = tuple(timedelta(seconds=j) for j in range(max(len(sequence), 2 * len(offsets))))
         case_id = f"c{i + 1}"
@@ -588,6 +616,17 @@ def simulate_log(tree: Node, sim: SimConfig) -> EventLog:
         traces[case_id] = Trace(case_id, tuple(sequence), keys, performance)
         start += minute
     return EventLog(traces)
+
+
+def simulate_variants(tree: Node, sim: SimConfig) -> VariantIndex:
+    """The variant index of :func:`simulate_log`'s log, without the log.
+
+    The same play-out under the same stream contract, counted per variant
+    instead of built into cases, so it equals
+    ``extract_variants(simulate_log(tree, sim))``: the variants in ascending
+    order, their trace counts, and no mean performance.
+    """
+    return VariantIndex.from_variants(tuple(sequence) for sequence, _ in _play_out(tree, sim))
 
 
 def _perturb(names: list[str], stream: _Stream) -> None:

@@ -96,6 +96,20 @@ def test_a_pair_over_the_change_limit_keeps_its_matching_scores():
     _assert_unscored(record, "change-limit")
 
 
+def test_a_pair_is_scored_from_play_out_variants_without_event_logs(monkeypatch):
+    # run_pair counts the play-outs into variant indexes; building a log or
+    # grouping one into variants would mean it went back to the log path.
+    expected = run_pair(SMALL_LAB, 0)
+    assert expected.n_changes_technique
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_pair built or read an event log")
+
+    monkeypatch.setattr(experiment, "simulate_log", refuse)
+    monkeypatch.setattr(experiment, "extract_variants", refuse)
+    assert run_pair(SMALL_LAB, 0) == expected
+
+
 def test_pairs_run_in_index_order():
     report = run_experiment(ExperimentConfig(n_pairs=3, n_traces=40, leaves_range=(6, 8)))
     assert [p.index for p in report.pairs] == [0, 1, 2]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_log
 from execbench.errors import ConfigError, DataError
-from execbench.eventlog import EventLog
+from execbench.eventlog import EventLog, extract_variants
 from execbench.footprint import _RELATIONS, FootprintMatrix, Relation, build_footprint_matrix, ordering_counts
 
 
@@ -126,6 +126,16 @@ def test_repeating_activity_interleaves_with_itself():
 def test_empty_log_rejected():
     with pytest.raises(DataError):
         build_footprint_matrix(EventLog({}))
+
+
+def test_a_variant_index_stands_in_for_the_log(own_log):
+    index = extract_variants(own_log)
+    by_index = build_footprint_matrix(None, variants=index)
+    by_log = build_footprint_matrix(own_log)
+    assert by_index.activities == by_log.activities
+    assert np.array_equal(by_index.cells, by_log.cells)
+    with pytest.raises(ConfigError, match="need a log or its variant index"):
+        build_footprint_matrix(None)
 
 
 def test_matrix_csv_layout(own_log):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_levenshtein
 from execbench.errors import ConfigError
-from execbench.eventlog import EventLog, PerfConfig, Trace, extract_variants, write_event_log
+from execbench.eventlog import EventLog, PerfConfig, Trace, VariantEntry, extract_variants, write_event_log
 from execbench.experiment import ExperimentConfig, random_baseline
 from execbench.proctree import (
     _EPOCH,
@@ -33,6 +33,7 @@ from execbench.proctree import (
     leaves,
     mutate_tree,
     simulate_log,
+    simulate_variants,
     tree_from_json,
     tree_to_json,
 )
@@ -338,6 +339,18 @@ def test_json_round_trip():
 def test_malformed_tree_json_rejected(data, problem):
     with pytest.raises(ConfigError, match=re.escape(problem)):
         tree_from_json(data)
+
+
+@pytest.mark.parametrize("operator, name", [(Seq, "seq"), (Xor, "xor"), (And, "and")])
+def test_operator_without_children_rejected_when_built(operator, name):
+    # An empty operator would play out no events (an empty Xor could not
+    # even draw its branch), so it is refused before any play-out.
+    with pytest.raises(ConfigError, match=f"^{name} node needs at least one child, got \\(\\)$"):
+        operator(())
+    tree = operator((Leaf("a"),))
+    assert simulate_variants(tree, SimConfig(n_traces=3, noise_probability=0.0)).entries == {
+        ("a",): VariantEntry(3, None)
+    }
 
 
 def test_all_zero_operator_weights_fall_back_to_uniform():
@@ -660,7 +673,13 @@ def test_simulate_log_equals_recursive_oracle(tree, seed, n_traces, max_loop, no
         seed=seed,
         with_performance=performance,
     )
-    assert list(simulate_log(tree, sim).traces.items()) == list(oracle_simulate_log(tree, sim).traces.items())
+    log = simulate_log(tree, sim)
+    assert list(log.traces.items()) == list(oracle_simulate_log(tree, sim).traces.items())
+    # The variant path plays the same traces: the same entries in the same
+    # order, the same trace counts, and no mean performance.
+    entries = list(simulate_variants(tree, sim).entries.items())
+    assert entries == list(extract_variants(log).entries.items())
+    assert all(entry.mean_performance is None for _, entry in entries)
 
 
 @given(
