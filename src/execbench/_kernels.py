@@ -21,7 +21,8 @@ width (int8 up to width 127, int16 up to 32,767), and compares them in
 blocks of variants, so that no bool ``first[x] < last[y]`` block holds more
 than ``BLOCK_CELLS`` cells.  ``einsum`` sums each block with int32 weights
 into an int32 accumulator while the total trace count fits in int32, and
-in int64 otherwise.
+in int64 otherwise; the co-occurrence product is one such ``einsum``
+over all variants.
 
 ``perfbench/`` at the repository root times both kernels inside the whole
 pipeline (see ``perfbench/NOTES.md``).
@@ -148,7 +149,8 @@ def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
     holds -1 through the batch width.  ``before`` is summed over blocks of
     variants whose bool comparison holds at most ``BLOCK_CELLS`` cells (at
     least one variant per block), in int32 when ``freqs`` sums to at most
-    2**31 - 1, since no count exceeds that sum, and in int64 otherwise.
+    2**31 - 1, since no count exceeds that sum, and in int64 otherwise;
+    ``cooccur`` is summed in the same type.
     """
     n_variants, width = tokens.shape
     position = np.min_scalar_type(-width - 1)
@@ -160,7 +162,6 @@ def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
     np.minimum.at(first, (rows, symbols), positions)
     np.maximum.at(last, (rows, symbols), positions)
     present = last >= 0
-    weights = freqs.astype(np.int64)
     count = np.int32 if int(freqs.sum()) <= np.iinfo(np.int32).max else np.int64
     block_weights = freqs.astype(count)
     before = np.zeros((n_symbols, n_symbols), dtype=count)
@@ -170,8 +171,9 @@ def order_stats(tokens: np.ndarray, freqs: np.ndarray, *, n_symbols: int):
         # first[x] < last[y] implies both occur: an absent one has first = width, last = -1.
         before += np.einsum("v,vxy->xy", block_weights[block], first[block, :, None] < last[block, None, :])
     before = before.astype(np.int64, copy=False)
-    # A contiguous left operand halves numpy's integer product, which has no BLAS path.
-    cooccur = np.ascontiguousarray((present * weights[:, None]).T) @ present.astype(np.int64)
+    # einsum sums integer products in the accumulator's type, far faster than
+    # numpy's integer matmul; neither has a BLAS path.
+    cooccur = np.einsum("vx,vy->xy", present * block_weights[:, None], present.astype(count)).astype(np.int64)
     traces_with = np.diagonal(cooccur).copy()
     np.fill_diagonal(cooccur, np.diagonal(before))
     return traces_with, cooccur, before

@@ -6,6 +6,12 @@ writes generated tree/log pairs with ground truth, ``eval`` runs the
 synthetic experiment.  Exit codes: 0 success (also when the reader closes
 standard output early), 1 usage error, 2 data or configuration error.
 Warnings go to stderr.
+
+``benchmark`` and ``footprint`` build no event log: each CSV is read into
+case summaries (:func:`~execbench.eventlog.read_cases`) and grouped into its
+variant index (:func:`~execbench.eventlog.index_cases`).  ``benchmark`` then
+makes :func:`~execbench.scoring.benchmark`'s checks in its order and calls
+the index-level core, :func:`~execbench.scoring.benchmark_indexes`.
 """
 
 from __future__ import annotations
@@ -25,16 +31,25 @@ import numpy as np
 
 from .errors import ConfigError, ExecbenchError
 from .eventlog import (
-    EventLog,
+    CaseSummary,
     PerfConfig,
     SchemaConfig,
-    read_event_log,
+    alphabet_of,
+    index_cases,
+    read_cases,
+    read_event_log,  # noqa: F401 - perfbench/tracing.py wraps this name here
     write_event_log,
 )
 from .experiment import ExperimentConfig, generate_pair, run_experiment
 from .footprint import _write_matrix_csv, ordering_counts
 from .proctree import tree_to_json
-from .scoring import BenchmarkConfig, ScoredChange, benchmark
+from .scoring import (
+    BenchmarkConfig,
+    ScoredChange,
+    benchmark,  # noqa: F401 - perfbench/tracing.py wraps this name here
+    benchmark_indexes,
+    check_overlap,
+)
 
 
 class _UsageError(Exception):
@@ -149,10 +164,10 @@ def _schema(args) -> SchemaConfig:
     )
 
 
-def _resolve_performance(args, own: EventLog, bench: EventLog) -> PerfConfig | None:
+def _resolve_performance(args, own: list[CaseSummary], bench: list[CaseSummary]) -> PerfConfig | None:
     mode = args.perf_mode
     if mode == "auto":
-        have_column = all(t.performance is not None for log in (own, bench) for t in log.traces.values())
+        have_column = all(value is not None for cases in (own, bench) for _, _, value, _ in cases)
         mode = "column" if have_column else "none"
     if mode == "none":
         if args.perf_direction is not None:
@@ -291,11 +306,14 @@ def _cmd_benchmark(args) -> int:
         top=args.top,
     )
     schema = _schema(args)
-    own = read_event_log(args.own, schema)
-    bench = read_event_log(args.benchmark, schema)
+    own = read_cases(args.own, schema)
+    bench = read_cases(args.benchmark, schema)
     perf = _resolve_performance(args, own, bench)
     config = dataclasses.replace(config, performance=perf)
-    result = benchmark(own, bench, config)
+    # benchmark()'s checks in its order, on the case summaries: no event log is built.
+    own_alphabet, bench_alphabet = (alphabet_of(variant for _, variant, _, _ in cases) for cases in (own, bench))
+    check_overlap(own_alphabet, bench_alphabet)
+    result = benchmark_indexes(index_cases(own, perf), index_cases(bench, perf), config)
     changes = result.changes
     report = {
         "config": {
@@ -326,8 +344,7 @@ def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -
 
 def _cmd_footprint(args) -> int:
     config = BenchmarkConfig(args.exc, args.int_)  # checks the thresholds before the read
-    log = read_event_log(args.log, _schema(args))
-    stats = ordering_counts(log)
+    stats = ordering_counts(None, index_cases(read_cases(args.log, _schema(args))))
     matrix = stats.footprint(config.exc_threshold, config.int_threshold)
     files = {
         "relations.csv": _render(matrix.to_csv),

@@ -23,6 +23,15 @@ The cyclic garbage collector is paused while a log is parsed and restored
 afterwards, also when the parse raises; the parse makes no reference cycles,
 so its collections would only rescan the per-case lists already built.
 
+One row loop serves two back ends.  :func:`parse_event_log` and
+:func:`read_event_log` build an :class:`EventLog` of :class:`Trace` objects.
+:func:`read_cases` keeps one :data:`CaseSummary` per case instead: its
+variant, performance value and first-to-last seconds, and no order keys.
+:func:`index_cases` is the one builder from summaries to a
+:class:`VariantIndex`; :func:`extract_variants` feeds it a log's traces, so
+``index_cases(read_cases(path), perf)`` equals
+``extract_variants(read_event_log(path), perf)``, errors included.
+
 A :class:`VariantIndex` holds a log's distinct variants in ascending order
 and their one encoding, read by the order statistics and the scorer:
 ``activities`` is the sorted alphabet, an activity's code is its position
@@ -50,6 +59,10 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 
 Variant = tuple[str, ...]
+# One case of a log without its events: (case id, variant, performance value
+# or None, seconds from its first to its last event or None without a
+# timestamp column).
+CaseSummary = tuple[str, Variant, float | None, float | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +113,7 @@ class EventLog:
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
-        return frozenset(chain.from_iterable({t.variant for t in self.traces.values()}))
+        return alphabet_of(t.variant for t in self.traces.values())
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -217,11 +230,15 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
     back on only if it was on at entry.  Do not call this while another
     thread turns the collector on or off: that thread's change may be undone.
     """
+    return EventLog(_parse(source, schema, traces=True))
+
+
+def _parse(source: IO[str], schema: SchemaConfig | None, traces: bool):
     reader = csv.reader(source)
     enabled = gc.isenabled()
     gc.disable()  # see the module docstring
     try:
-        return _parse_rows(reader, schema or SchemaConfig())
+        return _parse_rows(reader, schema or SchemaConfig(), traces)
     except csv.Error as err:  # only the reader raises it
         raise DataError(f"line {reader.line_num}: malformed CSV: {err}") from None
     finally:
@@ -229,7 +246,9 @@ def parse_event_log(source: IO[str], schema: SchemaConfig | None = None) -> Even
             gc.enable()
 
 
-def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
+def _parse_rows(reader, schema: SchemaConfig, traces: bool) -> dict[str, Trace] | list[CaseSummary]:
+    """The row loop and the per-case ordering step; with ``traces`` each case
+    becomes a :class:`Trace` keyed by its id, otherwise a :data:`CaseSummary`."""
     header = next(reader, None)
     if header is None:
         raise SchemaError("input is empty: missing header row")
@@ -302,7 +321,8 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
             perf_by_case[case_id], raw_perf = value, row[perf_idx]
 
     variants: dict[Variant, Variant] = {}
-    traces: dict[str, Trace] = {}
+    cases: dict[str, Trace] = {}
+    summaries: list[CaseSummary] = []
     for case_id, (activities, keys) in columns_by_case.items():
         try:
             if keys != sorted(keys):
@@ -316,16 +336,31 @@ def _parse_rows(reader, schema: SchemaConfig) -> EventLog:
             ) from None
         variant = tuple(activities)
         variant = variants.setdefault(variant, variant)
-        traces[case_id] = Trace(case_id, variant, tuple(keys), perf_by_case.get(case_id))
-    return EventLog(traces)
+        if traces:
+            cases[case_id] = Trace(case_id, variant, tuple(keys), perf_by_case.get(case_id))
+        else:  # keys are sorted, so the last minus the first is the case's span
+            seconds = None if time_idx is None else (keys[-1] - keys[0]).total_seconds()
+            summaries.append((case_id, variant, perf_by_case.get(case_id), seconds))
+    return cases if traces else summaries
 
 
 def read_event_log(path: str, schema: SchemaConfig | None = None) -> EventLog:
     """:func:`parse_event_log` on a UTF-8 file; a byte that is not UTF-8
     raises :class:`DataError` naming the path and the byte's offset."""
+    return EventLog(_read(path, schema, traces=True))
+
+
+def read_cases(path: str, schema: SchemaConfig | None = None) -> list[CaseSummary]:
+    """One :data:`CaseSummary` per case of a UTF-8 CSV file, in first-row
+    order: :func:`read_event_log`'s parse, checks and errors, without
+    building a :class:`Trace` or keeping an order key."""
+    return _read(path, schema, traces=False)
+
+
+def _read(path: str, schema: SchemaConfig | None, traces: bool):
     with open(path, newline="", encoding="utf-8-sig") as handle:  # skips a byte-order mark
         try:
-            return parse_event_log(handle, schema)
+            return _parse(handle, schema, traces)
         except UnicodeDecodeError as err:
             # The decoder raises on the bytes it was last given, which end
             # where the binary buffer stands.
@@ -381,35 +416,54 @@ def write_event_log(log: EventLog, stream: IO[str]) -> None:
 
 
 def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIndex:
-    """Group traces by their activity sequence, in ascending variant order.
+    """:func:`index_cases` on the log's traces.
+
+    Under ``throughput`` a trace's seconds are its last order key minus its
+    first, and a trace whose keys are not all timestamps has none.
+    """
+    throughput = perf is not None and perf.mode == "throughput"
+    return index_cases(
+        (
+            (case_id, t.variant, t.performance, _seconds(t.order_keys) if throughput else None)
+            for case_id, t in log.traces.items()
+        ),
+        perf,
+    )
+
+
+def _seconds(keys: tuple[datetime | int, ...]) -> float | None:
+    if not all(isinstance(k, datetime) for k in keys):
+        return None
+    return (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]
+
+
+def index_cases(cases: Iterable[CaseSummary], perf: PerfConfig | None = None) -> VariantIndex:
+    """Group cases by their activity sequence, in ascending variant order.
 
     With ``perf``, each case's value is its performance column value, or
-    under ``throughput`` the seconds from its first to its last event,
-    negated per case when ``perf.direction`` is ``"lower"`` so that higher
-    is better; a variant's mean performance is the ``math.fsum`` mean of its
-    cases' values.  Without ``perf`` every mean is ``None``.  Cases without
-    a column value raise :class:`DataError` (their count and first ids)
-    before any mean, throughput without timestamps :class:`ConfigError`, and
-    a mean that overflows a float :class:`DataError` naming the variant.
+    under ``throughput`` its first-to-last seconds, negated per case when
+    ``perf.direction`` is ``"lower"`` so that higher is better; a variant's
+    mean performance is the ``math.fsum`` mean of its cases' values.
+    Without ``perf`` every mean is ``None``.  Cases without a column value
+    raise :class:`DataError` (their count and first ids) before any mean,
+    a case without seconds under throughput :class:`ConfigError`, and a
+    mean that overflows a float :class:`DataError` naming the variant.
     """
     if perf is None:
-        return VariantIndex.from_variants(trace.variant for trace in log.traces.values())
-    lower = perf.direction == "lower"
+        return VariantIndex.from_variants(variant for _, variant, _, _ in cases)
+    throughput, lower = perf.mode == "throughput", perf.direction == "lower"
     values_by_variant: dict[Variant, list[float]] = {}
     missing: list[str] = []
-    for case_id, trace in log.traces.items():
-        if perf.mode == "throughput":
-            keys = trace.order_keys
-            if not all(isinstance(k, datetime) for k in keys):
+    for case_id, variant, value, seconds in cases:
+        if throughput:
+            if seconds is None:
                 raise ConfigError("throughput performance requires a timestamp column")
-            value = (keys[-1] - keys[0]).total_seconds()  # type: ignore[operator]
-        elif trace.performance is None:
+            value = seconds
+        elif value is None:
             missing.append(case_id)
             continue
-        else:
-            value = trace.performance
         # Negate the case, not the mean: the fsum of -0.0s is +0.0.
-        values_by_variant.setdefault(trace.variant, []).append(-value if lower else value)
+        values_by_variant.setdefault(variant, []).append(-value if lower else value)
     if missing:
         missing.sort()
         shown = ", ".join(missing[:_MISSING_SHOWN]) + (", ..." if len(missing) > _MISSING_SHOWN else "")
@@ -422,6 +476,11 @@ def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIn
             raise DataError(f"variant {variant!r}: mean performance overflows a float") from None
         entries[variant] = VariantEntry(frequency=len(values), mean_performance=mean)
     return VariantIndex(entries)
+
+
+def alphabet_of(variants: Iterable[Variant]) -> frozenset[str]:
+    """The activity names that occur in ``variants``."""
+    return frozenset(chain.from_iterable(set(variants)))
 
 
 _MISSING_SHOWN = 5  # case ids named in the missing-performance error

@@ -6,13 +6,20 @@ benchmark variants that execute a replacement activity, and the
 frequency-weighted edit similarity of those alignments is the change's
 feasibility.  When both logs carry a performance measure, the same
 alignments yield the expected per-case performance impact.
+
+:func:`benchmark_indexes` runs the pipeline from the two logs' variant
+indexes.  :func:`benchmark` is its log-level wrapper: it makes the checks of
+:func:`check_overlap` on the two alphabets, builds each index with
+:func:`extract_variants`, and calls the core.  The CLI makes the same checks
+on case summaries and calls the core without building an event log.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -270,44 +277,66 @@ def _presence(tokens: np.ndarray, n_activities: int) -> np.ndarray:
 def benchmark(log_own: EventLog, log_benchmark: EventLog, config: BenchmarkConfig | None = None) -> BenchmarkResult:
     """Run the full pipeline and return the alphabets and the ranked changes.
 
+    :func:`check_overlap` on the two alphabets, :func:`extract_variants`
+    on each log under ``config.performance``, then
+    :func:`benchmark_indexes` on the two indexes.
+    """
+    config = config or BenchmarkConfig()
+    check_overlap(log_own.alphabet, log_benchmark.alphabet)
+    own_index = extract_variants(log_own, config.performance)
+    bench_index = extract_variants(log_benchmark, config.performance)
+    return benchmark_indexes(own_index, bench_index, config)
+
+
+def check_overlap(own_alphabet: AbstractSet[str], bench_alphabet: AbstractSet[str]) -> None:
+    """What :func:`benchmark` checks of two logs before it reads a performance value.
+
+    An empty alphabet, which only an empty log has, raises the footprint's
+    :class:`DataError`; alphabets whose Jaccard overlap is below
+    ``SIMILARITY_WARNING_BOUND`` warn with :class:`LogSimilarityWarning`.
+    """
+    if not (own_alphabet and bench_alphabet):
+        raise DataError("cannot build a footprint matrix for an empty event log")
+    shared, union = own_alphabet & bench_alphabet, own_alphabet | bench_alphabet
+    if len(shared) / len(union) < SIMILARITY_WARNING_BOUND:
+        _warn(f"logs share only {len(shared)} of {len(union)} activities; matches may be unreliable", LogSimilarityWarning)
+
+
+def benchmark_indexes(own: VariantIndex, bench: VariantIndex, config: BenchmarkConfig | None = None) -> BenchmarkResult:
+    """The pipeline from two variant indexes: the core of :func:`benchmark`.
+
     Footprints, matching, compatible grouping, then scoring; the scored
     changes are filtered by minimum feasibility and sorted by performance
     impact (0 for every change when scored without performance),
     feasibility, and canonical change order, and the first ``top`` are kept.
+    ``config.performance`` is not read: the changes are scored with
+    performance when the indexes carry means (see :class:`ChangeScorer`).
 
     Every change affects some own variant, since a match's own activity
     comes from the own log's alphabet, so no change here is vacuous.
     """
     config = config or BenchmarkConfig()
-    if not (log_own.traces and log_benchmark.traces):
-        # The footprint's own check, made before any performance value is read.
-        raise DataError("cannot build a footprint matrix for an empty event log")
-    shared = log_own.alphabet & log_benchmark.alphabet
-    union = log_own.alphabet | log_benchmark.alphabet
-    jaccard = len(shared) / len(union)
-    if jaccard < SIMILARITY_WARNING_BOUND:
-        warnings.warn(
-            f"logs share only {len(shared)} of {len(union)} activities; matches may be unreliable",
-            LogSimilarityWarning,
-            stacklevel=2,
-        )
-
-    own_index = extract_variants(log_own, config.performance)
-    bench_index = extract_variants(log_benchmark, config.performance)
-
-    own_matrix = build_footprint_matrix(log_own, config.exc_threshold, config.int_threshold, own_index)
-    bench_matrix = build_footprint_matrix(log_benchmark, config.exc_threshold, config.int_threshold, bench_index)
+    own_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, own)
+    bench_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, bench)
     graph = build_compatibility_graph(match_activities(own_matrix, bench_matrix))
     if len(graph.groups) > config.max_change_size:
-        warnings.warn(
+        _warn(
             f"compatible sets larger than {config.max_change_size} replacements exist and were not enumerated",
             TruncationWarning,
-            stacklevel=2,
         )
     changes = enumerate_changes(graph, config.max_change_size)
 
-    scorer = ChangeScorer(own_index, bench_index)
+    scorer = ChangeScorer(own, bench)
     scored = [s for s in scorer.score_all(changes) if s.feasibility >= config.min_feasibility]
     scored.sort(key=lambda s: (-(s.performance_impact or 0.0), -s.feasibility, s.change.sort_key()))
-    alphabets = (tuple(sorted(names)) for names in (log_own.alphabet, log_benchmark.alphabet, shared))
-    return BenchmarkResult(*alphabets, jaccard, tuple(scored[: config.top]))
+    shared = tuple(sorted(set(own.activities) & set(bench.activities)))
+    jaccard = len(shared) / (len(own.activities) + len(bench.activities) - len(shared))
+    return BenchmarkResult(own.activities, bench.activities, shared, jaccard, tuple(scored[: config.top]))
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn, attributed to the first caller outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

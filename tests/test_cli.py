@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
 import execbench
-from execbench import cli, footprint
+from execbench import cli, eventlog, footprint
 from execbench.cli import _change_payload, _experiment_config, _resolve_performance, build_parser, main
-from execbench.errors import ExecbenchWarning, TruncationWarning
+from execbench.errors import ExecbenchWarning, LogSimilarityWarning, TruncationWarning
 from execbench.eventlog import EventLog, Trace, write_event_log
 from execbench.experiment import ExperimentConfig, generate_pair
 from execbench.scoring import BenchmarkConfig, benchmark
@@ -400,6 +400,25 @@ def test_lab_pair_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests == LAB_PAIR_DIGESTS
 
 
+def test_the_commands_build_no_trace(tmp_path, monkeypatch, capsys):
+    """``benchmark`` and ``footprint`` read each CSV into case summaries and a
+    variant index, and give the pinned outputs without a single :class:`Trace`."""
+    _write_logs(tmp_path, *_lab_pair())
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Trace was built")
+
+    monkeypatch.setattr(eventlog, "Trace", refuse)
+    with pytest.warns(TruncationWarning):
+        assert main(["benchmark", "own.csv", "benchmark.csv", "--format", "json"]) == 0
+    digests = {"benchmark.json": _sha256(capsys.readouterr().out)}
+    assert main(["footprint", "own.csv", "--out", "matrices"]) == 0
+    for name in ("relations.csv", "exclusiveness.csv", "interleaving.csv"):
+        digests[name] = _sha256((tmp_path / "matrices" / name).read_text(encoding="utf-8"))
+    assert digests == LAB_PAIR_DIGESTS
+
+
 def _csv_text(log: EventLog) -> str:
     stream = io.StringIO()
     write_event_log(log, stream)
@@ -617,7 +636,8 @@ def _check_round_trip(own: EventLog, bench: EventLog, *options: str) -> None:
     code, changes = _run_benchmark(own, bench, *options)
     assert code == 0, changes
     args = build_parser().parse_args(["benchmark", "own.csv", "benchmark.csv", *options])
-    config = BenchmarkConfig(performance=_resolve_performance(args, own, bench))
+    own_cases, bench_cases = ([(c, t.variant, t.performance, None) for c, t in log.traces.items()] for log in (own, bench))
+    config = BenchmarkConfig(performance=_resolve_performance(args, own_cases, bench_cases))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExecbenchWarning)
         direct = [_change_payload(c) for c in benchmark(own, bench, config).changes]
@@ -707,3 +727,48 @@ def test_a_performance_impact_that_overflows_is_a_data_error(tmp_path):
     out = tmp_path / "out"
     assert main(["benchmark", str(tmp_path / "own.csv"), str(tmp_path / "benchmark.csv"), "--out", str(out)]) == 2
     assert not out.exists()  # no report with an infinite impact is written
+
+
+# ------------------------------------------------ errors and their order
+
+
+def test_column_mode_names_the_cases_without_a_value():
+    own = "case_id,activity,performance\nc1,a,1\nc1,b,1\nc2,a,\nc2,b,\nc3,a,\n"
+    bench = "case_id,activity,performance\nd1,a,1\nd1,b,1\n"
+    assert _run_benchmark_csv(own, bench, "--perf-mode", "column") == (
+        2, "error: performance value missing for 2 case(s): c2, c3\n"
+    )
+
+
+def test_throughput_without_a_time_column_is_a_config_error(tmp_path, capsys):
+    own, bench = tmp_path / "own.csv", tmp_path / "benchmark.csv"
+    own.write_text("case_id,activity\nc1,c\nc1,d\nc1,e\nc1,g\n", encoding="utf-8")
+    bench.write_text(BENCHMARK_CSV, encoding="utf-8")
+    assert main(["benchmark", str(own), str(bench), "--perf-mode", "throughput"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: throughput performance requires a timestamp column\n")
+
+
+def test_an_empty_own_log_is_reported_before_missing_performance():
+    bench = "case_id,activity,performance\nd1,a,\nd1,b,\n"
+    assert _run_benchmark_csv("case_id,activity,performance\n", bench, "--perf-mode", "column") == (
+        2, "error: cannot build a footprint matrix for an empty event log\n"
+    )
+
+
+def test_low_overlap_warns_before_missing_performance_is_reported(tmp_path, capsys):
+    own, bench = tmp_path / "own.csv", tmp_path / "benchmark.csv"
+    own.write_text("case_id,activity,performance\nc1,a,\nc1,b,\n", encoding="utf-8")
+    bench.write_text("case_id,activity,performance\nd1,a,1\nd1,x,1\nd1,y,1\n", encoding="utf-8")
+    with pytest.warns(LogSimilarityWarning):
+        assert main(["benchmark", str(own), str(bench), "--perf-mode", "column"]) == 2
+    assert capsys.readouterr().err == "error: performance value missing for 1 case(s): c1\n"
+
+
+def test_missing_performance_is_reported_before_truncation(tmp_path, capsys):
+    """The lab pair warns of truncation when it is scored (see the pinned
+    outputs); warnings are errors under pytest, so none may come first."""
+    _write_logs(tmp_path, *_lab_pair())
+    own, bench = str(tmp_path / "own.csv"), str(tmp_path / "benchmark.csv")
+    assert main(["benchmark", own, bench, "--perf-mode", "column"]) == 2
+    assert capsys.readouterr().err.startswith("error: performance value missing for 60 case(s): ")

@@ -27,7 +27,9 @@ from execbench.eventlog import (
     SchemaConfig,
     Trace,
     extract_variants,
+    index_cases,
     parse_event_log,
+    read_cases,
     read_event_log,
     write_event_log,
 )
@@ -835,3 +837,66 @@ def test_variant_codes_decode_to_the_entries(variants, freqs):
     assert decoded == list(index.entries)
     assert all(c == -1 for row, n in zip(tokens.tolist(), lengths.tolist()) for c in row[n:])
     assert freqs.tolist() == [e.frequency for e in index.entries.values()]
+
+
+# ------------------------------------------------ case summaries
+
+
+@st.composite
+def valued_logs(draw):
+    """Interleaved cases, each with one performance value that its rows
+    repeat, leave blank or now and then contradict, with or without a
+    timestamp column."""
+    with_time = draw(st.booleans())
+    spellings = st.sampled_from(draw(st.sampled_from([naive, aware])))
+    values = {case: draw(st.sampled_from(["", "1", "2.5", "-0.0", "1e308", "x"])) for case in ("c1", "c2", "c3")}
+    lines = ["case_id,activity,performance,timestamp" if with_time else "case_id,activity,performance"]
+    for _ in range(draw(st.integers(0, 12))):
+        case = draw(st.sampled_from(["c1", "c2", "c3"]))
+        cell = draw(st.sampled_from([values[case], values[case], "", "3"]))
+        cells = [case, draw(st.sampled_from("abc")), cell]
+        if with_time:
+            instant, spelling = draw(instants), draw(spellings)
+            if "T" not in instant and spelling != "{}":
+                instant += "T00:00:00"
+            cells.append(spelling.format(instant))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+PERF_CONFIGS = [None, PerfConfig("column", "higher"), PerfConfig("column", "lower"), PerfConfig("throughput")]
+
+
+def _index_outcome(build):
+    """The index's entries with exact means, or the error's type and message."""
+    try:
+        index = build()
+    except ExecbenchError as err:
+        return type(err), str(err)
+    return [(v, e.frequency, repr(e.mean_performance)) for v, e in index.entries.items()]
+
+
+@given(text=valued_logs() | run_logs() | interleaved_logs(), mark=st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(text="case_id,activity,performance\nc1,a,1e308\nc2,a,1e308\n", mark=False)
+@example(text="case_id,activity\nc1,a\n", mark=True)
+def test_the_case_summary_reader_indexes_what_the_event_log_reader_indexes(text, mark):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "log.csv")
+        with open(path, "wb") as handle:
+            handle.write(b"\xef\xbb\xbf" * mark + text.encode("utf-8"))
+        for perf in PERF_CONFIGS:
+            expected = _index_outcome(lambda: extract_variants(read_event_log(path), perf))
+            assert _index_outcome(lambda: index_cases(read_cases(path), perf)) == expected
+
+
+def test_a_case_summary_holds_the_variant_the_value_and_the_seconds(tmp_path):
+    timed, untimed = tmp_path / "timed.csv", tmp_path / "untimed.csv"
+    timed.write_text(
+        "case_id,activity,timestamp,performance\n"
+        "c2,b,2024-01-01T09:01:30,\nc1,a,2024-01-01T09:00:00,4\nc2,a,2024-01-01T09:00:00,\n",
+        encoding="utf-8",
+    )
+    untimed.write_text("case_id,activity\nc1,b\nc1,a\n", encoding="utf-8")
+    assert read_cases(str(timed)) == [("c2", ("a", "b"), None, 90.0), ("c1", ("a",), 4.0, 0.0)]
+    assert read_cases(str(untimed)) == [("c1", ("b", "a"), None, None)]
