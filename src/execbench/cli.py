@@ -344,7 +344,7 @@ def _score_csv(activities: Sequence[str], scores: np.ndarray, stream: IO[str]) -
 
 def _cmd_footprint(args) -> int:
     config = BenchmarkConfig(args.exc, args.int_)  # checks the thresholds before the read
-    stats = ordering_counts(None, index_cases(read_cases(args.log, _schema(args))))
+    stats = ordering_counts(index_cases(read_cases(args.log, _schema(args))))
     matrix = stats.footprint(config.exc_threshold, config.int_threshold)
     files = {
         "relations.csv": _render(matrix.to_csv),

@@ -209,6 +209,12 @@ class PerfConfig:
             raise ConfigError(f"performance direction must be 'higher' or 'lower', got {self.direction!r}")
 
 
+def check_perf(perf: object) -> None:
+    """Refuse a performance setting that is neither None nor a :class:`PerfConfig`."""
+    if not (perf is None or isinstance(perf, PerfConfig)):
+        raise ConfigError(f"performance must be a PerfConfig or None, got {perf!r}")
+
+
 def _parse_timestamp(raw: str, row_number: int) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):
@@ -421,6 +427,7 @@ def extract_variants(log: EventLog, perf: PerfConfig | None = None) -> VariantIn
     Under ``throughput`` a trace's seconds are its last order key minus its
     first, and a trace whose keys are not all timestamps has none.
     """
+    check_perf(perf)
     throughput = perf is not None and perf.mode == "throughput"
     return index_cases(
         (
@@ -449,6 +456,7 @@ def index_cases(cases: Iterable[CaseSummary], perf: PerfConfig | None = None) ->
     a case without seconds under throughput :class:`ConfigError`, and a
     mean that overflows a float :class:`DataError` naming the variant.
     """
+    check_perf(perf)
     if perf is None:
         return VariantIndex.from_variants(variant for _, variant, _, _ in cases)
     throughput, lower = perf.mode == "throughput", perf.direction == "lower"

@@ -305,8 +305,8 @@ def run_pair(config: ExperimentConfig, index: int) -> PairRecord:
     seed, tree, mutated, truth = _draw_models(config, index)
     own_index = simulate_variants(tree, config.sim_config(seed + (3,)))
     bench_index = simulate_variants(mutated, config.sim_config(seed + (4,)))
-    own_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, own_index)
-    bench_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, bench_index)
+    own_matrix = build_footprint_matrix(own_index, config.exc_threshold, config.int_threshold)
+    bench_matrix = build_footprint_matrix(bench_index, config.exc_threshold, config.int_threshold)
     predicted = match_activities(own_matrix, bench_matrix)
     precision, recall = precision_recall(predicted, truth)
 

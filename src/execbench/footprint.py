@@ -6,9 +6,9 @@ from trace counts rather than trace existence so that a handful of noisy
 traces cannot flip a relation; the exclusiveness and interleaving decisions
 go through user-set thresholds that should sit close to 1.
 
-The scores and the relations are computed as whole arrays over all
-ordered pairs at once.  Rows and columns follow the log's sorted alphabet,
-``VariantIndex.activities``: an activity's row is its variant code.
+Both builders read only a log's variant index and compute whole arrays
+over all ordered pairs at once.  Rows and columns follow the log's sorted
+alphabet, ``VariantIndex.activities``: an activity's row is its variant code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import order_stats
 from .errors import ConfigError, DataError, check_fraction
-from .eventlog import EventLog, VariantIndex, extract_variants
+from .eventlog import VariantIndex, extract_variants  # noqa: F401
 
 DEFAULT_EXCLUSIVENESS_THRESHOLD = 0.9
 DEFAULT_INTERLEAVING_THRESHOLD = 0.9
@@ -99,17 +99,15 @@ class CooccurrenceStats:
         return FootprintMatrix(self.activities, codes.astype(np.int8))
 
 
-def ordering_counts(log: EventLog | None, variants: VariantIndex | None = None) -> CooccurrenceStats:
+def ordering_counts(variants: VariantIndex) -> CooccurrenceStats:
     """Tally the ordering patterns of all activity pairs, per trace.
 
     Counts are accumulated over distinct variants weighted by frequency,
-    which is equivalent to enumerating traces directly.  ``log`` is read
-    only when ``variants`` is not given, and may then be None.
+    which is equivalent to enumerating traces directly.  Anything but a
+    :class:`VariantIndex`, such as an event log, raises :class:`ConfigError`.
     """
-    if variants is None:
-        if log is None:
-            raise ConfigError("ordering counts need a log or its variant index")
-        variants = extract_variants(log)
+    if not isinstance(variants, VariantIndex):
+        raise ConfigError(f"footprints read a VariantIndex (see extract_variants), got {type(variants).__name__}")
     tokens, _, frequencies = variants.codes
     traces_with, cooccur, before = order_stats(tokens, frequencies, n_symbols=len(variants.activities))
     return CooccurrenceStats(variants.activities, traces_with, cooccur, before)
@@ -143,14 +141,9 @@ def _write_matrix_csv(activities: Sequence[str], cells: np.ndarray, stream: IO[s
 
 
 def build_footprint_matrix(
-    log: EventLog | None,
+    variants: VariantIndex,
     exc_threshold: float = DEFAULT_EXCLUSIVENESS_THRESHOLD,
     int_threshold: float = DEFAULT_INTERLEAVING_THRESHOLD,
-    variants: VariantIndex | None = None,
 ) -> FootprintMatrix:
-    """Classify every ordered pair of one log, including the diagonal.
-
-    ``variants`` is the log's variant index when the caller already has
-    one; the log is then not read and may be None.
-    """
-    return ordering_counts(log, variants).footprint(exc_threshold, int_threshold)
+    """Classify every ordered pair of one log's variant index, including the diagonal."""
+    return ordering_counts(variants).footprint(exc_threshold, int_threshold)

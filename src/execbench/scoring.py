@@ -28,8 +28,8 @@ import numpy as np
 
 from ._kernels import levenshtein_many
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE, ProcessChange, build_compatibility_graph, enumerate_changes
-from .errors import ConfigError, DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
-from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, extract_variants
+from .errors import DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
+from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, check_perf, extract_variants
 from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import match_activities
 
@@ -107,8 +107,7 @@ class BenchmarkConfig:
         check_int("max_change_size", self.max_change_size, 1)
         if self.top is not None:
             check_int("top", self.top, 0)
-        if not (self.performance is None or isinstance(self.performance, PerfConfig)):
-            raise ConfigError(f"performance must be a PerfConfig or None, got {self.performance!r}")
+        check_perf(self.performance)
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,8 @@ def benchmark_indexes(own: VariantIndex, bench: VariantIndex, config: BenchmarkC
     comes from the own log's alphabet, so no change here is vacuous.
     """
     config = config or BenchmarkConfig()
-    own_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, own)
-    bench_matrix = build_footprint_matrix(None, config.exc_threshold, config.int_threshold, bench)
+    own_matrix = build_footprint_matrix(own, config.exc_threshold, config.int_threshold)
+    bench_matrix = build_footprint_matrix(bench, config.exc_threshold, config.int_threshold)
     graph = build_compatibility_graph(match_activities(own_matrix, bench_matrix))
     if len(graph.groups) > config.max_change_size:
         _warn(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from execbench.eventlog import EventLog, Trace
+from execbench.eventlog import EventLog, Trace, VariantIndex, extract_variants
 
 
 def make_log(variants, freqs=None, performance=None) -> EventLog:
@@ -24,6 +24,11 @@ def make_log(variants, freqs=None, performance=None) -> EventLog:
             case_id = f"c{counter}"
             traces[case_id] = Trace(case_id, tuple(variant), tuple(range(len(variant))), perf)
     return EventLog(traces)
+
+
+def make_index(variants, freqs=None) -> VariantIndex:
+    """The variant index of ``make_log(variants, freqs)``: what the footprint builders read."""
+    return extract_variants(make_log(variants, freqs))
 
 
 def naive_levenshtein(a, b) -> int:

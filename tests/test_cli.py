@@ -388,16 +388,19 @@ LAB_PAIR_DIGESTS = {
 }
 
 
+def _footprint_digests(log, out: Path) -> dict[str, str]:
+    """sha256 of each matrix that ``execbench footprint log --out out`` writes."""
+    assert main(["footprint", str(log), "--out", str(out)]) == 0
+    return {name: _sha256((out / name).read_text(encoding="utf-8")) for name in sorted(os.listdir(out))}
+
+
 def test_lab_pair_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     _write_logs(tmp_path, *_lab_pair())
     monkeypatch.chdir(tmp_path)
     with pytest.warns(TruncationWarning):
         assert main(["benchmark", "own.csv", "benchmark.csv", "--format", "json"]) == 0
     digests = {"benchmark.json": _sha256(capsys.readouterr().out)}
-    assert main(["footprint", "own.csv", "--out", "matrices"]) == 0
-    for name in ("relations.csv", "exclusiveness.csv", "interleaving.csv"):
-        digests[name] = _sha256((tmp_path / "matrices" / name).read_text(encoding="utf-8"))
-    assert digests == LAB_PAIR_DIGESTS
+    assert digests | _footprint_digests("own.csv", tmp_path / "matrices") == LAB_PAIR_DIGESTS
 
 
 def test_the_commands_build_no_trace(tmp_path, monkeypatch, capsys):
@@ -413,10 +416,7 @@ def test_the_commands_build_no_trace(tmp_path, monkeypatch, capsys):
     with pytest.warns(TruncationWarning):
         assert main(["benchmark", "own.csv", "benchmark.csv", "--format", "json"]) == 0
     digests = {"benchmark.json": _sha256(capsys.readouterr().out)}
-    assert main(["footprint", "own.csv", "--out", "matrices"]) == 0
-    for name in ("relations.csv", "exclusiveness.csv", "interleaving.csv"):
-        digests[name] = _sha256((tmp_path / "matrices" / name).read_text(encoding="utf-8"))
-    assert digests == LAB_PAIR_DIGESTS
+    assert digests | _footprint_digests("own.csv", tmp_path / "matrices") == LAB_PAIR_DIGESTS
 
 
 def _csv_text(log: EventLog) -> str:
@@ -662,6 +662,17 @@ def test_lab_pair_changes_ignore_interleaved_cases(options):
     own, bench = _lab_pair()
     assert _strictly_timed(own) and _strictly_timed(bench)
     _check_csv_rewrite(_interleaved, own, bench, *options)
+
+
+@pytest.mark.parametrize("rewrite", [str, _without_time, _interleaved], ids=["as-written", "without-time", "interleaved"])
+def test_lab_pair_footprint_ignores_the_row_layout(tmp_path, rewrite):
+    """``execbench footprint`` writes the pinned matrices of the lab pair's own
+    log whether its cases come grouped, without timestamps or interleaved."""
+    own, _ = _lab_pair()
+    log = tmp_path / "own.csv"
+    log.write_text(rewrite(_csv_text(own)), encoding="utf-8")
+    matrices = {name: LAB_PAIR_DIGESTS[name] for name in ("exclusiveness.csv", "interleaving.csv", "relations.csv")}
+    assert _footprint_digests(log, tmp_path / "matrices") == matrices
 
 
 @pytest.mark.parametrize("options", [(), ("--perf-mode", "throughput")])

@@ -333,6 +333,26 @@ def test_invalid_perf_config_rejected():
         PerfConfig("column", "sideways")
 
 
+NOT_PERF_CONFIGS = ["column", "throughput", 0, {"mode": "column"}]
+
+
+@pytest.mark.parametrize("perf", NOT_PERF_CONFIGS)
+def test_extract_variants_refuses_a_perf_that_is_not_a_perf_config(perf):
+    log = make_log([("a", "b")], performance=[1.0])
+    with pytest.raises(ConfigError, match=re.escape(f"performance must be a PerfConfig or None, got {perf!r}")):
+        extract_variants(log, perf)
+
+
+@pytest.mark.parametrize("perf", NOT_PERF_CONFIGS)
+def test_index_cases_refuses_a_perf_that_is_not_a_perf_config(perf):
+    def cases():  # the setting is checked before any case is read
+        raise AssertionError("a case was read")
+        yield
+
+    with pytest.raises(ConfigError, match=re.escape(f"performance must be a PerfConfig or None, got {perf!r}")):
+        index_cases(cases(), perf)
+
+
 def test_round_trip_preserves_variants():
     log = parse(OWN_CSV)
     buffer = io.StringIO()

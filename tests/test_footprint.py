@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log
+from conftest import make_index
 from execbench.errors import ConfigError, DataError
 from execbench.eventlog import EventLog, extract_variants
 from execbench.footprint import _RELATIONS, FootprintMatrix, Relation, build_footprint_matrix, ordering_counts
@@ -17,7 +17,7 @@ from execbench.footprint import _RELATIONS, FootprintMatrix, Relation, build_foo
 
 @pytest.fixture
 def own_stats(own_log):
-    return ordering_counts(own_log)
+    return ordering_counts(extract_variants(own_log))
 
 
 def relation(matrix, a, b):
@@ -36,7 +36,7 @@ def test_hand_counts_on_worked_example(own_stats):
 
 
 def test_repeating_activity_counts_itself():
-    stats = ordering_counts(make_log([("a", "b", "a")]))
+    stats = ordering_counts(make_index([("a", "b", "a")]))
     assert count_before(stats, "a", "b") == 1
     assert count_before(stats, "b", "a") == 1
     assert count_before(stats, "a", "a") == 1
@@ -44,7 +44,7 @@ def test_repeating_activity_counts_itself():
 
 
 def test_disjoint_traces_never_cooccur():
-    stats = ordering_counts(make_log([("a",), ("b",)]))
+    stats = ordering_counts(make_index([("a",), ("b",)]))
     assert count_both(stats, "a", "b") == 0
 
 
@@ -57,9 +57,9 @@ def test_exclusiveness_goldens(own_stats):
 
 def test_interleaving_goldens(own_stats):
     assert cell(own_stats.interleaving, own_stats, "a", "d") == 0.0
-    both = ordering_counts(make_log([("a", "b"), ("b", "a")]))
+    both = ordering_counts(make_index([("a", "b"), ("b", "a")]))
     assert cell(both.interleaving, both, "a", "b") == 1.0
-    always = ordering_counts(make_log([("a", "b")], freqs=[5]))
+    always = ordering_counts(make_index([("a", "b")], freqs=[5]))
     assert cell(always.interleaving, always, "a", "b") == 0.0
 
 
@@ -85,14 +85,14 @@ def test_threshold_bounds_checked(own_stats):
     with pytest.raises(ConfigError):
         own_stats.footprint(1.5, 0.9)
     with pytest.raises(ConfigError):
-        build_footprint_matrix(make_log([("a",)]), 0.9, -0.1)
+        build_footprint_matrix(make_index([("a",)]), 0.9, -0.1)
     with pytest.raises(ConfigError, match="exc_threshold"):
-        build_footprint_matrix(make_log([("a",)]), "0.9")
+        build_footprint_matrix(make_index([("a",)]), "0.9")
 
 
 def test_matrix_rows_of_worked_example(own_log, benchmark_log):
-    own = build_footprint_matrix(own_log)
-    bench = build_footprint_matrix(benchmark_log)
+    own = build_footprint_matrix(extract_variants(own_log))
+    bench = build_footprint_matrix(extract_variants(benchmark_log))
     shared = ["c", "d", "e", "g"]
     assert [relation(own, "f", c) for c in shared] == [
         Relation.REVERSE_ORDER,
@@ -110,7 +110,7 @@ def test_matrix_rows_of_worked_example(own_log, benchmark_log):
 
 
 def test_single_trace_matrix():
-    matrix = build_footprint_matrix(make_log([("a", "b")]))
+    matrix = build_footprint_matrix(make_index([("a", "b")]))
     assert relation(matrix, "a", "b") is Relation.STRICT_ORDER
     assert relation(matrix, "b", "a") is Relation.REVERSE_ORDER
     assert relation(matrix, "a", "a") is Relation.EXCLUSIVE
@@ -118,29 +118,29 @@ def test_single_trace_matrix():
 
 
 def test_repeating_activity_interleaves_with_itself():
-    matrix = build_footprint_matrix(make_log([("a", "a", "b")]))
+    matrix = build_footprint_matrix(make_index([("a", "a", "b")]))
     assert relation(matrix, "a", "a") is Relation.INTERLEAVING
     assert relation(matrix, "b", "b") is Relation.EXCLUSIVE
 
 
 def test_empty_log_rejected():
     with pytest.raises(DataError):
-        build_footprint_matrix(EventLog({}))
+        build_footprint_matrix(extract_variants(EventLog({})))
 
 
-def test_a_variant_index_stands_in_for_the_log(own_log):
-    index = extract_variants(own_log)
-    by_index = build_footprint_matrix(None, variants=index)
-    by_log = build_footprint_matrix(own_log)
-    assert by_index.activities == by_log.activities
-    assert np.array_equal(by_index.cells, by_log.cells)
-    with pytest.raises(ConfigError, match="need a log or its variant index"):
-        build_footprint_matrix(None)
+def test_footprints_refuse_anything_but_a_variant_index(own_log):
+    """Both builders read only a log's variant index; an event log or None
+    is refused with a message that names the function that builds one."""
+    for wrong in (own_log, None):
+        with pytest.raises(ConfigError, match="extract_variants"):
+            ordering_counts(wrong)
+        with pytest.raises(ConfigError, match="extract_variants"):
+            build_footprint_matrix(wrong)
 
 
 def test_matrix_csv_layout(own_log):
     buffer = io.StringIO()
-    build_footprint_matrix(own_log).to_csv(buffer)
+    build_footprint_matrix(extract_variants(own_log)).to_csv(buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == ",a,c,d,e,f,g"
     assert lines[1].startswith("a,")
@@ -161,8 +161,7 @@ _MIRRORED = {Relation.STRICT_ORDER: Relation.REVERSE_ORDER, Relation.REVERSE_ORD
 @given(variants=random_logs, thresholds=st.tuples(st.floats(0, 1), st.floats(0, 1)))
 @settings(max_examples=150, deadline=None)
 def test_matrix_symmetry_and_diagonal(variants, thresholds):
-    log = make_log(variants)
-    matrix = build_footprint_matrix(log, *thresholds)
+    matrix = build_footprint_matrix(make_index(variants), *thresholds)
     acts = matrix.activities
     for a in acts:
         assert relation(matrix, a, a) in (Relation.EXCLUSIVE, Relation.INTERLEAVING)
@@ -174,7 +173,7 @@ def test_matrix_symmetry_and_diagonal(variants, thresholds):
 @given(variants=random_logs)
 @settings(max_examples=150, deadline=None)
 def test_scores_symmetric_and_bounded(variants):
-    stats = ordering_counts(make_log(variants))
+    stats = ordering_counts(make_index(variants))
     for a in stats.activities:
         for b in stats.activities:
             s = cell(stats.exclusiveness, stats, a, b)
@@ -190,7 +189,7 @@ def test_scores_symmetric_and_bounded(variants):
 @given(variants=random_logs, exc=st.floats(0, 1), higher=st.floats(0, 1))
 @settings(max_examples=100, deadline=None)
 def test_raising_exc_never_creates_exclusive(variants, exc, higher):
-    stats = ordering_counts(make_log(variants))
+    stats = ordering_counts(make_index(variants))
     high = max(exc, higher)
     low_matrix, high_matrix = stats.footprint(exc, 0.9), stats.footprint(high, 0.9)
     for a in stats.activities:
@@ -230,7 +229,7 @@ def test_extreme_thresholds_reduce_to_definitions(variants):
     the zero-co-occurrence rule) and interleaving threshold 0.0 (a positive
     score means both orders were observed) collapse the scored
     classification to a plain reading of the relation definitions."""
-    matrix = build_footprint_matrix(make_log(variants), 1.0, 0.0)
+    matrix = build_footprint_matrix(make_index(variants), 1.0, 0.0)
     for a in matrix.activities:
         for b in matrix.activities:
             got = relation(matrix, a, b)
@@ -290,9 +289,9 @@ thresholds = st.floats(0, 1) | st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 @settings(max_examples=200, deadline=None)
 def test_matrix_and_scores_equal_the_scalar_rule(variants, freqs, exc, inter):
     counts = freqs.draw(st.lists(st.integers(1, 5), min_size=len(variants), max_size=len(variants)))
-    log = make_log(variants, freqs=counts)
-    stats = ordering_counts(log)
-    matrix = build_footprint_matrix(log, exc, inter)
+    index = make_index(variants, freqs=counts)
+    stats = ordering_counts(index)
+    matrix = build_footprint_matrix(index, exc, inter)
     for a in stats.activities:
         for b in stats.activities:
             expected = _scalar_relation(stats, a, b, exc, inter)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log
+from conftest import make_index
 from execbench.errors import DataError
+from execbench.eventlog import extract_variants
 from execbench.footprint import _RELATIONS, build_footprint_matrix
 from execbench.matching import Match, match_activities
 
@@ -15,19 +16,20 @@ def _pairs(result):
 
 
 def test_worked_example_matches(own_log, benchmark_log):
-    own = build_footprint_matrix(own_log)
-    bench = build_footprint_matrix(benchmark_log)
+    own = build_footprint_matrix(extract_variants(own_log))
+    bench = build_footprint_matrix(extract_variants(benchmark_log))
     result = match_activities(own, bench)
     assert _pairs(result) == {("a", "b"), ("a", "c"), ("c", "b"), ("f", "e")}
 
 
 def test_matches_sorted_lexicographically(own_log, benchmark_log):
-    result = match_activities(build_footprint_matrix(own_log), build_footprint_matrix(benchmark_log))
+    own, bench = (build_footprint_matrix(extract_variants(log)) for log in (own_log, benchmark_log))
+    result = match_activities(own, bench)
     assert list(result.matches) == sorted(result.matches)
 
 
 def test_identical_logs_self_match_before_trivial_removal(own_log):
-    matrix = build_footprint_matrix(own_log)
+    matrix = build_footprint_matrix(extract_variants(own_log))
     with_trivial = _all_pairs_matches(matrix, matrix, keep_trivial=True)
     for activity in matrix.activities:
         assert Match(activity, activity) in with_trivial
@@ -39,22 +41,21 @@ def test_identical_logs_self_match_before_trivial_removal(own_log):
 
 
 def test_unique_rows_give_empty_match_set():
-    log = make_log([("a", "b", "c")])
-    matrix = build_footprint_matrix(log)
+    matrix = build_footprint_matrix(make_index([("a", "b", "c")]))
     assert match_activities(matrix, matrix).matches == ()
 
 
 def test_disjoint_alphabets_rejected():
-    left = build_footprint_matrix(make_log([("a", "b")]))
-    right = build_footprint_matrix(make_log([("x", "y")]))
+    left = build_footprint_matrix(make_index([("a", "b")]))
+    right = build_footprint_matrix(make_index([("x", "y")]))
     with pytest.raises(DataError, match="share no activities"):
         match_activities(left, right)
 
 
 def test_names_differing_by_a_trailing_nul_are_distinct():
     # The CSV reader keeps "a\x00" apart from "a"; numpy string arrays would not.
-    own = build_footprint_matrix(make_log([("a", "b")]))
-    bench = build_footprint_matrix(make_log([("a", "a\x00")]))
+    own = build_footprint_matrix(make_index([("a", "b")]))
+    bench = build_footprint_matrix(make_index([("a", "a\x00")]))
     assert match_activities(own, bench).matches == (Match("b", "a\x00"),)
 
 
@@ -78,8 +79,8 @@ def test_one_sided_activity_never_changes_matches(own, bench, positions):
     match set untouched: the newcomer is not shared, and the relative
     order of everything else is preserved."""
     assume(_share_activities(own, bench))
-    own_matrix = build_footprint_matrix(make_log(own))
-    bench_matrix = build_footprint_matrix(make_log(bench))
+    own_matrix = build_footprint_matrix(make_index(own))
+    bench_matrix = build_footprint_matrix(make_index(bench))
     baseline = _pairs(match_activities(own_matrix, bench_matrix))
 
     extended = []
@@ -90,7 +91,7 @@ def test_one_sided_activity_never_changes_matches(own, bench, positions):
         extended.append(variant)
     if not any("zz" in v for v in extended):
         extended[0] = ("zz",) + extended[0]
-    extended_matrix = build_footprint_matrix(make_log(extended))
+    extended_matrix = build_footprint_matrix(make_index(extended))
     got = _pairs(match_activities(extended_matrix, bench_matrix))
     assert {p for p in got if p[0] != "zz"} == baseline
 
@@ -99,9 +100,9 @@ def test_one_sided_activity_never_changes_matches(own, bench, positions):
 @settings(max_examples=100, deadline=None)
 def test_output_independent_of_trace_order(own, bench):
     assume(_share_activities(own, bench))
-    own_matrix = build_footprint_matrix(make_log(own))
-    own_reversed = build_footprint_matrix(make_log(list(reversed(own))))
-    bench_matrix = build_footprint_matrix(make_log(bench))
+    own_matrix = build_footprint_matrix(make_index(own))
+    own_reversed = build_footprint_matrix(make_index(list(reversed(own))))
+    bench_matrix = build_footprint_matrix(make_index(bench))
     assert (
         _pairs(match_activities(own_matrix, bench_matrix))
         == _pairs(match_activities(own_reversed, bench_matrix))
@@ -128,7 +129,7 @@ def _all_pairs_matches(own, bench, keep_trivial=False):
 @settings(max_examples=200, deadline=None)
 def test_matches_equal_the_all_pairs_comparison(own, bench, thresholds):
     assume(_share_activities(own, bench))
-    own_matrix = build_footprint_matrix(make_log(own), *thresholds)
-    bench_matrix = build_footprint_matrix(make_log(bench), *thresholds)
+    own_matrix = build_footprint_matrix(make_index(own), *thresholds)
+    bench_matrix = build_footprint_matrix(make_index(bench), *thresholds)
     got = match_activities(own_matrix, bench_matrix)
     assert list(got.matches) == _all_pairs_matches(own_matrix, bench_matrix)
