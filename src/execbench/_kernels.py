@@ -4,15 +4,15 @@
 ``r`` pairs query ``qi[r]`` with candidate ``ci[r]``; queries and
 candidates are -1-padded int32 matrices, and a row's length is its count of
 codes that are not padding.  So one call can align a whole batch:
-``ChangeScorer`` buffers the missing (modified variant, candidate) pairs
-of all the changes it scores and cuts them into calls of at most its
-``CHUNK_ROWS`` pairs, which bounds each call's memory.  The kernel aligns
-whatever batch it is given in one pass.  It runs Myers' bit-vector
-recurrence (Myers 1999, J. ACM 46(3)) vectorized across rows: each query's
-DP column is a bit vector of 64-bit words, and queries longer than 64
-tokens add and shift across words with carries (Hyyrö 2003).  Rows are
-sorted by candidate length, longest first, so candidate column ``j`` only
-updates a prefix of the rows.
+``ChangeScorer`` marks the missing (modified variant, candidate) pairs of
+all the changes it scores in one need grid and cuts them into calls of at
+most its ``CHUNK_ROWS`` pairs, which bounds each call's memory.  The
+kernel aligns whatever batch it is given in one pass.  It runs Myers'
+bit-vector recurrence (Myers 1999, J. ACM 46(3)) vectorized across rows:
+each query's DP column is a bit vector of 64-bit words, and queries longer
+than 64 tokens add and shift across words with carries (Hyyrö 2003).  Rows
+are sorted by candidate length, longest first, so candidate column ``j``
+only updates a prefix of the rows.
 
 ``order_stats`` counts per-activity and per-pair occurrences over a batch
 of V encoded variants of A symbols.  It keeps first and last positions as

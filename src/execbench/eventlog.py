@@ -215,6 +215,12 @@ def check_perf(perf: object) -> None:
         raise ConfigError(f"performance must be a PerfConfig or None, got {perf!r}")
 
 
+def check_index(value: object) -> None:
+    """Refuse anything but a :class:`VariantIndex`, such as an event log or None."""
+    if not isinstance(value, VariantIndex):
+        raise ConfigError(f"expected a VariantIndex (see extract_variants), got {type(value).__name__}")
+
+
 def _parse_timestamp(raw: str, row_number: int) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):

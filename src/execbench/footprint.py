@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import order_stats
 from .errors import ConfigError, DataError, check_fraction
-from .eventlog import VariantIndex, extract_variants  # noqa: F401
+from .eventlog import VariantIndex, check_index, extract_variants  # noqa: F401
 
 DEFAULT_EXCLUSIVENESS_THRESHOLD = 0.9
 DEFAULT_INTERLEAVING_THRESHOLD = 0.9
@@ -106,8 +106,7 @@ def ordering_counts(variants: VariantIndex) -> CooccurrenceStats:
     which is equivalent to enumerating traces directly.  Anything but a
     :class:`VariantIndex`, such as an event log, raises :class:`ConfigError`.
     """
-    if not isinstance(variants, VariantIndex):
-        raise ConfigError(f"footprints read a VariantIndex (see extract_variants), got {type(variants).__name__}")
+    check_index(variants)
     tokens, _, frequencies = variants.codes
     traces_with, cooccur, before = order_stats(tokens, frequencies, n_symbols=len(variants.activities))
     return CooccurrenceStats(variants.activities, traces_with, cooccur, before)

@@ -355,6 +355,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_int("n_traces", self.n_traces, 0)
+        if self.n_traces > 1 << 32:  # trace i's stream takes i as one 32-bit seed word
+            raise ConfigError(f"n_traces must be at most 2**32, got {self.n_traces}")
         check_int("max_loop_iterations", self.max_loop_iterations, 1)
         check_fraction("noise_probability", self.noise_probability)
         _seed_words(self.seed)  # raises ConfigError on a bad seed
@@ -420,12 +422,11 @@ def _stream_states(seed: SeedLike, n: int) -> Iterator[tuple[int, int]]:
     each i < n, as in its ``bit_generator.state["state"]``.
 
     Runs numpy's SeedSequence hashing over all n entropy rows at once as
-    uint32 column arithmetic; the rows differ only in their last word, i.
+    uint32 column arithmetic; the rows differ only in their last word, i,
+    which fits one word because :class:`SimConfig` keeps n at most 2**32.
     The PCG64 seeding step then runs per row on Python ints, as each pair
     is taken, so the pairs are never all held at once.
     """
-    if n > 1 << 32:
-        raise ConfigError(f"at most 2**32 streams per seed, got {n}")
     columns = [np.full(n, w, dtype=np.uint32) for w in _seed_words(seed)]
     columns.append(np.arange(n, dtype=np.uint32))
     hashmix = _hasher(_INIT_A, _MULT_A)

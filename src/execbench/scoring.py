@@ -29,7 +29,7 @@ import numpy as np
 from ._kernels import levenshtein_many
 from .compatibility import DEFAULT_MAX_CHANGE_SIZE, ProcessChange, build_compatibility_graph, enumerate_changes
 from .errors import DataError, LogSimilarityWarning, TruncationWarning, VacuousChangeError, check_fraction, check_int
-from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, check_perf, extract_variants
+from .eventlog import EventLog, PerfConfig, Variant, VariantIndex, check_index, check_perf, extract_variants
 from .footprint import DEFAULT_EXCLUSIVENESS_THRESHOLD, DEFAULT_INTERLEAVING_THRESHOLD, build_footprint_matrix
 from .matching import match_activities
 
@@ -148,13 +148,14 @@ class ChangeScorer:
     benchmark codes; a name the benchmark log lacks goes to the spare code
     ``len(benchmark.activities)``, which no candidate holds.  Each distinct
     modified code row has a slot, found by its bytes, in one 2-D int32 cache
-    of distances to all benchmark variants, -1 where not yet computed.
-    :meth:`score_all` appends the missing (slot, candidate) pairs of all its
-    changes, each once, to one buffer and aligns it in kernel calls of
-    exactly ``CHUNK_ROWS`` pairs, the last call taking what is left; the
-    kernel aligns each call in one pass, so this cut alone bounds its memory.
-    :meth:`score` is its one-change case.  Whole pools are scored, so tie
-    counts are exact and do not depend on scoring order.
+    of distances to all benchmark variants; a cell holds -1 until its exact
+    distance is known.  :meth:`score_all` marks the missing (slot, candidate)
+    pairs of all its changes in one bool need grid, each pair once, and
+    aligns them in kernel calls of exactly ``CHUNK_ROWS`` pairs, the last
+    call taking what is left; the kernel aligns each call in one pass, so
+    this cut alone bounds its memory.  :meth:`score` is its one-change case.
+    Whole pools are scored, so tie counts are exact and do not depend on
+    scoring order.
 
     Changes are scored with performance exactly when every entry of both
     indexes has a mean performance (see :func:`extract_variants`); indexes
@@ -162,6 +163,8 @@ class ChangeScorer:
     """
 
     def __init__(self, own: VariantIndex, benchmark: VariantIndex):
+        check_index(own)
+        check_index(benchmark)
         self.own = own
         self.benchmark = benchmark
         with_means = {e.mean_performance is not None for i in (own, benchmark) for e in i.entries.values()}
@@ -209,25 +212,19 @@ class ChangeScorer:
     def _align(self, affected: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Cache the distance of every (slot, pool column) pair of the affected sets.
 
-        A missing pair is claimed once (-2, so no later change claims it) and
-        buffered.  Each full ``CHUNK_ROWS`` of the buffer is one kernel call, the
-        rest one more; on an error, claimed pairs not yet aligned go back to -1.
+        One bool grid of slots × benchmark variants marks each pair still
+        missing once.  Read row-major, it keeps a slot's pairs adjacent, and
+        it is cut into kernel calls of exactly ``CHUNK_ROWS`` pairs, the last
+        taking what is left.  The cache is written only after a call returns.
         """
-        slots = columns = np.empty(0, dtype=np.intp)
-        try:
-            for _, pool, modified in affected:
-                modified = np.array(list(dict.fromkeys(modified.tolist())))
-                missing = self._distances[modified[:, None], pool] == -1
-                new_columns = pool[np.nonzero(missing)[1]]  # row-major, as the repeat below; no row array is kept
-                slots, columns = np.concatenate([slots, modified.repeat(missing.sum(1))]), np.concatenate([columns, new_columns])
-                self._distances[slots[len(slots) - len(new_columns) :], new_columns] = -2
-                while len(slots) >= CHUNK_ROWS:
-                    self._flush(slots[:CHUNK_ROWS], columns[:CHUNK_ROWS])
-                    slots, columns = slots[CHUNK_ROWS:], columns[CHUNK_ROWS:]
-            self._flush(slots, columns)
-        except BaseException:
-            self._distances[slots, columns] = -1
-            raise
+        affected = list(affected)  # every slot exists and the cache has grown
+        need = np.zeros((len(self._slots), len(self._tokens)), dtype=bool)
+        for _, pool, slots in affected:
+            need[slots[:, None], pool] = True
+        need &= self._distances[: len(need)] == -1
+        pairs = np.flatnonzero(need)
+        for start in range(0, len(pairs), CHUNK_ROWS):
+            self._flush(*np.divmod(pairs[start : start + CHUNK_ROWS], need.shape[1]))
 
     def _flush(self, slots: np.ndarray, columns: np.ndarray) -> None:
         """Align the (slot, column) pairs in one kernel call and cache the distances."""
@@ -241,7 +238,7 @@ class ChangeScorer:
 
         The missing pairs of all the changes are aligned first, so scoring
         each change then makes no kernel call.  A change that cannot be
-        scored raises what :meth:`score` raises for it.
+        scored raises what :meth:`score` raises for it, before any alignment.
         """
         self._align(map(self._affected, changes))
         return [self.score(change) for change in changes]
@@ -249,8 +246,10 @@ class ChangeScorer:
     def score(self, change: ProcessChange) -> ScoredChange:
         """Score one change: the one-change case of :meth:`score_all`."""
         rows, pool, slots = affected = self._affected(change)
-        self._align([affected])
         distances = self._distances[slots[:, None], pool]
+        if (distances == -1).any():  # none after score_all
+            self._align([affected])
+            distances = self._distances[slots[:, None], pool]
         best, similarities, ties = _best_matches(distances, self._own_lengths[rows], self._lengths[pool], self._freqs[pool])
         matched, frequencies = pool[best], self._own_freqs[rows]
         weight_total, impact = int(np.cumsum(frequencies)[-1]), None

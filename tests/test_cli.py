@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import BENCHMARK_CSV, OWN_CSV
 import execbench
-from execbench import cli, eventlog, footprint
+from execbench import cli, eventlog, footprint, proctree
 from execbench.cli import _change_payload, _experiment_config, _resolve_performance, build_parser, main
 from execbench.errors import ExecbenchWarning, LogSimilarityWarning, TruncationWarning
 from execbench.eventlog import EventLog, Trace, write_event_log
@@ -50,6 +50,17 @@ def test_invalid_eval_options_exit_with_config_error(capsys):
     assert "leaves_range" in capsys.readouterr().err
     assert main(["eval", "--pairs", "2", "--traces", "30", "--seed", "-1"]) == 2
     assert "master_seed" in capsys.readouterr().err
+
+
+def test_eval_refuses_more_traces_than_one_stream_word_before_any_play_out(capsys, monkeypatch):
+    def no_play_out(*args):
+        raise AssertionError("a play-out started")
+
+    monkeypatch.setattr(proctree, "_stream_states", no_play_out)
+    assert main(["eval", "--pairs", "1", "--traces", "5000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_traces" in captured.err and "2**32" in captured.err
 
 
 def test_eval_refuses_mutation_ranges_that_its_smallest_tree_cannot_take(capsys):

@@ -13,6 +13,7 @@ from conftest import make_index
 from execbench.errors import ConfigError, DataError
 from execbench.eventlog import EventLog, extract_variants
 from execbench.footprint import _RELATIONS, FootprintMatrix, Relation, build_footprint_matrix, ordering_counts
+from execbench.scoring import ChangeScorer
 
 
 @pytest.fixture
@@ -129,13 +130,19 @@ def test_empty_log_rejected():
 
 
 def test_footprints_refuse_anything_but_a_variant_index(own_log):
-    """Both builders read only a log's variant index; an event log or None
-    is refused with a message that names the function that builds one."""
-    for wrong in (own_log, None):
+    """Both builders and the change scorer read only a log's variant index;
+    an event log or None is refused with a message that names the function
+    that builds one."""
+    index = extract_variants(own_log)
+    for wrong in (own_log, EventLog({}), None):
         with pytest.raises(ConfigError, match="extract_variants"):
             ordering_counts(wrong)
         with pytest.raises(ConfigError, match="extract_variants"):
             build_footprint_matrix(wrong)
+        with pytest.raises(ConfigError, match="extract_variants"):
+            ChangeScorer(wrong, index)
+        with pytest.raises(ConfigError, match="extract_variants"):
+            ChangeScorer(index, wrong)
 
 
 def test_matrix_csv_layout(own_log):

@@ -782,5 +782,10 @@ def test_negative_trace_count_rejected():
 
 
 def test_stream_count_beyond_one_index_word_rejected():
-    with pytest.raises(ConfigError, match=r"2\*\*32"):
-        _stream_states(0, 2**32 + 1)
+    """Trace i plays out from a seed whose last 32-bit word is i, so a
+    config of more than 2**32 traces is refused when it is built."""
+    SimConfig(n_traces=2**32)
+    with pytest.raises(ConfigError, match=r"n_traces.*2\*\*32"):
+        SimConfig(n_traces=2**32 + 1)
+    with pytest.raises(ConfigError, match=r"n_traces.*2\*\*32"):
+        ExperimentConfig(n_traces=2**32 + 1)

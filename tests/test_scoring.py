@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCHMARK_VARIANTS, OWN_VARIANTS, make_log, naive_levenshtein
+from conftest import BENCHMARK_VARIANTS, OWN_VARIANTS, make_index, make_log, naive_levenshtein
 from execbench import footprint, scoring
 from execbench.compatibility import ProcessChange
 from execbench.errors import (
@@ -518,10 +518,10 @@ def test_a_scorer_aligns_each_pair_once(monkeypatch, bound):
         assert batched == 1
 
 
-def test_a_kernel_error_leaves_no_pair_claimed(monkeypatch):
+def test_a_kernel_error_leaves_only_missing_or_exact_distances(monkeypatch):
     """When the kernel raises part-way through ``score_all``, the error
-    propagates, no cache cell stays claimed, and the scorer then scores as
-    a fresh one does."""
+    propagates, every cache cell is -1 or the distance a fresh scorer
+    caches there, and the scorer then scores as a fresh one does."""
     own_idx, bench_idx, changes = _overlapping_pools()
     calls = []
     kernel = scoring.levenshtein_many
@@ -537,11 +537,57 @@ def test_a_kernel_error_leaves_no_pair_claimed(monkeypatch):
     scorer = ChangeScorer(own_idx, bench_idx)
     with pytest.raises(RuntimeError, match="kernel failed"):
         scorer.score_all(changes)
-    assert len(calls) == 2
-    assert not (scorer._distances == -2).any()
-    assert (scorer._distances >= 0).sum() == calls[0]
+    assert calls == [5, 5]
     monkeypatch.setattr(scoring, "levenshtein_many", kernel)
-    assert scorer.score_all(changes) == ChangeScorer(own_idx, bench_idx).score_all(changes)
+    fresh = ChangeScorer(own_idx, bench_idx)
+    expected = fresh.score_all(changes)
+    assert scorer._slots == fresh._slots
+    cached, exact = scorer._distances, fresh._distances
+    assert cached.shape == exact.shape and cached.min() >= -1
+    assert ((cached == -1) | (cached == exact)).all()
+    assert (cached >= 0).sum() == calls[0]
+    assert scorer.score_all(changes) == expected
+
+
+def test_the_alignment_pass_stays_within_its_grid_budget(monkeypatch):
+    """``score_all``'s alignment pass holds, per cell of its slots ×
+    benchmark-variants need grid, at most 10 bytes: the bool grid (1), the
+    bool ``== -1`` compare it is and-ed with (1), and the 8-byte flat index
+    of each needed pair (8).  Each kernel call adds buffers of a few int64
+    arrays per pair (the divmod's slot and column, the run marks and their
+    cumsum, the kernel's result), under 64 bytes per pair of one call.  The
+    kernel is stubbed, so only the pass itself is measured; the cache grows
+    when the affected sets are built, before it starts."""
+    import tracemalloc
+
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+
+    def variants(alphabet):
+        drawn = {tuple(alphabet[i] for i in rng.integers(0, 6, size=rng.integers(4, 12))) for _ in range(500)}
+        return [v for v in sorted(drawn) if "a" in v or "x" in v]
+
+    own_idx = make_index(variants("abcdef"))
+    bench_idx = make_index(variants("xbcdef"))
+    monkeypatch.setattr(scoring, "levenshtein_many", lambda queries, cands, qi, ci: np.zeros(len(qi), dtype=np.int32))
+    scorer = ChangeScorer(own_idx, bench_idx)
+    align, peaks = scorer._align, []
+
+    def traced(affected):
+        affected = list(affected)
+        tracemalloc.start()
+        try:
+            align(affected)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(scorer, "_align", traced)
+    scorer.score_all([ProcessChange((Match("a", "x"),))])
+    cells = len(scorer._slots) * len(bench_idx.entries)
+    assert len(own_idx.entries) > 250 and cells > 8 * scoring.CHUNK_ROWS
+    assert len(peaks) == 1 and peaks[0] < 10 * cells + 64 * scoring.CHUNK_ROWS
 
 
 def test_frequency_scaling_invariance(own_log, benchmark_index):
